@@ -46,8 +46,10 @@ class Assignment:
 def hungarian_solve(cost) -> Assignment:
     """Minimum-total-cost injective assignment of min(R, C) pairs.
 
-    Rectangular matrices are padded to square with a sentinel larger than
-    any achievable real total, so padding never distorts real pairs.
+    Rectangular matrices are padded to square with zeros. Padding fills
+    whole rows or columns, so every complete assignment uses exactly
+    |R - C| padded cells and any finite pad value leaves the optimal real
+    pairs unchanged; zero also keeps the solver's arithmetic finite.
     Deterministic: rows are processed in ascending order and equal-cost
     columns resolve to the lowest column index.
     """
@@ -63,8 +65,7 @@ def hungarian_solve(cost) -> Assignment:
         raise ValueError("cost matrix entries must be finite")
 
     n = max(rows, cols)
-    sentinel = 1.0 + rows * cols * float(np.max(np.abs(mat))) if mat.size else 1.0
-    square = np.full((n, n), sentinel, dtype=float)
+    square = np.zeros((n, n))
     square[:rows, :cols] = mat
 
     col_to_row = _solve_square(square)

@@ -72,21 +72,13 @@ def _generator_from(opts: dict) -> synthgen.GeneratorConfig:
 
 
 def _head_config_from(opts: dict) -> topoheads.HeadConfig:
+    ints = ("feature_dim", "mlp_hidden", "control_points", "epochs", "seed")
+    floats = ("lr", "focal_alpha", "focal_gamma", "weight_decay", "coord_scale")
+    width = opts.get("detector_feature_width")
     return topoheads.HeadConfig(
-        feature_dim=int(opts["feature_dim"]),
-        mlp_hidden=int(opts["mlp_hidden"]),
-        control_points=int(opts["control_points"]),
-        detector_feature_width=(
-            int(opts["detector_feature_width"]) if opts.get("detector_feature_width") else None
-        ),
-        epochs=int(opts["epochs"]),
-        lr=float(opts["lr"]),
-        focal_alpha=float(opts["focal_alpha"]),
-        focal_gamma=float(opts["focal_gamma"]),
-        weight_decay=float(opts["weight_decay"]),
-        coord_scale=float(opts["coord_scale"]),
-        lt_compose=str(opts["lt_compose"]),
-        seed=int(opts["seed"]),
+        detector_feature_width=int(width) if width else None,
+        **{k: int(opts[k]) for k in ints},
+        **{k: float(opts[k]) for k in floats},
     )
 
 
@@ -152,29 +144,11 @@ def run_train(opts: dict) -> int:
     return 0
 
 
-def _predict_records(detections, params):
-    cfg = params.config
-    for det in detections:
-        for lane in det.lanes:
-            if np.asarray(lane.ctrl).shape[0] != cfg.control_points:
-                raise ValueError(
-                    f"scene {det.scene_id!r}: lane has {np.asarray(lane.ctrl).shape[0]} control points, "
-                    f"parameters expect {cfg.control_points}"
-                )
-    out = []
-    for det in detections:
-        ll, lt = topoheads.predict(det, params)
-        out.append(
-            dataio.PredictionRecord(det.scene_id, det.lanes, det.traffic, topo_ll_prob=ll, topo_lt_prob=lt)
-        )
-    return out
-
-
 def run_predict(opts: dict) -> int:
     _require(opts, "params", "detections", "out")
     params = topoheads.load_params(opts["params"])
     detections = dataio.load_detections(opts["detections"])
-    records = _predict_records(detections, params)
+    records = topoheads.predict_records(detections, params)
     dataio.save_detections(records, opts["out"])
     print(f"predicted topology for {len(records)} scenes -> {opts['out']}")
     return 0
@@ -216,7 +190,7 @@ def run_sweep(opts: dict) -> int:
                 synthgen.corrupt_scene(s, noise, [seed, level_idx, rep, i])
                 for i, s in enumerate(scenes)
             ]
-            records = _predict_records(preds_in, params)
+            records = topoheads.predict_records(preds_in, params)
             report = metrics.evaluate(records, scenes, cfg)
             per_seed.append(list(report.scores()))
         mean = np.mean(np.asarray(per_seed), axis=0)
@@ -353,7 +327,6 @@ COMMAND_DEFAULTS: dict[str, dict] = {
         "focal_gamma": 2.0,
         "weight_decay": 0.01,
         "coord_scale": 50.0,
-        "lt_compose": "sum",
     },
     "predict": {"params": None, "detections": None, "out": None},
     "evaluate": {

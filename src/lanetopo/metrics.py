@@ -12,6 +12,7 @@ in the topology metrics, so detection errors propagate.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,8 +90,9 @@ def _align(predictions, gts):
     extra = sorted(set(pred_ids) - set(gt_ids))
     if missing or extra:
         raise ValueError(f"scene mismatch: missing predictions for {missing}, unexpected {extra}")
-    if len(pred_ids) != len(set(pred_ids)):
-        raise ValueError("duplicate scene_ids in predictions")
+    for side, ids in (("predictions", pred_ids), ("ground truth", gt_ids)):
+        if len(ids) != len(set(ids)):
+            raise ValueError(f"duplicate scene_ids in {side}: {sorted(i for i, c in Counter(ids).items() if c > 1)}")
     by_id = {p.scene_id: p for p in predictions}
     return [(g, by_id[g.scene_id]) for g in sorted(gts, key=lambda g: g.scene_id)]
 

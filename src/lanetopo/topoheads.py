@@ -6,15 +6,21 @@ embedding and a feature embedding (detector features when available, a
 surrogate built from coordinates and class score otherwise). Pairwise
 lane-lane features are the concatenation of both lane features; pairwise
 lane-traffic features are the elementwise sum of a lane and a traffic
-feature. Supervision is focal loss over all pairs; gradients are
-hand-derived and parameters update with a from-scratch AdamW.
+feature. Because a head's first layer is linear, both are evaluated
+factorized: each side is projected once and the projections are
+broadcast-added, so no per-pair input is ever built. Supervision is focal
+loss over all pairs; gradients are hand-derived and parameters, held in
+one flat vector, update with a from-scratch AdamW.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
-from dataclasses import dataclass, field, asdict
+from collections import Counter
+from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -26,9 +32,11 @@ from .dataio import (
     IMAGE_WIDTH,
     NUM_CATEGORIES,
     DetectionRecord,
+    PredictionRecord,
     PredLane,
     SceneRecord,
     TrafficElement,
+    validate_detection,
 )
 
 
@@ -36,11 +44,25 @@ class TrainingError(RuntimeError):
     """Raised when the training loop hits a non-finite loss."""
 
 
+# (rule, predicate) per real-valued HeadConfig field; each must also be finite
+_REAL_RULES = {
+    "lr": (">= 0", lambda v: v >= 0),
+    "focal_alpha": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "focal_gamma": (">= 0", lambda v: v >= 0),
+    "weight_decay": (">= 0", lambda v: v >= 0),
+    "adam_beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "adam_beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
+    "adam_eps": ("> 0", lambda v: v > 0),
+    "coord_scale": ("> 0", lambda v: v > 0),
+}
+# smallest allowed value per integer HeadConfig field
+_INT_MINIMUMS = {"feature_dim": 1, "mlp_hidden": 1, "control_points": 2, "epochs": 1, "seed": 0}
+
+
 @dataclass
 class HeadConfig:
     feature_dim: int = 128  # C, width of lane/traffic features
     mlp_hidden: int = 128
-    query_budget: int = 300  # N_max
     detector_feature_width: int | None = None
     control_points: int = 4  # M
     epochs: int = 10
@@ -52,18 +74,20 @@ class HeadConfig:
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
     coord_scale: float = 50.0  # meters; lane coordinates are divided by this
-    lt_compose: str = "sum"  # "sum" (width C) or "concat" (width 2C)
     seed: int = 0
 
     def __post_init__(self):
-        if self.feature_dim <= 0:
-            raise ValueError("feature_dim must be > 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.lr < 0:
-            raise ValueError("lr must be >= 0")
-        if self.lt_compose not in ("sum", "concat"):
-            raise ValueError(f"lt_compose must be 'sum' or 'concat', got {self.lt_compose!r}")
+        ints = dict(_INT_MINIMUMS)
+        if self.detector_feature_width is not None:
+            ints["detector_feature_width"] = 1
+        for name, lo in ints.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
+                raise ValueError(f"HeadConfig.{name} must be an integer >= {lo}, got {v!r}")
+        for name, (rule, ok) in _REAL_RULES.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and ok(v)):
+                raise ValueError(f"HeadConfig.{name} must be a finite number {rule}, got {v!r}")
 
 
 @dataclass
@@ -96,23 +120,53 @@ class MlpParams:
         return self.weights[-1].shape[0]
 
 
-@dataclass
+def module_dims(cfg: HeadConfig) -> dict[str, list[int]]:
+    """Layer widths of every module, in parameter-layout order."""
+    c, h = cfg.feature_dim, cfg.mlp_hidden
+    return {
+        "coord_embedder": [3 * cfg.control_points, h, c],
+        # detector features, or the surrogate: coordinates plus class score
+        "feat_embedder": [cfg.detector_feature_width or 3 * cfg.control_points + 1, h, c],
+        # box corners, one-hot category, confidence
+        "traffic_embedder": [4 + NUM_CATEGORIES + 1, h, c],
+        "ll_head": [2 * c, h, 1],
+        "lt_head": [c, h, 1],
+    }
+
+
 class TopoHeadParams:
-    config: HeadConfig
-    coord_embedder: MlpParams
-    feat_embedder: MlpParams
-    traffic_embedder: MlpParams
-    ll_head: MlpParams
-    lt_head: MlpParams
+    """Every learnable parameter of the heads in one float64 vector ``flat``.
+
+    Each module is an MlpParams whose weights and biases are views into
+    ``flat``: modules in ``module_dims`` order, then layers in order, each
+    weight (row-major) followed by its bias. Update ``flat`` in place only;
+    rebinding it would detach the views. ``flat`` defaults to all zeros.
+    """
+
+    def __init__(self, config: HeadConfig, flat: np.ndarray | None = None):
+        dims = module_dims(config)
+        size = sum(o * (i + 1) for d in dims.values() for i, o in zip(d[:-1], d[1:]))
+        self.config = config
+        self.flat = np.zeros(size) if flat is None else np.asarray(flat, dtype=float)
+        if self.flat.shape != (size,):
+            raise ValueError(f"flat parameter vector has shape {self.flat.shape}, configuration needs ({size},)")
+        offset = 0
+        for name, d in dims.items():
+            weights, biases = [], []
+            for d_in, d_out in zip(d[:-1], d[1:]):
+                weights.append(self.flat[offset : offset + d_out * d_in].reshape(d_out, d_in))
+                offset += d_out * d_in
+                biases.append(self.flat[offset : offset + d_out])
+                offset += d_out
+            setattr(self, name, MlpParams(weights, biases))
 
     def modules(self) -> dict[str, MlpParams]:
-        return {
-            "coord_embedder": self.coord_embedder,
-            "feat_embedder": self.feat_embedder,
-            "traffic_embedder": self.traffic_embedder,
-            "ll_head": self.ll_head,
-            "lt_head": self.lt_head,
-        }
+        return {name: getattr(self, name) for name in module_dims(self.config)}
+
+
+def _flatten(mlps) -> np.ndarray:
+    """Concatenate MLP parameters in the TopoHeadParams layout."""
+    return np.concatenate([a.ravel() for mlp in mlps for wb in zip(mlp.weights, mlp.biases) for a in wb])
 
 
 @dataclass
@@ -180,20 +234,12 @@ def mlp_init(dims: Sequence[int], rng: np.random.Generator) -> MlpParams:
     return MlpParams(weights, biases)
 
 
-def mlp_zeros_like(params: MlpParams) -> MlpParams:
-    return MlpParams([np.zeros_like(w) for w in params.weights], [np.zeros_like(b) for b in params.biases])
-
-
 def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, dict]:
-    """Run the chain on a vector or a (batch, in_dim) matrix.
-
-    Returns the output and a cache sufficient for the backward pass.
-    """
-    arr = np.asarray(x, dtype=float)
-    was_1d = arr.ndim == 1
-    a = arr[None, :] if was_1d else arr
-    if a.shape[1] != params.in_dim:
-        raise ValueError(f"input width {a.shape[1]} != expected {params.in_dim}")
+    """Run the chain on a (batch, in_dim) matrix; returns the output and
+    a cache sufficient for the backward pass."""
+    a = np.asarray(x, dtype=float)
+    if a.ndim != 2 or a.shape[1] != params.in_dim:
+        raise ValueError(f"input shape {a.shape} != (batch, {params.in_dim})")
     inputs = [a]
     pre = []
     last = len(params.weights) - 1
@@ -202,68 +248,33 @@ def mlp_forward(params: MlpParams, x) -> tuple[np.ndarray, dict]:
         pre.append(z)
         a = z if l == last else np.maximum(z, 0.0)
         inputs.append(a)
-    out = a[0] if was_1d else a
-    return out, {"inputs": inputs, "pre": pre, "was_1d": was_1d}
+    return a, {"inputs": inputs, "pre": pre}
 
 
-def mlp_backward(params: MlpParams, cache: dict, output_grad) -> tuple[MlpParams, np.ndarray]:
+def mlp_backward(params: MlpParams, cache: dict, output_grad, grads: MlpParams | None = None) -> tuple[MlpParams, np.ndarray]:
     """Exact reverse-mode gradients of mlp_forward.
 
-    Returns gradients in MlpParams layout plus the gradient w.r.t. the input.
+    Writes the parameter gradients into ``grads`` (new arrays when None)
+    and returns them with the gradient w.r.t. the input.
     """
     g = np.asarray(output_grad, dtype=float)
-    if cache["was_1d"]:
-        g = g[None, :]
     if g.shape != cache["pre"][-1].shape:
         raise ValueError(f"output_grad shape {g.shape} != forward output {cache['pre'][-1].shape}")
-    grads = mlp_zeros_like(params)
+    if grads is None:
+        grads = MlpParams([np.empty_like(w) for w in params.weights], [np.empty_like(b) for b in params.biases])
     last = len(params.weights) - 1
     for l in range(last, -1, -1):
         gz = g if l == last else g * (cache["pre"][l] > 0)
         grads.weights[l][:] = gz.T @ cache["inputs"][l]
         grads.biases[l][:] = gz.sum(axis=0)
         g = gz @ params.weights[l]
-    return grads, (g[0] if cache["was_1d"] else g)
-
-
-# ---------------------------------------------------------------------------
-# parameter containers
-
-
-def surrogate_feature_width(cfg: HeadConfig) -> int:
-    return cfg.detector_feature_width or (3 * cfg.control_points + 1)
-
-
-TRAFFIC_INPUT_WIDTH = 4 + NUM_CATEGORIES + 1  # box corners, one-hot category, confidence
+    return grads, g
 
 
 def init_params(cfg: HeadConfig) -> TopoHeadParams:
+    """Seeded init of every module; the draws run in parameter-layout order."""
     rng = np.random.default_rng(cfg.seed)
-    c, h = cfg.feature_dim, cfg.mlp_hidden
-    m3 = 3 * cfg.control_points
-    lt_in = c if cfg.lt_compose == "sum" else 2 * c
-    return TopoHeadParams(
-        config=cfg,
-        coord_embedder=mlp_init([m3, h, c], rng),
-        feat_embedder=mlp_init([surrogate_feature_width(cfg), h, c], rng),
-        traffic_embedder=mlp_init([TRAFFIC_INPUT_WIDTH, h, c], rng),
-        ll_head=mlp_init([2 * c, h, 1], rng),
-        lt_head=mlp_init([lt_in, h, 1], rng),
-    )
-
-
-def zeros_like_params(params: TopoHeadParams) -> TopoHeadParams:
-    return TopoHeadParams(params.config, *[mlp_zeros_like(m) for m in params.modules().values()])
-
-
-def param_arrays(params: TopoHeadParams) -> list[np.ndarray]:
-    """All learnable arrays in a fixed, documented order."""
-    out = []
-    for mlp in params.modules().values():
-        for w, b in zip(mlp.weights, mlp.biases):
-            out.append(w)
-            out.append(b)
-    return out
+    return TopoHeadParams(cfg, _flatten(mlp_init(dims, rng) for dims in module_dims(cfg).values()))
 
 
 # ---------------------------------------------------------------------------
@@ -293,14 +304,9 @@ def traffic_input(te: TrafficElement) -> np.ndarray:
     return np.concatenate([norm, onehot, [te.confidence]])
 
 
-def embed_lane(lane: PredLane, params: TopoHeadParams) -> np.ndarray:
-    """Sum of the coordinate embedding and the (detector or surrogate)
-    feature embedding; output has width C."""
-    feats, _ = embed_lanes([lane], params)
-    return feats[0]
-
-
 def embed_lanes(lanes: Sequence[PredLane], params: TopoHeadParams):
+    """Per-lane sum of the coordinate embedding and the (detector or
+    surrogate) feature embedding, shape (n, C), plus the backward cache."""
     cfg = params.config
     if not lanes:
         return np.zeros((0, cfg.feature_dim)), None
@@ -310,11 +316,6 @@ def embed_lanes(lanes: Sequence[PredLane], params: TopoHeadParams):
     return coord_out + feat_out, (coord_cache, feat_cache)
 
 
-def embed_traffic(te: TrafficElement, params: TopoHeadParams) -> np.ndarray:
-    feats, _ = embed_traffic_batch([te], params)
-    return feats[0]
-
-
 def embed_traffic_batch(elements: Sequence[TrafficElement], params: TopoHeadParams):
     if not elements:
         return np.zeros((0, params.config.feature_dim)), None
@@ -322,16 +323,41 @@ def embed_traffic_batch(elements: Sequence[TrafficElement], params: TopoHeadPara
     return mlp_forward(params.traffic_embedder, x)
 
 
-def _ll_pair_input(lane_feats: np.ndarray) -> np.ndarray:
-    n = lane_feats.shape[0]
-    return np.hstack([np.repeat(lane_feats, n, axis=0), np.tile(lane_feats, (n, 1))])
+def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols: slice, right_cols: slice):
+    """Logits of ``head`` for every (left row i, right row j) pair.
+
+    The head's first layer sees row i of ``left`` through its input
+    columns ``left_cols`` and row j of ``right`` through ``right_cols``, so
+    it is the broadcast sum of two per-side projections.
+    """
+    n, m = left.shape[0], right.shape[0]
+    w = head.weights[0]
+    proj_l = left @ w[:, left_cols].T
+    proj_r = right @ w[:, right_cols].T
+    pre = (proj_l[:, None, :] + proj_r[None, :, :] + head.biases[0]).reshape(n * m, w.shape[0])
+    rest = MlpParams(head.weights[1:], head.biases[1:])
+    out, rest_cache = mlp_forward(rest, np.maximum(pre, 0.0))
+    sides = ((left, left_cols), (right, right_cols))
+    cache = {"pre": [pre, *rest_cache["pre"]], "rest": (rest, rest_cache), "sides": sides}
+    return out.reshape(n, m), cache
 
 
-def _lt_pair_input(lane_feats: np.ndarray, traffic_feats: np.ndarray, compose: str) -> np.ndarray:
-    n, t = lane_feats.shape[0], traffic_feats.shape[0]
-    if compose == "sum":
-        return (lane_feats[:, None, :] + traffic_feats[None, :, :]).reshape(n * t, -1)
-    return np.hstack([np.repeat(lane_feats, t, axis=0), np.tile(traffic_feats, (n, 1))])
+def _pair_backward(head: MlpParams, head_grads: MlpParams, cache: dict, dlogits: np.ndarray):
+    """Backward of _pair_logits. Fills ``head_grads``, which must hold zeros,
+    and returns the gradients w.r.t. ``left`` and ``right``."""
+    n, m = dlogits.shape
+    rest, rest_cache = cache["rest"]
+    rest_grads = MlpParams(head_grads.weights[1:], head_grads.biases[1:])
+    _, dh = mlp_backward(rest, rest_cache, dlogits.reshape(n * m, 1), rest_grads)
+    dh *= cache["pre"][0] > 0
+    gz = dh.reshape(n, m, dh.shape[1])
+    g_left, g_right = gz.sum(axis=1), gz.sum(axis=0)
+    head_grads.biases[0][:] += g_left.sum(axis=0)
+    (left, left_cols), (right, right_cols) = cache["sides"]
+    w, gw = head.weights[0], head_grads.weights[0]
+    gw[:, left_cols] += g_left.T @ left
+    gw[:, right_cols] += g_right.T @ right
+    return g_left @ w[:, left_cols], g_right @ w[:, right_cols]
 
 
 def ll_logits(lane_feats: np.ndarray, params: TopoHeadParams):
@@ -339,22 +365,13 @@ def ll_logits(lane_feats: np.ndarray, params: TopoHeadParams):
 
     The diagonal is computed but callers exclude it from loss and metrics.
     """
-    n = lane_feats.shape[0]
-    if n == 0:
-        return np.zeros((0, 0)), None
-    z = _ll_pair_input(lane_feats)
-    out, cache = mlp_forward(params.ll_head, z)
-    return out.reshape(n, n), cache
+    c = params.config.feature_dim
+    return _pair_logits(params.ll_head, lane_feats, lane_feats, slice(0, c), slice(c, 2 * c))
 
 
 def lt_logits(lane_feats: np.ndarray, traffic_feats: np.ndarray, params: TopoHeadParams):
-    """Pairwise lane-traffic logits over the composed (sum or concat) features."""
-    n, t = lane_feats.shape[0], traffic_feats.shape[0]
-    if n == 0 or t == 0:
-        return np.zeros((n, t)), None
-    z = _lt_pair_input(lane_feats, traffic_feats, params.config.lt_compose)
-    out, cache = mlp_forward(params.lt_head, z)
-    return out.reshape(n, t), cache
+    """Pairwise lane-traffic logits, entry (i, k) = head(lane_i + traffic_k)."""
+    return _pair_logits(params.lt_head, lane_feats, traffic_feats, slice(None), slice(None))
 
 
 def project_labels(
@@ -396,13 +413,12 @@ def project_labels(
 
 @dataclass
 class AdamState:
-    m: list[np.ndarray]
-    v: list[np.ndarray]
+    m: np.ndarray
+    v: np.ndarray
 
     @classmethod
     def zeros(cls, params: TopoHeadParams) -> "AdamState":
-        arrays = param_arrays(params)
-        return cls([np.zeros_like(a) for a in arrays], [np.zeros_like(a) for a in arrays])
+        return cls(np.zeros_like(params.flat), np.zeros_like(params.flat))
 
 
 def adamw_step(
@@ -418,18 +434,18 @@ def adamw_step(
     """
     if step_index < 1:
         raise ValueError("step_index is 1-based")
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    if p.shape != g.shape:
+        raise ValueError(f"parameter/gradient shape mismatch: {p.shape} vs {g.shape}")
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
     c1 = 1.0 - b1**step_index
     c2 = 1.0 - b2**step_index
-    for p, g, m, v in zip(param_arrays(params), param_arrays(grads), state.m, state.v):
-        if p.shape != g.shape:
-            raise ValueError(f"parameter/gradient shape mismatch: {p.shape} vs {g.shape}")
-        m *= b1
-        m += (1.0 - b1) * g
-        v *= b2
-        v += (1.0 - b2) * g * g
-        p *= 1.0 - cfg.lr * cfg.weight_decay
-        p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    m *= b1
+    m += (1.0 - b1) * g
+    v *= b2
+    v += (1.0 - b2) * g * g
+    p *= 1.0 - cfg.lr * cfg.weight_decay
+    p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
     return params, state
 
 
@@ -473,51 +489,26 @@ def scene_loss_and_grads(
     if not compute_grads:
         return loss_ll, loss_lt, None
 
-    grads = zeros_like_params(params)
-    dfeat_lanes = np.zeros_like(lane_feats)
-    dfeat_traffic = np.zeros_like(traffic_feats)
-
-    if n_ll:
-        dll = np.where(off_diag, ll_grad_terms, 0.0) / n_ll
-        head_grads, dz = mlp_backward(params.ll_head, ll_cache, dll.reshape(n * n, 1))
-        _accumulate(grads.ll_head, head_grads)
-        c = cfg.feature_dim
-        dfeat_lanes += dz[:, :c].reshape(n, n, c).sum(axis=1)
-        dfeat_lanes += dz[:, c:].reshape(n, n, c).sum(axis=0)
-    if n_lt:
-        dlt = lt_grad_terms / n_lt
-        head_grads, dz = mlp_backward(params.lt_head, lt_cache, dlt.reshape(n * t, 1))
-        _accumulate(grads.lt_head, head_grads)
-        c = cfg.feature_dim
-        if cfg.lt_compose == "sum":
-            dz3 = dz.reshape(n, t, c)
-            dfeat_lanes += dz3.sum(axis=1)
-            dfeat_traffic += dz3.sum(axis=0)
-        else:
-            dfeat_lanes += dz[:, :c].reshape(n, t, c).sum(axis=1)
-            dfeat_traffic += dz[:, c:].reshape(n, t, c).sum(axis=0)
-
-    if n and lane_cache is not None:
+    # an edge space without pairs contributes zero gradient
+    grads = TopoHeadParams(cfg)
+    dll = np.where(off_diag, ll_grad_terms, 0.0) / max(n_ll, 1)
+    g_left, g_right = _pair_backward(params.ll_head, grads.ll_head, ll_cache, dll)
+    g_lanes, dfeat_traffic = _pair_backward(params.lt_head, grads.lt_head, lt_cache, lt_grad_terms / max(n_lt, 1))
+    dfeat_lanes = g_left + g_right + g_lanes
+    if n:
         coord_cache, feat_cache = lane_cache
-        g, _ = mlp_backward(params.coord_embedder, coord_cache, dfeat_lanes)
-        _accumulate(grads.coord_embedder, g)
-        g, _ = mlp_backward(params.feat_embedder, feat_cache, dfeat_lanes)
-        _accumulate(grads.feat_embedder, g)
-    if t and traffic_cache is not None:
-        g, _ = mlp_backward(params.traffic_embedder, traffic_cache, dfeat_traffic)
-        _accumulate(grads.traffic_embedder, g)
+        mlp_backward(params.coord_embedder, coord_cache, dfeat_lanes, grads.coord_embedder)
+        mlp_backward(params.feat_embedder, feat_cache, dfeat_lanes, grads.feat_embedder)
+    if t:
+        mlp_backward(params.traffic_embedder, traffic_cache, dfeat_traffic, grads.traffic_embedder)
     return loss_ll, loss_lt, grads
-
-
-def _accumulate(target: MlpParams, extra: MlpParams) -> None:
-    for tw, ew in zip(target.weights, extra.weights):
-        tw += ew
-    for tb, eb in zip(target.biases, extra.biases):
-        tb += eb
 
 
 def _pair_by_scene_id(scenes, detections, what: str):
     by_id = {d.scene_id: d for d in detections}
+    if len(by_id) != len(detections):
+        repeated = sorted(i for i, count in Counter(d.scene_id for d in detections).items() if count > 1)
+        raise ValueError(f"{what}: duplicate detections for scenes {repeated}")
     missing = [s.scene_id for s in scenes if s.scene_id not in by_id]
     if missing:
         raise ValueError(f"{what}: detections missing for scenes {missing}")
@@ -558,7 +549,7 @@ def train(
             if not np.isfinite(total):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, scene {scene.scene_id!r}")
             step += 1
-            norms.append(float(np.sqrt(sum(float(np.sum(g * g)) for g in param_arrays(grads)))))
+            norms.append(float(np.sqrt(grads.flat @ grads.flat)))
             adamw_step(params, grads, state, step, cfg)
             losses_ll.append(loss_ll)
             losses_lt.append(loss_lt)
@@ -588,6 +579,14 @@ def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndar
     return ll_p, stable_sigmoid(lt_z)
 
 
+def predict_records(detections: Sequence[DetectionRecord], params: TopoHeadParams) -> list[PredictionRecord]:
+    """Prediction records for every detection, after checking that every
+    lane has the control-point count the parameters were trained for."""
+    for det in detections:
+        validate_detection(det, control_points=params.config.control_points)
+    return [PredictionRecord(d.scene_id, d.lanes, d.traffic, *predict(d, params)) for d in detections]
+
+
 # ---------------------------------------------------------------------------
 # persistence
 
@@ -608,21 +607,39 @@ def save_params(params: TopoHeadParams, path) -> None:
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
 
 
+def _saved_config(raw: dict) -> HeadConfig:
+    """HeadConfig from a saved config echo. Older files also carry the unused
+    ``query_budget`` and ``lt_compose``, which must be the sum."""
+    raw = dict(raw)
+    raw.pop("query_budget", None)
+    compose = raw.pop("lt_compose", "sum")
+    if compose != "sum":
+        raise ValueError(f"config field lt_compose: only 'sum' is supported, got {compose!r}")
+    unknown = sorted(set(raw) - {f.name for f in fields(HeadConfig)})
+    if unknown:
+        raise ValueError(f"unknown config field(s) {unknown}")
+    return HeadConfig(**raw)
+
+
 def load_params(path) -> TopoHeadParams:
+    """Parameters saved by ``save_params``, validated against their config."""
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    cfg = HeadConfig(**obj["config"])
-    mlps = {}
-    for name, layers in obj["modules"].items():
+    try:
+        cfg = _saved_config(obj["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    dims = module_dims(cfg)
+    if set(obj["modules"]) != set(dims):
+        raise ValueError(f"{path}: modules {sorted(obj['modules'])} != expected {sorted(dims)}")
+    mlps = []
+    for name, d in dims.items():
+        layers = obj["modules"][name]
         weights = [np.asarray(l["weight"], dtype=float) for l in layers]
         biases = [np.asarray(l["bias"], dtype=float) for l in layers]
-        mlps[name] = MlpParams(weights, biases)  # validates dimension chaining
-    params = TopoHeadParams(cfg, **mlps)
-    expected = init_params(cfg)
-    for name in expected.modules():
-        got, want = params.modules()[name], expected.modules()[name]
-        if [w.shape for w in got.weights] != [w.shape for w in want.weights]:
-            raise ValueError(f"{name}: layer shapes do not match the configuration")
-    return params
+        if [w.shape for w in weights] != [(o, i) for i, o in zip(d[:-1], d[1:])]:
+            raise ValueError(f"{path}: {name}: layer shapes do not match the configuration")
+        mlps.append(MlpParams(weights, biases))  # checks the bias shapes
+    return TopoHeadParams(cfg, _flatten(mlps))
 
 
 def save_stats(stats: TrainStats, path) -> None:

@@ -119,19 +119,16 @@ def full_gradient_check(cfg, rng, rel_tol=1e-4):
     _, _, grads = th.scene_loss_and_grads(det, scene, params)
     h = 1e-5
     checked = 0
-    for p_arr, g_arr in zip(th.param_arrays(params), th.param_arrays(grads)):
-        it = np.nditer(p_arr, flags=["multi_index"])
-        for _ in it:
-            idx = it.multi_index
-            old = p_arr[idx]
-            p_arr[idx] = old + h
-            up = objective()
-            p_arr[idx] = old - h
-            dn = objective()
-            p_arr[idx] = old
-            fd = (up - dn) / (2 * h)
-            analytic = g_arr[idx]
-            ok = abs(analytic - fd) <= max(rel_tol * abs(fd), 1e-8)
-            assert ok, f"param {idx} analytic {analytic} vs finite difference {fd}"
-            checked += 1
+    for idx in range(params.flat.size):
+        old = params.flat[idx]
+        params.flat[idx] = old + h
+        up = objective()
+        params.flat[idx] = old - h
+        dn = objective()
+        params.flat[idx] = old
+        fd = (up - dn) / (2 * h)
+        analytic = grads.flat[idx]
+        ok = abs(analytic - fd) <= max(rel_tol * abs(fd), 1e-8)
+        assert ok, f"param {idx} analytic {analytic} vs finite difference {fd}"
+        checked += 1
     return checked

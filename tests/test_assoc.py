@@ -2,10 +2,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lanetopo
 from lanetopo.assoc import (
     Assignment,
     CostConfig,
@@ -98,6 +103,20 @@ def test_hungarian_deterministic():
         assert again.pairs == first.pairs
         assert again.unmatched_preds == first.unmatched_preds
         assert again.unmatched_gts == first.unmatched_gts
+
+
+def test_hungarian_terminates_on_huge_finite_costs():
+    # padding must stay finite when the costs are near the float maximum;
+    # the solve runs in a subprocess so that a hang fails instead of blocking
+    code = (
+        "import numpy as np\n"
+        "from lanetopo.assoc import hungarian_solve\n"
+        "for shape in ((6, 3), (3, 6)):\n"
+        "    assert len(hungarian_solve(np.full(shape, 1e307)).pairs) == 3\n"
+    )
+    src = str(Path(lanetopo.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=10, env=env)
 
 
 def make_lane(ctrl, score=1.0):

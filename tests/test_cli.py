@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -95,8 +96,7 @@ def test_train_lr_zero_writes_seeded_init(dataset, tmp_path):
     assert run(small_train_args(dataset, out, ("--lr", "0"))) == 0
     params = topoheads.load_params(out / "params.json")
     init = topoheads.init_params(params.config)
-    for a, b in zip(topoheads.param_arrays(params), topoheads.param_arrays(init)):
-        assert a == pytest.approx(b, abs=1e-15)
+    assert params.flat == pytest.approx(init.flat, abs=1e-15)
 
 
 def test_train_same_seed_identical_param_files(dataset, tmp_path):
@@ -149,6 +149,48 @@ def test_predict_dimension_mismatch_exits_2(trained, tmp_path, capsys):
     code = run(["predict", "--params", str(trained / "params.json"), "--detections", str(bad), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "control points" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "change, field",
+    [
+        ({"coord_scale": 0.0}, "coord_scale"),
+        ({"mlp_hidden": 0}, "mlp_hidden"),
+        ({"focal_alpha": 2.0}, "focal_alpha"),
+        ({"adam_beta1": 1.0}, "adam_beta1"),
+        ({"control_points": 1}, "control_points"),
+        ({"lr": float("nan")}, "lr"),
+        ({"seed": -1}, "seed"),
+        ({"detector_feature_width": 0}, "detector_feature_width"),
+        ({"epochs": "3"}, "epochs"),
+        ({"lt_compose": "concat"}, "lt_compose"),
+        ({"unknown_knob": 1}, "unknown_knob"),
+        ({"query_budget": 300, "lt_compose": "sum"}, None),  # the echo of older parameter files
+    ],
+)
+def test_head_config_validated_at_every_boundary(dataset, tmp_path, capsys, change, field):
+    params = topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3, seed=1))
+    if field in {f.name for f in dataclasses.fields(topoheads.HeadConfig)}:
+        with pytest.raises(ValueError, match=field):
+            topoheads.HeadConfig(**change)
+    path = tmp_path / "params.json"
+    topoheads.save_params(params, path)
+    obj = json.loads(path.read_text())
+    obj["config"].update(change)
+    path.write_text(json.dumps(obj))
+    commands = (
+        ["predict", "--detections", str(dataset / "test_detections.jsonl"), "--out", str(tmp_path / "p.jsonl")],
+        ["sweep", "--scenes-file", str(dataset / "test_scenes.jsonl"), "--seeds", "1", "--out", str(tmp_path / "sw")],
+    )
+    for argv in commands:
+        code = run([*argv, "--params", str(path)])
+        err = capsys.readouterr().err
+        if field is None:
+            assert code == 0, err
+        else:
+            assert code == 2 and field in err, err
+    if field is None:
+        assert np.array_equal(topoheads.load_params(path).flat, params.flat)
 
 
 def perfect_predictions_file(scenes_path, out_path):

@@ -342,6 +342,12 @@ def test_evaluate_missing_scene_listed():
         evaluate(preds, scenes)
 
 
+def test_evaluate_rejects_duplicate_gt_scene_ids():
+    scene = generate_scene(GeneratorConfig(scenes=1, seed=29), 0)
+    with pytest.raises(ValueError, match=scene.scene_id):
+        evaluate([perfect_prediction(scene)], [scene, scene])
+
+
 def test_detection_channel_monotone_in_noise():
     # componentwise-ordered noise models: mean DET_l over seeds must not increase
     cfg = GeneratorConfig(scenes=3, seed=31, lanes_per_scene=(6, 9))

@@ -24,15 +24,16 @@ from gradcheck import full_gradient_check, random_scene_pair, small_config
 
 def test_mlp_forward_zero_params():
     params = th.MlpParams([np.zeros((3, 2)), np.zeros((1, 3))], [np.zeros(3), np.zeros(1)])
-    out, _ = th.mlp_forward(params, np.array([1.0, -2.0]))
-    assert out == pytest.approx([0.0])
+    out, _ = th.mlp_forward(params, np.array([[1.0, -2.0]]))
+    assert out.shape == (1, 1)
+    assert out[0] == pytest.approx([0.0])
 
 
 def test_mlp_forward_identity_single_layer():
     params = th.MlpParams([np.eye(4)], [np.zeros(4)])
-    x = np.array([0.5, -1.0, 2.0, 3.0])
+    x = np.array([[0.5, -1.0, 2.0, 3.0]])
     out, _ = th.mlp_forward(params, x)
-    assert out == pytest.approx(x)
+    assert out[0] == pytest.approx(x[0])
 
 
 def test_mlp_forward_two_layer_oracle():
@@ -44,14 +45,16 @@ def test_mlp_forward_two_layer_oracle():
     x = np.array([1.0, 2.0])
     hidden = np.maximum(w1 @ x + b1, 0.0)
     expected = w2 @ hidden + b2
-    out, _ = th.mlp_forward(params, x)
-    assert out == pytest.approx(expected)
+    out, _ = th.mlp_forward(params, x[None, :])
+    assert out[0] == pytest.approx(expected)
 
 
 def test_mlp_forward_rejects_bad_width():
     params = th.MlpParams([np.zeros((2, 3))], [np.zeros(2)])
     with pytest.raises(ValueError):
-        th.mlp_forward(params, np.zeros(4))
+        th.mlp_forward(params, np.zeros((1, 4)))
+    with pytest.raises(ValueError):
+        th.mlp_forward(params, np.zeros(3))  # a vector is not a batch
 
 
 def test_mlp_params_reject_broken_chain():
@@ -62,7 +65,7 @@ def test_mlp_params_reject_broken_chain():
 def test_mlp_backward_zero_output_grad():
     rng = np.random.default_rng(0)
     params = th.mlp_init([3, 4, 2], rng)
-    out, cache = th.mlp_forward(params, rng.normal(size=3))
+    out, cache = th.mlp_forward(params, rng.normal(size=(1, 3)))
     grads, gx = th.mlp_backward(params, cache, np.zeros_like(out))
     assert all(np.all(w == 0) for w in grads.weights)
     assert np.all(gx == 0)
@@ -71,23 +74,23 @@ def test_mlp_backward_zero_output_grad():
 def test_mlp_backward_linear_outer_product():
     rng = np.random.default_rng(1)
     params = th.MlpParams([rng.normal(size=(3, 4))], [rng.normal(size=3)])
-    x = rng.normal(size=4)
+    x = rng.normal(size=(1, 4))
     out, cache = th.mlp_forward(params, x)
-    g = rng.normal(size=3)
+    g = rng.normal(size=(1, 3))
     grads, _ = th.mlp_backward(params, cache, g)
-    assert grads.weights[0] == pytest.approx(np.outer(g, x))
-    assert grads.biases[0] == pytest.approx(g)
+    assert grads.weights[0] == pytest.approx(np.outer(g[0], x[0]))
+    assert grads.biases[0] == pytest.approx(g[0])
 
 
 def test_mlp_backward_matches_finite_differences():
     rng = np.random.default_rng(2)
     params = th.mlp_init([4, 5, 3], rng)
-    x = rng.normal(size=4)
-    direction = rng.normal(size=3)
+    x = rng.normal(size=(1, 4))
+    direction = rng.normal(size=(1, 3))
 
     def scalar_out(p):
         out, _ = th.mlp_forward(p, x)
-        return float(direction @ out)
+        return float(np.sum(direction * out))
 
     _, cache = th.mlp_forward(params, x)
     grads, gx = th.mlp_backward(params, cache, direction)
@@ -107,13 +110,13 @@ def test_mlp_backward_matches_finite_differences():
                 assert g_arr[idx] == pytest.approx(fd, rel=1e-4, abs=1e-7)
     # input gradient too
     for i in range(4):
-        old = x[i]
-        x[i] = old + h
+        old = x[0, i]
+        x[0, i] = old + h
         up = scalar_out(params)
-        x[i] = old - h
+        x[0, i] = old - h
         dn = scalar_out(params)
-        x[i] = old
-        assert gx[i] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
+        x[0, i] = old
+        assert gx[0, i] == pytest.approx((up - dn) / (2 * h), rel=1e-4, abs=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -177,12 +180,21 @@ def test_focal_positive_and_zero_iff_pt_one():
 # embeddings and pairwise logits
 
 
+def embed_one_lane(lane, params):
+    feats, _ = th.embed_lanes([lane], params)
+    return feats[0]
+
+
+def embed_one_traffic(te, params):
+    feats, _ = th.embed_traffic_batch([te], params)
+    return feats[0]
+
+
 def test_embed_lane_zero_params_gives_zero():
     cfg = small_config()
-    params = th.init_params(cfg)
-    zero = th.zeros_like_params(params)
+    zero = th.TopoHeadParams(cfg)
     lane = PredLane(ctrl=np.ones((3, 3)), class_score=0.7)
-    assert th.embed_lane(lane, zero) == pytest.approx(np.zeros(cfg.feature_dim))
+    assert embed_one_lane(lane, zero) == pytest.approx(np.zeros(cfg.feature_dim))
 
 
 def test_embed_lane_zero_feat_embedder_leaves_coord_embedding():
@@ -193,9 +205,9 @@ def test_embed_lane_zero_feat_embedder_leaves_coord_embedding():
     for b in params.feat_embedder.biases:
         b[:] = 0.0
     lane = PredLane(ctrl=np.arange(9, dtype=float).reshape(3, 3), class_score=0.4)
-    coord_in = lane.ctrl.reshape(-1) / cfg.coord_scale
+    coord_in = lane.ctrl.reshape(1, -1) / cfg.coord_scale
     expected, _ = th.mlp_forward(params.coord_embedder, coord_in)
-    assert th.embed_lane(lane, params) == pytest.approx(expected)
+    assert embed_one_lane(lane, params) == pytest.approx(expected[0])
 
 
 def test_embed_lane_matches_matrix_oracle():
@@ -213,25 +225,25 @@ def test_embed_lane_matches_matrix_oracle():
     coord_in = lane.ctrl.reshape(-1) / cfg.coord_scale
     surrogate_in = np.concatenate([coord_in, [lane.class_score]])
     expected = run(params.coord_embedder, coord_in) + run(params.feat_embedder, surrogate_in)
-    assert th.embed_lane(lane, params) == pytest.approx(expected)
+    assert embed_one_lane(lane, params) == pytest.approx(expected)
 
 
 def test_embed_lane_detector_feature_path():
     cfg = small_config(detector_feature_width=5, seed=2)
     params = th.init_params(cfg)
     lane = PredLane(ctrl=np.zeros((3, 3)), class_score=1.0, feature=np.arange(5.0))
-    out = th.embed_lane(lane, params)
-    expected = th.mlp_forward(params.coord_embedder, np.zeros(9))[0] + th.mlp_forward(params.feat_embedder, np.arange(5.0))[0]
-    assert out == pytest.approx(expected)
+    out = embed_one_lane(lane, params)
+    expected = th.mlp_forward(params.coord_embedder, np.zeros((1, 9)))[0] + th.mlp_forward(params.feat_embedder, np.arange(5.0)[None, :])[0]
+    assert out == pytest.approx(expected[0])
     with pytest.raises(ValueError):
-        th.embed_lane(PredLane(ctrl=np.zeros((3, 3)), class_score=1.0, feature=np.zeros(4)), params)
+        embed_one_lane(PredLane(ctrl=np.zeros((3, 3)), class_score=1.0, feature=np.zeros(4)), params)
 
 
 def test_embed_traffic_zero_params_and_onehot_block():
     cfg = small_config()
-    zero = th.zeros_like_params(th.init_params(cfg))
+    zero = th.TopoHeadParams(cfg)
     te = TrafficElement(id=0, box=np.array([10.0, 10.0, 50.0, 60.0]), category=4, confidence=0.9)
-    assert th.embed_traffic(te, zero) == pytest.approx(np.zeros(cfg.feature_dim))
+    assert embed_one_traffic(te, zero) == pytest.approx(np.zeros(cfg.feature_dim))
     other = TrafficElement(id=1, box=te.box.copy(), category=7, confidence=0.9)
     xa, xb = th.traffic_input(te), th.traffic_input(other)
     differing = np.nonzero(xa != xb)[0]
@@ -246,7 +258,7 @@ def test_embed_traffic_matches_oracle():
     x = th.traffic_input(te)
     a = np.maximum(params.traffic_embedder.weights[0] @ x + params.traffic_embedder.biases[0], 0.0)
     expected = params.traffic_embedder.weights[1] @ a + params.traffic_embedder.biases[1]
-    assert th.embed_traffic(te, params) == pytest.approx(expected)
+    assert embed_one_traffic(te, params) == pytest.approx(expected)
 
 
 def test_ll_logits_shapes_and_oracle():
@@ -256,7 +268,7 @@ def test_ll_logits_shapes_and_oracle():
     one = rng.normal(size=(1, cfg.feature_dim))
     out, _ = th.ll_logits(one, params)
     assert out.shape == (1, 1)
-    zero = th.zeros_like_params(params)
+    zero = th.TopoHeadParams(cfg)
     feats = rng.normal(size=(3, cfg.feature_dim))
     zl, _ = th.ll_logits(feats, zero)
     assert np.all(zl == 0.0)
@@ -265,8 +277,8 @@ def test_ll_logits_shapes_and_oracle():
     for i in range(2):
         for j in range(2):
             z = np.concatenate([two[i], two[j]])
-            expected, _ = th.mlp_forward(params.ll_head, z)
-            assert mat[i, j] == pytest.approx(expected[0])
+            expected, _ = th.mlp_forward(params.ll_head, z[None, :])
+            assert mat[i, j] == pytest.approx(expected[0, 0])
 
 
 def test_lt_logits_shapes_and_oracle_sum_compose():
@@ -280,19 +292,38 @@ def test_lt_logits_shapes_and_oracle_sum_compose():
     mat, _ = th.lt_logits(lanes, traffic, params)
     assert mat.shape == (2, 1)
     for i in range(2):
-        expected, _ = th.mlp_forward(params.lt_head, lanes[i] + traffic[0])
-        assert mat[i, 0] == pytest.approx(expected[0])
+        expected, _ = th.mlp_forward(params.lt_head, (lanes[i] + traffic[0])[None, :])
+        assert mat[i, 0] == pytest.approx(expected[0, 0])
 
 
-def test_lt_logits_concat_compose():
-    cfg = small_config(seed=6, lt_compose="concat")
+def test_pair_logits_match_unfactorized_heads():
+    # reference: the head run on every explicitly built pair input
+    cfg = th.HeadConfig(feature_dim=16, mlp_hidden=12, seed=10)
     params = th.init_params(cfg)
     rng = np.random.default_rng(10)
-    lanes = rng.normal(size=(2, cfg.feature_dim))
-    traffic = rng.normal(size=(2, cfg.feature_dim))
-    mat, _ = th.lt_logits(lanes, traffic, params)
-    expected, _ = th.mlp_forward(params.lt_head, np.concatenate([lanes[1], traffic[0]]))
-    assert mat[1, 0] == pytest.approx(expected[0])
+    lanes = rng.normal(size=(7, cfg.feature_dim))
+    traffic = rng.normal(size=(5, cfg.feature_dim))
+    n, t = len(lanes), len(traffic)
+    concat = np.hstack([np.repeat(lanes, n, axis=0), np.tile(lanes, (n, 1))])
+    ll_ref, _ = th.mlp_forward(params.ll_head, concat)
+    summed = (lanes[:, None, :] + traffic[None, :, :]).reshape(n * t, -1)
+    lt_ref, _ = th.mlp_forward(params.lt_head, summed)
+    ll, _ = th.ll_logits(lanes, params)
+    lt, _ = th.lt_logits(lanes, traffic, params)
+    np.testing.assert_allclose(ll, ll_ref.reshape(n, n), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(lt, lt_ref.reshape(n, t), rtol=1e-12, atol=1e-12)
+
+
+def test_init_params_views_hold_the_seeded_draws():
+    cfg = small_config(seed=12)
+    params = th.init_params(cfg)
+    rng = np.random.default_rng(cfg.seed)
+    for name, mlp in params.modules().items():
+        fresh = th.mlp_init([mlp.in_dim] + [w.shape[0] for w in mlp.weights], rng)
+        for got, want in zip(mlp.weights + mlp.biases, fresh.weights + fresh.biases):
+            assert np.array_equal(got, want), name
+            assert np.shares_memory(got, params.flat), name
+    assert params.flat.size == sum(a.size for m in params.modules().values() for a in m.weights + m.biases)
 
 
 # ---------------------------------------------------------------------------
@@ -341,34 +372,28 @@ def test_project_labels_out_of_range():
 def test_adamw_zero_grad_zero_decay_keeps_params():
     cfg = small_config(weight_decay=0.0)
     params = th.init_params(cfg)
-    before = [a.copy() for a in th.param_arrays(params)]
-    grads = th.zeros_like_params(params)
-    th.adamw_step(params, grads, th.AdamState.zeros(params), 1, cfg)
-    for a, b in zip(th.param_arrays(params), before):
-        assert np.array_equal(a, b)
+    before = params.flat.copy()
+    th.adamw_step(params, th.TopoHeadParams(cfg), th.AdamState.zeros(params), 1, cfg)
+    assert np.array_equal(params.flat, before)
 
 
 def test_adamw_first_step_closed_form():
     cfg = small_config(weight_decay=0.0, lr=1e-3)
     params = th.init_params(cfg)
-    grads = th.zeros_like_params(params)
     rng = np.random.default_rng(13)
-    for g in th.param_arrays(grads):
-        g[:] = rng.normal(size=g.shape)
-    before = [a.copy() for a in th.param_arrays(params)]
+    grads = th.TopoHeadParams(cfg, rng.normal(size=params.flat.shape))
+    before = params.flat.copy()
     th.adamw_step(params, grads, th.AdamState.zeros(params), 1, cfg)
-    for p, b, g in zip(th.param_arrays(params), before, th.param_arrays(grads)):
-        expected = b - cfg.lr * g / (np.abs(g) + cfg.adam_eps)
-        assert p == pytest.approx(expected, rel=1e-9)
+    expected = before - cfg.lr * grads.flat / (np.abs(grads.flat) + cfg.adam_eps)
+    assert params.flat == pytest.approx(expected, rel=1e-9)
 
 
 def test_adamw_decay_only():
     cfg = small_config(weight_decay=0.5, lr=0.1)
     params = th.init_params(cfg)
-    before = [a.copy() for a in th.param_arrays(params)]
-    th.adamw_step(params, th.zeros_like_params(params), th.AdamState.zeros(params), 1, cfg)
-    for p, b in zip(th.param_arrays(params), before):
-        assert p == pytest.approx(b * (1 - 0.1 * 0.5), rel=1e-12)
+    before = params.flat.copy()
+    th.adamw_step(params, th.TopoHeadParams(cfg), th.AdamState.zeros(params), 1, cfg)
+    assert params.flat == pytest.approx(before * (1 - 0.1 * 0.5), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -384,12 +409,6 @@ def test_scene_gradients_match_finite_differences():
             seed=int(rng.integers(0, 1000)),
         )
         assert full_gradient_check(cfg, rng) > 0
-
-
-def test_scene_gradients_concat_compose():
-    rng = np.random.default_rng(78)
-    cfg = small_config(feature_dim=3, mlp_hidden=3, lt_compose="concat", seed=4)
-    assert full_gradient_check(cfg, rng) > 0
 
 
 def make_training_set(rng, count, n_lanes=3, n_traffic=2, m=3):
@@ -408,9 +427,7 @@ def test_train_lr_zero_keeps_init():
     scenes, dets = make_training_set(rng, 3)
     cfg = small_config(lr=0.0, epochs=1)
     params, _ = th.train(scenes, dets, cfg=cfg)
-    init = th.init_params(cfg)
-    for a, b in zip(th.param_arrays(params), th.param_arrays(init)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(params.flat, th.init_params(cfg).flat)
 
 
 def test_train_deterministic():
@@ -419,8 +436,7 @@ def test_train_deterministic():
     cfg = small_config(epochs=2, seed=5)
     p1, s1 = th.train(scenes, dets, cfg=cfg)
     p2, s2 = th.train(scenes, dets, cfg=cfg)
-    for a, b in zip(th.param_arrays(p1), th.param_arrays(p2)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(p1.flat, p2.flat)
     assert s1.epoch_loss_total == s2.epoch_loss_total
     assert s1.epoch_grad_norm == s2.epoch_grad_norm
 
@@ -447,6 +463,14 @@ def test_train_loss_decreases_on_clean_data():
 def test_train_empty_set_rejected():
     with pytest.raises(ValueError):
         th.train([], [], cfg=small_config())
+
+
+def test_train_rejects_duplicate_detection_scene_ids():
+    rng = np.random.default_rng(21)
+    scenes, dets = make_training_set(rng, 2)
+    dets[0].scene_id = "s1"
+    with pytest.raises(ValueError, match="'s1'"):
+        th.train(scenes[1:], dets, cfg=small_config(epochs=1))
 
 
 def test_learning_signal_beats_fresh_init_over_seeds():
@@ -481,7 +505,7 @@ def test_learning_signal_beats_fresh_init_over_seeds():
 
 def test_predict_zero_params_gives_half_probabilities():
     cfg = small_config()
-    zero = th.zeros_like_params(th.init_params(cfg))
+    zero = th.TopoHeadParams(cfg)
     rng = np.random.default_rng(18)
     _, det = random_scene_pair(rng, n_lanes=3, n_traffic=2)
     ll, lt = th.predict(det, zero)
@@ -537,8 +561,7 @@ def test_params_roundtrip(tmp_path):
     th.save_params(params, p)
     loaded = th.load_params(p)
     assert loaded.config == cfg
-    for a, b in zip(th.param_arrays(params), th.param_arrays(loaded)):
-        assert np.array_equal(a, b)
+    assert np.array_equal(loaded.flat, params.flat)
 
 
 def test_load_params_rejects_wrong_shapes(tmp_path):
