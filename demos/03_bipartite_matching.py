@@ -28,13 +28,20 @@ assignment = match_for_training(preds, [gt0, gt1])
 print("\ntraining match of swapped predictions:", assignment.pairs)
 
 # greedy metric matching: confidence rank decides who claims a GT first
-gts = [sample_lane(gt0.ctrl, 11), sample_lane(gt1.ctrl, 11)]
-ranked_preds = [
-    sample_lane(gt0.ctrl + 0.2, 11),  # rank 1, near gt0
-    sample_lane(gt0.ctrl + 0.4, 11),  # rank 2, also near gt0 -> gt0 is taken
-    sample_lane(gt1.ctrl + 0.2, 11),  # rank 3, near gt1
-]
-flags, pairs = greedy_metric_match(ranked_preds, gts, frechet_distance, threshold=2.0)
+gts = sample_lane(np.stack([gt0.ctrl, gt1.ctrl]), 11)
+ranked_preds = sample_lane(
+    np.stack(
+        [
+            gt0.ctrl + 0.2,  # rank 1, near gt0
+            gt0.ctrl + 0.4,  # rank 2, also near gt0 -> gt0 is taken
+            gt1.ctrl + 0.2,  # rank 3, near gt1
+        ]
+    ),
+    11,
+)
+dist = frechet_distance(ranked_preds, gts)  # (3, 2): every pred against every GT
+print("\nFrechet distances (ranked preds x GTs):\n", np.round(dist, 2))
+flags, pairs = greedy_metric_match(dist, threshold=2.0)
 print("\ngreedy flags by rank:", flags)
 print("matched (pred, gt) pairs:", pairs)
 print("the rank-2 duplicate of gt0 became a false positive")

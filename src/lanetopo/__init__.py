@@ -6,14 +6,14 @@ The package splits into:
 * :mod:`lanetopo.geometry` - Bezier lanes, discrete Frechet distance, box IoU
 * :mod:`lanetopo.dataio` - record types and the JSONL dataset format
 * :mod:`lanetopo.synthgen` - scene generator and detector-corruption channel
-* :mod:`lanetopo.assoc` - Hungarian and greedy bipartite matching
-* :mod:`lanetopo.topoheads` - MLP topology heads, focal loss, AdamW training
+* :mod:`lanetopo.assoc` - focal matching cost, Hungarian and greedy bipartite matching
+* :mod:`lanetopo.topoheads` - MLP topology heads, AdamW training
 * :mod:`lanetopo.detstrat` - resampling, reweighting, pseudo labels, TTA fusion
 * :mod:`lanetopo.metrics` - DET/TOP scores and the aggregate OLS
 * :mod:`lanetopo.cli` - reproducible batch commands over all of the above
 """
 
-from .assoc import Assignment, CostConfig, greedy_metric_match, hungarian_solve, match_for_training
+from .assoc import Assignment, CostConfig, focal_loss, greedy_metric_match, hungarian_solve, match_for_training
 from .dataio import (
     DetectionRecord,
     GtLane,
@@ -30,7 +30,6 @@ from .topoheads import (
     HeadConfig,
     TopoHeadParams,
     TrainStats,
-    focal_loss,
     init_params,
     predict,
     train,

@@ -4,15 +4,18 @@ Two matching regimes live here:
 
 * optimal (Hungarian) matching with the DETR-style cost used to project
   ground-truth topology onto predicted lanes at training time -- no
-  distance gate, every prediction up to min(|preds|, |gts|) gets a partner;
-* greedy confidence-ranked matching with an affinity threshold, the
+  distance gate, every prediction up to min(|preds|, |gts|) gets a
+  partner;
+* greedy confidence-ranked matching with a distance threshold, the
   standard detection-AP protocol used by the metrics.
+
+Both take a whole scene's preds x GT matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -43,107 +46,106 @@ class Assignment:
     unmatched_gts: list[int] = field(default_factory=list)
 
 
+def focal_loss(prob, target, alpha: float = 0.25, gamma: float = 2.0):
+    """Focal loss of a sigmoid output and its gradient w.r.t. the logit.
+
+    loss = -alpha_t * (1 - p_t)^gamma * log(p_t), with p_t = p for a
+    positive target and 1 - p otherwise (alpha_t analogous). The returned
+    gradient uses the closed form
+        d loss / d logit = -alpha_t * s * ((1-p_t)^(gamma+1)
+                            - gamma * p_t * (1-p_t)^gamma * log(p_t))
+    with s = +1 for positives and -1 for negatives, which stays bounded at
+    extreme logits. Elementwise over broadcastable inputs.
+    """
+    p = np.asarray(prob, dtype=float)
+    t = np.asarray(target)
+    pos = t == 1
+    p_t = np.where(pos, p, 1.0 - p)
+    a_t = np.where(pos, alpha, 1.0 - alpha)
+    sign = np.where(pos, 1.0, -1.0)
+    log_pt = np.log(np.maximum(p_t, np.finfo(float).tiny))
+    one_m = 1.0 - p_t
+    loss = -a_t * one_m**gamma * log_pt
+    grad = -a_t * sign * (one_m ** (gamma + 1.0) - gamma * p_t * one_m**gamma * log_pt)
+    return loss, grad
+
+
 def hungarian_solve(cost) -> Assignment:
     """Minimum-total-cost injective assignment of min(R, C) pairs.
 
-    Rectangular matrices are padded to square with zeros. Padding fills
-    whole rows or columns, so every complete assignment uses exactly
-    |R - C| padded cells and any finite pad value leaves the optimal real
-    pairs unchanged; zero also keeps the solver's arithmetic finite.
-    Deterministic: rows are processed in ascending order and equal-cost
-    columns resolve to the lowest column index.
+    Shortest augmenting paths (Crouse, IEEE TAES 2016) over the smaller
+    side; when rows > cols the matrix is solved transposed, with no dummy
+    rows or columns. Tie rule: the smaller side in ascending order; a tie
+    goes to the lowest index. The cost is first scaled by an exact power
+    of two to magnitudes below 1, which keeps the dual potentials finite
+    near the float maximum and changes no comparison while entries stay
+    normal.
     """
     mat = np.asarray(cost, dtype=float)
     if mat.ndim != 2:
         raise ValueError(f"cost must be a 2D matrix, got shape {mat.shape}")
     rows, cols = mat.shape
-    if rows == 0 or cols == 0:
-        return Assignment({}, list(range(rows)), list(range(cols)))
-    if np.any(np.isnan(mat)):
-        raise ValueError("cost matrix contains NaN")
     if not np.all(np.isfinite(mat)):
-        raise ValueError("cost matrix entries must be finite")
+        raise ValueError("cost matrix entries must be finite (no NaN or inf)")
 
-    n = max(rows, cols)
-    square = np.zeros((n, n))
-    square[:rows, :cols] = mat
-
-    col_to_row = _solve_square(square)
-
-    pairs = {}
-    for c, r in enumerate(col_to_row):
-        if r < rows and c < cols:
-            pairs[r] = c
+    mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(initial=0.0))[1])
+    transposed = rows > cols
+    owners = _augment(mat.T if transposed else mat)
+    matched = [(s, o) for o, s in enumerate(owners) if s >= 0]  # (smaller-side, larger-side) index
+    pairs = dict(sorted((o, s) if transposed else (s, o) for s, o in matched))
     return Assignment(
         pairs=pairs,
         unmatched_preds=[r for r in range(rows) if r not in pairs],
-        unmatched_gts=[c for c in range(cols) if c not in set(pairs.values())],
+        unmatched_gts=sorted(set(range(cols)) - set(pairs.values())),
     )
 
 
-def _solve_square(cost: np.ndarray) -> list[int]:
-    """Shortest-augmenting-path assignment on a square matrix.
-
-    Returns col_to_row: for each column, the row assigned to it.
-    """
-    n = cost.shape[0]
+def _augment(cost: np.ndarray) -> list[int]:
+    """Assign every row (rows <= cols); returns each column's row or -1."""
+    n, m = cost.shape
     inf = float("inf")
-    # column n is a virtual start column for each augmentation
-    job = np.full(n + 1, -1, dtype=int)
-    ys = np.zeros(n, dtype=float)  # row potentials
-    yt = np.zeros(n + 1, dtype=float)  # column potentials
+    # column m is a virtual start column for each augmentation
+    job = np.full(m + 1, -1, dtype=int)
+    ys = np.zeros(n)  # row potentials
+    yt = np.zeros(m + 1)  # column potentials
 
     for r in range(n):
-        c_cur = n
+        c_cur = m
         job[c_cur] = r
-        min_to = np.full(n, inf)
-        prv = np.full(n, -1, dtype=int)
-        in_z = np.zeros(n + 1, dtype=bool)
+        min_to = np.full(m, inf)
+        prv = np.full(m, -1, dtype=int)
+        in_z = np.zeros(m + 1, dtype=bool)
 
         while job[c_cur] != -1:
             in_z[c_cur] = True
             j = job[c_cur]
-            reduced = cost[j, :] - ys[j] - yt[:n]
-            better = (reduced < min_to) & ~in_z[:n]
+            reduced = cost[j, :] - ys[j] - yt[:m]
+            better = (reduced < min_to) & ~in_z[:m]
             min_to[better] = reduced[better]
             prv[better] = c_cur
-            masked = np.where(in_z[:n], inf, min_to)
+            masked = np.where(in_z[:m], inf, min_to)
             c_next = int(np.argmin(masked))  # lowest column wins ties
             delta = masked[c_next]
-            for c in range(n + 1):
-                if in_z[c]:
-                    if job[c] != -1:
-                        ys[job[c]] += delta
-                    yt[c] -= delta
-            min_to[~in_z[:n]] -= delta
+            # every visited column holds a row: shift both potentials
+            ys[job[in_z]] += delta
+            yt[in_z] -= delta
+            min_to[~in_z[:m]] -= delta
             c_cur = c_next
 
-        while c_cur != n:
+        while c_cur != m:
             c = prv[c_cur]
             job[c_cur] = job[c]
             c_cur = c
 
-    return [int(job[c]) for c in range(n)]
+    return job[:m].tolist()
 
 
-def lane_pair_cost(pred: PredLane, gt: GtLane, cfg: CostConfig | None = None) -> float:
-    """DETR-style pair cost: weighted focal term of the positive class plus
-    weighted mean-L1 of the control points."""
-    cfg = cfg or CostConfig()
-    from .topoheads import focal_loss  # focal lives with the heads
-
-    cls_term, _ = focal_loss(pred.class_score, 1, cfg.focal_alpha, cfg.focal_gamma)
-    return cfg.w_cls * float(cls_term) + cfg.w_l1 * control_point_l1(pred.ctrl, gt.ctrl)
-
-
-def traffic_pair_cost(pred: TrafficElement, gt: TrafficElement, cfg: CostConfig | None = None) -> float:
-    """Same cost structure for traffic elements, with mean-L1 over box corners."""
-    cfg = cfg or CostConfig()
-    from .topoheads import focal_loss
-
-    cls_term, _ = focal_loss(pred.confidence, 1, cfg.focal_alpha, cfg.focal_gamma)
-    box_l1 = float(np.mean(np.abs(np.asarray(pred.box, float) - np.asarray(gt.box, float))))
-    return cfg.w_cls * float(cls_term) + cfg.w_l1 * box_l1
+def _training_match(scores, l1: np.ndarray, cfg: CostConfig) -> Assignment:
+    """Hungarian match on the DETR-style cost: a weighted focal term of the
+    positive class, which depends only on the prediction, plus the
+    weighted mean-L1 geometry matrix."""
+    cls, _ = focal_loss(np.asarray(scores, dtype=float), 1, cfg.focal_alpha, cfg.focal_gamma)
+    return hungarian_solve(cfg.w_cls * cls[:, None] + cfg.w_l1 * l1)
 
 
 def match_for_training(
@@ -153,60 +155,49 @@ def match_for_training(
 
     No distance gating: every prediction up to min(|preds|, |gts|) gets a
     partner; unmatched predictions receive all-negative topology labels
-    downstream.
+    downstream. The geometry term is the mean L1 over control points.
     """
     cfg = cfg or CostConfig()
-    cost = np.array([[lane_pair_cost(p, g, cfg) for g in gts] for p in preds], dtype=float)
-    cost = cost.reshape(len(preds), len(gts))
-    return hungarian_solve(cost)
+    if not preds or not gts:
+        return hungarian_solve(np.zeros((len(preds), len(gts))))
+    l1 = control_point_l1(np.stack([p.ctrl for p in preds]), np.stack([g.ctrl for g in gts]))
+    return _training_match([p.class_score for p in preds], l1, cfg)
 
 
 def match_traffic_for_training(
     preds: Sequence[TrafficElement], gts: Sequence[TrafficElement], cfg: CostConfig | None = None
 ) -> Assignment:
+    """Same cost structure for traffic elements, with mean-L1 over box corners."""
     cfg = cfg or CostConfig()
-    cost = np.array([[traffic_pair_cost(p, g, cfg) for g in gts] for p in preds], dtype=float)
-    cost = cost.reshape(len(preds), len(gts))
-    return hungarian_solve(cost)
+    boxes = np.array([p.box for p in preds], dtype=float).reshape(-1, 4)
+    gt_boxes = np.array([g.box for g in gts], dtype=float).reshape(-1, 4)
+    l1 = np.mean(np.abs(boxes[:, None] - gt_boxes[None]), axis=-1)
+    return _training_match([p.confidence for p in preds], l1, cfg)
 
 
-def greedy_metric_match(
-    preds: Sequence,
-    gts: Sequence,
-    affinity_fn: Callable,
-    threshold: float,
-    higher_is_better: bool = False,
-) -> tuple[list[bool], list[tuple[int, int]]]:
+def greedy_metric_match(dist, threshold: float) -> tuple[list[bool], list[tuple[int, int]]]:
     """Greedy TP/FP labeling over confidence-ranked predictions.
 
-    ``preds`` must already be sorted by confidence descending (stable,
-    ties by input order). Scanning in rank order, a prediction is a TP if
-    some still-unmatched GT has affinity within the threshold (<= for
-    distances, >= when ``higher_is_better``); it takes the best-affinity
-    unmatched GT. Each GT matches at most once.
+    ``dist`` is the (preds, GT) distance matrix with its rows already
+    sorted by confidence descending (stable, ties by input order). For a
+    similarity such as IoU pass its negation and the negated threshold.
+    Scanning in rank order, a prediction is a TP if some still-unmatched
+    GT lies within the threshold (<=); it takes the nearest one, the
+    lowest GT index on a tie. Each GT matches at most once.
 
     Returns per-prediction flags (rank order) and the matched pair list.
     """
-    matched_gts: set[int] = set()
+    d = np.asarray(dist, dtype=float)
+    if d.ndim != 2:
+        raise ValueError(f"distances must be a 2D matrix, got shape {d.shape}")
+    free = np.ones(d.shape[1], dtype=bool)
     flags: list[bool] = []
     matched_pairs: list[tuple[int, int]] = []
-    for p_idx, pred in enumerate(preds):
-        best_gt = -1
-        best_aff = None
-        for g_idx, gt in enumerate(gts):
-            if g_idx in matched_gts:
-                continue
-            aff = affinity_fn(pred, gt)
-            ok = aff >= threshold if higher_is_better else aff <= threshold
-            if not ok:
-                continue
-            if best_aff is None or (aff > best_aff if higher_is_better else aff < best_aff):
-                best_aff = aff
-                best_gt = g_idx
-        if best_gt >= 0:
-            matched_gts.add(best_gt)
-            flags.append(True)
-            matched_pairs.append((p_idx, best_gt))
-        else:
-            flags.append(False)
+    for p_idx, row in enumerate(d):
+        candidates = np.flatnonzero(free & (row <= threshold))
+        flags.append(candidates.size > 0)
+        if candidates.size:
+            g_idx = int(candidates[np.argmin(row[candidates])])
+            free[g_idx] = False
+            matched_pairs.append((p_idx, g_idx))
     return flags, matched_pairs

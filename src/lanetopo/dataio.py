@@ -293,11 +293,20 @@ def traffic_to_obj(te: TrafficElement) -> dict:
     }
 
 
+def _integer(value, fieldname: str) -> int:
+    """A JSON integer; bools and non-integral numbers are rejected."""
+    if type(value) is int:  # exact type: a bool is an int subclass
+        return value
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ValueError(f"field {fieldname!r}: expected an integer, got {value!r}")
+
+
 def traffic_from_obj(obj: dict) -> TrafficElement:
     return TrafficElement(
-        id=int(obj["id"]),
+        id=_integer(obj["id"], "traffic.id"),
         box=np.asarray(obj["box"], dtype=float),
-        category=int(obj["category"]),
+        category=_integer(obj["category"], "traffic.category"),
         confidence=float(obj["confidence"]),
     )
 
@@ -316,10 +325,12 @@ def scene_to_obj(scene: SceneRecord) -> dict:
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
-    lanes = [GtLane(id=int(l["id"]), ctrl=np.asarray(l["ctrl"], dtype=float)) for l in obj["lanes"]]
+    lanes = [
+        GtLane(id=_integer(l["id"], "lanes.id"), ctrl=np.asarray(l["ctrl"], dtype=float)) for l in obj["lanes"]
+    ]
     traffic = [traffic_from_obj(te) for te in obj["traffic"]]
-    topo_ll = {(int(i), int(j)) for i, j in obj.get("topo_ll", [])}
-    topo_lt = {(int(i), int(k)) for i, k in obj.get("topo_lt", [])}
+    topo_ll = {(_integer(i, "topo_ll"), _integer(j, "topo_ll")) for i, j in obj.get("topo_ll", [])}
+    topo_lt = {(_integer(i, "topo_lt"), _integer(k, "topo_lt")) for i, k in obj.get("topo_lt", [])}
     return SceneRecord(str(obj["scene_id"]), lanes, traffic, topo_ll, topo_lt)
 
 
@@ -344,12 +355,19 @@ def detection_to_obj(record: DetectionRecord) -> dict:
     return obj
 
 
+def _feature(values) -> np.ndarray:
+    feat = np.asarray(values, dtype=float)
+    if feat.ndim != 1 or not np.all(np.isfinite(feat)):
+        raise ValueError("field 'lanes.feature': expected a list of finite numbers")
+    return feat
+
+
 def detection_from_obj(obj: dict) -> DetectionRecord:
     lanes = [
         PredLane(
             ctrl=np.asarray(l["ctrl"], dtype=float),
             class_score=float(l["class_score"]),
-            feature=np.asarray(l["feature"], dtype=float) if "feature" in l else None,
+            feature=_feature(l["feature"]) if "feature" in l else None,
         )
         for l in obj["lanes"]
     ]

@@ -155,18 +155,13 @@ def tta_merge(
                     confidence=te.confidence,
                 )
             )
-    order = sorted(range(len(pooled)), key=lambda i: (-pooled[i].confidence, i))
-    suppressed = [False] * len(pooled)
+    boxes = np.reshape([te.box for te in pooled], (-1, 4))
+    categories = np.array([te.category for te in pooled])
+    overlaps = (categories[:, None] == categories[None, :]) & (box_iou(boxes, boxes) >= cfg.merge_iou)
+    suppressed = np.zeros(len(pooled), dtype=bool)
     kept: list[TrafficElement] = []
-    for i in order:
-        if suppressed[i]:
-            continue
-        keeper = pooled[i]
-        kept.append(keeper)
-        for j in order:
-            if suppressed[j] or j == i:
-                continue
-            if pooled[j].category == keeper.category and box_iou(pooled[j].box, keeper.box) >= cfg.merge_iou:
-                suppressed[j] = True
-        suppressed[i] = True
+    for i in sorted(range(len(pooled)), key=lambda k: (-pooled[k].confidence, k)):
+        if not suppressed[i]:
+            kept.append(pooled[i])
+            suppressed |= overlaps[i]
     return kept

@@ -3,6 +3,12 @@
 Lanes are Bezier curves given by an ordered set of 3D control points
 (ego-centric ground frame, meters). Traffic elements are axis-aligned
 2D boxes in pixels. Everything here is a pure function of its inputs.
+
+The pairwise kernels (``frechet_distance``, ``box_iou``,
+``control_point_l1``) take either one item per side and return a float,
+or one batch per side and return the (n, m) matrix of every pair. Both
+forms run the same elementwise arithmetic, so a matrix entry equals the
+float of its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -20,116 +26,140 @@ __all__ = [
 ]
 
 
-def as_control_points(ctrl) -> np.ndarray:
-    """Coerce to a (M, 3) float array of control points, M >= 2, all finite."""
+def _is_batch(a, b, item_ndim: int) -> bool:
+    """True for two batches, False for two single items."""
+    batch_a, batch_b = np.ndim(a) > item_ndim, np.ndim(b) > item_ndim
+    if batch_a != batch_b:
+        raise ValueError("pass one item per side or one batch per side, not a mix")
+    return batch_a
+
+
+def as_control_points(ctrl, batch: bool = False) -> np.ndarray:
+    """Coerce to a (M, 3) float array of control points, M >= 2, all finite;
+    with ``batch``, to an (L, M, 3) stack of such lanes."""
     pts = np.asarray(ctrl, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"control points must have shape (M, 3), got {pts.shape}")
-    if pts.shape[0] < 2:
+    if pts.ndim != 2 + batch or pts.shape[-1] != 3:
+        raise ValueError(f"control points must have shape {'(L, M, 3)' if batch else '(M, 3)'}, got {pts.shape}")
+    if pts.shape[-2] < 2:
         raise ValueError("a lane needs at least 2 control points")
     if not np.all(np.isfinite(pts)):
         raise ValueError("control points must be finite")
     return pts
 
 
-def as_box(box) -> np.ndarray:
-    """Coerce to a (4,) float array (x1, y1, x2, y2) with x1 < x2 and y1 < y2."""
-    b = np.asarray(box, dtype=float).reshape(-1)
-    if b.shape != (4,):
+def as_box(box, batch: bool = False) -> np.ndarray:
+    """Coerce to a (4,) float array (x1, y1, x2, y2) with x1 < x2 and y1 < y2;
+    with ``batch``, to an (n, 4) stack of such boxes."""
+    b = np.asarray(box, dtype=float)
+    if not batch:
+        b = b.reshape(-1)
+    if b.shape[-1:] != (4,) or b.ndim != 1 + batch:
         raise ValueError(f"box must have 4 coordinates, got {b.shape}")
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("box coordinates must be finite")
-    if not (b[0] < b[2] and b[1] < b[3]):
-        raise ValueError(f"degenerate box {b.tolist()}: need x1 < x2 and y1 < y2")
+    for x1, y1, x2, y2 in b.reshape(-1, 4).tolist():
+        if not (x1 < x2 and y1 < y2):
+            raise ValueError(f"degenerate box {[x1, y1, x2, y2]}: need x1 < x2 and y1 < y2")
     return b
 
 
+def _de_casteljau(pts: np.ndarray, ts: np.ndarray) -> np.ndarray:
+    """Bezier points of (..., M, 3) control points at each parameter in
+    ``ts``: (..., len(ts), 3), by repeated linear interpolation."""
+    m = pts.shape[-2]
+    b = np.repeat(pts[..., None, :, :], len(ts), axis=-3)
+    t = ts[:, None, None]
+    for step in range(1, m):
+        b[..., : m - step, :] = (1.0 - t) * b[..., : m - step, :] + t * b[..., 1 : m - step + 1, :]
+    return b[..., 0, :]
+
+
 def bezier_point(ctrl, t: float) -> np.ndarray:
-    """Evaluate the degree-(M-1) Bezier curve at parameter ``t``.
+    """Evaluate the degree-(M-1) Bezier curve of (M, 3) control points at
+    ``t`` in [0, 1]; returns a (3,) point.
 
     Uses de Casteljau's recurrence (repeated linear interpolation of the
     Bernstein form), which is exact at the endpoints: t=0 returns the
     first control point and t=1 the last.
-
-    Parameters
-    ----------
-    ctrl : array_like, shape (M, 3)
-        Control points, M >= 2.
-    t : float
-        Curve parameter in [0, 1].
-
-    Returns
-    -------
-    np.ndarray, shape (3,)
     """
     pts = as_control_points(ctrl)
     if not (0.0 <= t <= 1.0):
         raise ValueError(f"parameter t={t} outside [0, 1]")
-    b = pts.copy()
-    n = b.shape[0]
-    for step in range(1, n):
-        b[: n - step] = (1.0 - t) * b[: n - step] + t * b[1 : n - step + 1]
-    return b[0]
+    return _de_casteljau(pts, np.array([t], dtype=float))[0]
 
 
 def sample_lane(ctrl, num_points: int) -> np.ndarray:
-    """Sample the lane at uniform parameters t = k/(P-1), k = 0..P-1.
+    """Sample lanes at uniform parameters t = k/(P-1), k = 0..P-1.
 
-    The first/last samples equal the first/last control points exactly.
-    Returns a (P, 3) polyline.
+    One (M, 3) lane gives a (P, 3) polyline; an (L, M, 3) batch gives
+    (L, P, 3). The first/last samples equal the first/last control points
+    exactly.
     """
-    pts = as_control_points(ctrl)
+    pts = as_control_points(ctrl, batch=np.ndim(ctrl) == 3)
     if num_points < 2:
         raise ValueError(f"need at least 2 sample points, got {num_points}")
     ts = np.arange(num_points, dtype=float) / (num_points - 1)
-    return np.stack([bezier_point(pts, t) for t in ts])
+    return _de_casteljau(pts, ts)
 
 
-def frechet_distance(a, b) -> float:
-    """Discrete Frechet distance between two 3D polylines.
+def frechet_distance(a, b):
+    """Discrete Frechet distance between 3D polylines.
 
     Dynamic program over the coupling lattice: the minimax leash length
     over all monotone couplings of the two point sequences. Symmetric,
-    and zero iff the sequences are identical.
+    and zero iff the sequences are identical. Two polylines give a float;
+    an (n, P, 3) and an (m, Q, 3) batch give the (n, m) matrix.
     """
-    pa = np.atleast_2d(np.asarray(a, dtype=float))
-    pb = np.atleast_2d(np.asarray(b, dtype=float))
-    if pa.size == 0 or pb.size == 0:
+    batch = _is_batch(a, b, 2)
+    pa = np.asarray(a, dtype=float)
+    pb = np.asarray(b, dtype=float)
+    if not batch:
+        pa, pb = np.atleast_2d(pa)[None], np.atleast_2d(pb)[None]
+    if pa.shape[-2] == 0 or pb.shape[-2] == 0:
         raise ValueError("polylines must contain at least one point")
-    # pairwise distances, (len(a), len(b))
-    diff = pa[:, None, :] - pb[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    p, q = dist.shape
-    dp = np.empty_like(dist)
-    dp[0, 0] = dist[0, 0]
-    for i in range(1, p):
-        dp[i, 0] = max(dp[i - 1, 0], dist[i, 0])
-    for j in range(1, q):
-        dp[0, j] = max(dp[0, j - 1], dist[0, j])
-    for i in range(1, p):
-        for j in range(1, q):
-            dp[i, j] = max(min(dp[i - 1, j], dp[i - 1, j - 1], dp[i, j - 1]), dist[i, j])
-    return float(dp[-1, -1])
+    # point distances, (P, Q, n, m): each lattice cell is one contiguous (n, m)
+    # block; coordinates are summed in order, as a sum over the last axis would
+    coords = zip(pa.transpose(2, 1, 0), pb.transpose(2, 1, 0))  # per coordinate: (P, n), (Q, m)
+    dist = np.sqrt(sum((ca[:, None, :, None] - cb[None, :, None, :]) ** 2 for ca, cb in coords))
+    p, q = dist.shape[:2]
+    # dp[i + 1, j + 1] is the leash for the prefixes a[:i+1], b[:j+1]; the
+    # border is +inf except the corner, so every cell uses one rule
+    dp = np.full((p + 1, q + 1) + dist.shape[2:], np.inf)
+    dp[0, 0] = 0.0
+    for i in range(p):
+        for j in range(q):
+            dp[i + 1, j + 1] = np.maximum(np.minimum(np.minimum(dp[i, j + 1], dp[i, j]), dp[i + 1, j]), dist[i, j])
+    out = dp[-1, -1]
+    return out if batch else float(out[0, 0])
 
 
-def box_iou(a, b) -> float:
-    """Intersection-over-union of two axis-aligned boxes, in [0, 1]."""
-    ba = as_box(a)
-    bb = as_box(b)
-    ix = max(0.0, min(ba[2], bb[2]) - max(ba[0], bb[0]))
-    iy = max(0.0, min(ba[3], bb[3]) - max(ba[1], bb[1]))
-    inter = ix * iy
-    if inter == 0.0:
-        return 0.0
-    area_a = (ba[2] - ba[0]) * (ba[3] - ba[1])
-    area_b = (bb[2] - bb[0]) * (bb[3] - bb[1])
-    return float(inter / (area_a + area_b - inter))
+def box_iou(a, b):
+    """Intersection-over-union of axis-aligned boxes, in [0, 1]. Two
+    boxes give a float; an (n, 4) and an (m, 4) batch give (n, m)."""
+    batch = _is_batch(a, b, 1)
+    ba = as_box(a, batch).reshape(-1, 4)
+    bb = as_box(b, batch).reshape(-1, 4)
+    lo = np.maximum(ba[:, None, :2], bb[None, :, :2])
+    hi = np.minimum(ba[:, None, 2:], bb[None, :, 2:])
+    side = np.maximum(0.0, hi - lo)
+    inter = side[..., 0] * side[..., 1]
+    area_a = (ba[:, 2] - ba[:, 0]) * (ba[:, 3] - ba[:, 1])
+    area_b = (bb[:, 2] - bb[:, 0]) * (bb[:, 3] - bb[:, 1])
+    out = inter / (area_a[:, None] + area_b[None, :] - inter)
+    return out if batch else float(out[0, 0])
 
 
-def control_point_l1(a, b) -> float:
-    """Mean absolute coordinate difference over all M x 3 entries."""
-    pa = as_control_points(a)
-    pb = as_control_points(b)
-    if pa.shape != pb.shape:
-        raise ValueError(f"control point counts differ: {pa.shape[0]} vs {pb.shape[0]}")
-    return float(np.mean(np.abs(pa - pb)))
+def control_point_l1(a, b):
+    """Mean absolute coordinate difference over all M x 3 entries. Two
+    lanes give a float; an (n, M, 3) and an (m, M, 3) batch give (n, m)."""
+    batch = _is_batch(a, b, 2)
+    pa = as_control_points(a, batch)
+    pb = as_control_points(b, batch)
+    if not batch:
+        pa, pb = pa[None], pb[None]
+    m = pa.shape[1]
+    if pb.shape[1] != m:
+        raise ValueError(f"control point counts differ: {m} vs {pb.shape[1]}")
+    diff = np.abs(pa[:, None] - pb[None]).reshape(len(pa), len(pb), 3 * m)
+    out = np.mean(diff, axis=-1)
+    return out if batch else float(out[0, 0])

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assoc, dataio
-from .dataio import DetectionRecord, MetricReport, SceneRecord
+from .dataio import MetricReport, SceneRecord
 from .geometry import box_iou, frechet_distance, sample_lane
 
 __all__ = [
@@ -97,33 +97,25 @@ def _align(predictions, gts):
     return [(g, by_id[g.scene_id]) for g in sorted(gts, key=lambda g: g.scene_id)]
 
 
-def _ranked_lane_indices(record: DetectionRecord) -> list[int]:
-    return sorted(range(len(record.lanes)), key=lambda i: (-record.lanes[i].class_score, i))
-
-
-def _lane_polylines(lanes, sample_points: int):
-    return [sample_lane(l.ctrl, sample_points) for l in lanes]
-
-
-def _match_scene_lanes(pred, gt, tau: float, sample_points: int):
-    """Greedy per-scene lane match at one Frechet threshold.
-
-    Returns (ranked pred indices, flags in rank order, pred->gt pairs).
-    """
-    order = _ranked_lane_indices(pred)
-    pred_polys = _lane_polylines(pred.lanes, sample_points)
-    gt_polys = _lane_polylines(gt.lanes, sample_points)
-    flags, pairs = assoc.greedy_metric_match(
-        [pred_polys[i] for i in order], gt_polys, frechet_distance, tau
-    )
-    return order, flags, [(order[p], g) for p, g in pairs]
+def _scene_lane_distances(pred, gt, sample_points: int):
+    """Ranked pred indices and the (ranked preds, GT) Frechet matrix of one
+    scene; every threshold reuses the matrix."""
+    order = sorted(range(len(pred.lanes)), key=lambda i: (-pred.lanes[i].class_score, i))
+    if not order or not gt.lanes:
+        return order, np.zeros((len(order), len(gt.lanes)))
+    pred_polys = sample_lane(np.stack([pred.lanes[i].ctrl for i in order]), sample_points)
+    gt_polys = sample_lane(np.stack([lane.ctrl for lane in gt.lanes]), sample_points)
+    return order, frechet_distance(pred_polys, gt_polys)
 
 
 def _match_scene_traffic(pred, gt, iou_threshold: float):
-    """Per-attribute greedy traffic match; returns rank entries and pairs.
+    """Per-attribute greedy traffic match on the scene's IoU matrix; returns
+    rank entries and pairs.
 
     Rank entries are (category, confidence, input index, flag).
     """
+    boxes = [np.reshape([te.box for te in rec.traffic], (-1, 4)) for rec in (pred, gt)]
+    iou = box_iou(*boxes)
     entries = []
     pairs = []
     categories = sorted(
@@ -133,13 +125,8 @@ def _match_scene_traffic(pred, gt, iou_threshold: float):
         p_idx = [i for i, te in enumerate(pred.traffic) if te.category == cat]
         g_idx = [j for j, te in enumerate(gt.traffic) if te.category == cat]
         p_idx.sort(key=lambda i: (-pred.traffic[i].confidence, i))
-        flags, cat_pairs = assoc.greedy_metric_match(
-            [pred.traffic[i].box for i in p_idx],
-            [gt.traffic[j].box for j in g_idx],
-            box_iou,
-            iou_threshold,
-            higher_is_better=True,
-        )
+        # IoU is a similarity: negate it and its threshold (exact)
+        flags, cat_pairs = assoc.greedy_metric_match(-iou[np.ix_(p_idx, g_idx)], -iou_threshold)
         entries.extend(
             (cat, pred.traffic[i].confidence, i, flag) for i, flag in zip(p_idx, flags)
         )
@@ -162,20 +149,20 @@ def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
     cfg = cfg or DetMatchConfig()
     aligned = _align(predictions, gts)
     num_gt = sum(len(g.lanes) for g in gts)
-    loosest = cfg.lane_frechet_thresholds[-1]
-    breakdown = {}
+    thresholds = cfg.lane_frechet_thresholds
+    pools = [[] for _ in thresholds]
     loose_pairs = {}
-    for tau in cfg.lane_frechet_thresholds:
-        pool = []
-        for gt, pred in aligned:
-            order, flags, pairs = _match_scene_lanes(pred, gt, tau, cfg.sample_points)
+    for gt, pred in aligned:
+        order, dist = _scene_lane_distances(pred, gt, cfg.sample_points)
+        for pool, tau in zip(pools, thresholds):
+            flags, pairs = assoc.greedy_metric_match(dist, tau)
             pool.extend(
                 (pred.lanes[i].class_score, gt.scene_id, i, flag)
                 for i, flag in zip(order, flags)
             )
-            if tau == loosest:
-                loose_pairs[gt.scene_id] = pairs
-        breakdown[tau] = _pooled_ap(pool, num_gt)
+        # the loop leaves the loosest threshold's pairs
+        loose_pairs[gt.scene_id] = [(order[p], g) for p, g in pairs]
+    breakdown = {tau: _pooled_ap(pool, num_gt) for pool, tau in zip(pools, thresholds)}
     score = float(np.mean(list(breakdown.values())))
     return score, breakdown, loose_pairs
 
@@ -190,15 +177,13 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     cfg = cfg or DetMatchConfig()
     aligned = _align(predictions, gts)
     pool_by_cat: dict[int, list] = {}
-    gt_count_by_cat: dict[int, int] = {}
+    gt_count_by_cat = Counter(te.category for gt in gts for te in gt.traffic)
     pairs_by_scene = {}
     for gt, pred in aligned:
         entries, pairs = _match_scene_traffic(pred, gt, cfg.traffic_iou_threshold)
         pairs_by_scene[gt.scene_id] = pairs
         for cat, conf, idx, flag in entries:
             pool_by_cat.setdefault(cat, []).append((conf, gt.scene_id, idx, flag))
-        for te in gt.traffic:
-            gt_count_by_cat[te.category] = gt_count_by_cat.get(te.category, 0) + 1
     categories = sorted(set(pool_by_cat) | set(gt_count_by_cat))
     breakdown = {
         cat: _pooled_ap(pool_by_cat.get(cat, []), gt_count_by_cat.get(cat, 0))

@@ -27,6 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import assoc
+from .assoc import focal_loss
 from .dataio import (
     IMAGE_HEIGHT,
     IMAGE_WIDTH,
@@ -187,32 +188,6 @@ def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def focal_loss(prob, target, alpha: float = 0.25, gamma: float = 2.0):
-    """Focal loss of a sigmoid output and its gradient w.r.t. the logit.
-
-    loss = -alpha_t * (1 - p_t)^gamma * log(p_t), with p_t = p for a
-    positive target and 1 - p otherwise (alpha_t analogous). The returned
-    gradient uses the closed form
-        d loss / d logit = -alpha_t * s * ((1-p_t)^(gamma+1)
-                            - gamma * p_t * (1-p_t)^gamma * log(p_t))
-    with s = +1 for positives and -1 for negatives, which stays bounded at
-    extreme logits. Vectorized over broadcastable inputs.
-    """
-    p = np.asarray(prob, dtype=float)
-    t = np.asarray(target)
-    pos = t == 1
-    p_t = np.where(pos, p, 1.0 - p)
-    a_t = np.where(pos, alpha, 1.0 - alpha)
-    sign = np.where(pos, 1.0, -1.0)
-    log_pt = np.log(np.maximum(p_t, np.finfo(float).tiny))
-    one_m = 1.0 - p_t
-    loss = -a_t * one_m**gamma * log_pt
-    grad = -a_t * sign * (one_m ** (gamma + 1.0) - gamma * p_t * one_m**gamma * log_pt)
-    if np.isscalar(prob) and np.isscalar(target):
-        return float(loss), float(grad)
-    return loss, grad
 
 
 # ---------------------------------------------------------------------------

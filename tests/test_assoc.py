@@ -11,12 +11,11 @@ import numpy as np
 import pytest
 
 import lanetopo
+from lanetopo import assoc
 from lanetopo.assoc import (
     Assignment,
-    CostConfig,
     greedy_metric_match,
     hungarian_solve,
-    lane_pair_cost,
     match_for_training,
 )
 from lanetopo.dataio import GtLane, PredLane
@@ -106,8 +105,8 @@ def test_hungarian_deterministic():
 
 
 def test_hungarian_terminates_on_huge_finite_costs():
-    # padding must stay finite when the costs are near the float maximum;
-    # the solve runs in a subprocess so that a hang fails instead of blocking
+    # rectangular costs near the float maximum must not send the solver into
+    # a hang; the solve runs in a subprocess so that a hang fails, not blocks
     code = (
         "import numpy as np\n"
         "from lanetopo.assoc import hungarian_solve\n"
@@ -119,45 +118,95 @@ def test_hungarian_terminates_on_huge_finite_costs():
     subprocess.run([sys.executable, "-c", code], check=True, timeout=10, env=env)
 
 
+def test_hungarian_tie_rule_when_rows_exceed_cols():
+    # the smaller side (columns here) is processed in ascending order and
+    # each tie goes to the lowest row index
+    assert hungarian_solve([[1.0], [1.0]]).pairs == {0: 0}
+    assert hungarian_solve(np.zeros((3, 2))).pairs == {0: 0, 1: 1}
+    a = hungarian_solve([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
+    assert a.pairs == {0: 1, 1: 0} and a.unmatched_preds == [2]
+
+
+def test_hungarian_potentials_stay_finite_near_float_max():
+    # costs at the float maximum must neither overflow the dual potentials
+    # nor lose the optimum; totals are compared after an exact rescale
+    rng = np.random.default_rng(41)
+    for _ in range(300):
+        r, c = (int(v) for v in rng.integers(1, 7, size=2))
+        cost = rng.choice([-1.7e308, -1e308, 1e308, 1.7e308], size=(r, c))
+        with np.errstate(over="raise", invalid="raise"):
+            a = hungarian_solve(cost)
+        assert len(a.pairs) == min(r, c)
+        assert len(set(a.pairs.values())) == min(r, c)
+        if r * c <= 16:
+            scaled = np.ldexp(cost, -1024)
+            assert total_cost(scaled, a) == pytest.approx(brute_min_cost(scaled), rel=1e-12)
+
+
+@pytest.mark.parametrize("shape", [(40, 300), (300, 16), (17, 290), (64, 64), (1, 50), (50, 1)])
+def test_hungarian_matches_scipy(shape):
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(shape[0] * 1000 + shape[1])
+    cost = rng.uniform(-5.0, 5.0, size=shape)
+    a = hungarian_solve(cost)
+    rows, cols = optimize.linear_sum_assignment(cost)
+    assert len(a.pairs) == min(shape)
+    assert total_cost(cost, a) == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
+
+
 def make_lane(ctrl, score=1.0):
     return PredLane(ctrl=np.asarray(ctrl, dtype=float), class_score=score)
 
 
-def test_lane_pair_cost_perfect_prediction():
+def training_cost(monkeypatch, preds, gts):
+    """The cost matrix match_for_training hands to the solver."""
+    seen = []
+
+    def capture(cost):
+        seen.append(np.array(cost))
+        return hungarian_solve(cost)
+
+    monkeypatch.setattr(assoc, "hungarian_solve", capture)
+    match_for_training(preds, gts)
+    return seen[0]
+
+
+def test_lane_pair_cost_perfect_prediction(monkeypatch):
     ctrl = np.array([(0, 0, 0), (1, 0, 0), (2, 0, 0), (3, 0, 0)], dtype=float)
     gt = GtLane(id=0, ctrl=ctrl)
-    assert lane_pair_cost(make_lane(ctrl, 1.0), gt) == pytest.approx(0.0)
+    assert training_cost(monkeypatch, [make_lane(ctrl, 1.0)], [gt])[0, 0] == pytest.approx(0.0)
 
 
-def test_lane_pair_cost_class_term():
+def test_lane_pair_cost_class_term(monkeypatch):
     ctrl = np.zeros((4, 3))
     gt = GtLane(id=0, ctrl=ctrl)
     # 1.5 * 0.25 * (1 - 0.5)^2 * ln 2
     expected = 1.5 * 0.25 * 0.25 * math.log(2.0)
-    assert lane_pair_cost(make_lane(ctrl, 0.5), gt) == pytest.approx(expected, rel=1e-6)
+    assert training_cost(monkeypatch, [make_lane(ctrl, 0.5)], [gt])[0, 0] == pytest.approx(expected, rel=1e-6)
     assert expected == pytest.approx(0.06498, abs=5e-6)
 
 
-def test_lane_pair_cost_l1_term():
+def test_lane_pair_cost_l1_term(monkeypatch):
     ctrl = np.zeros((4, 3))
     gt = GtLane(id=0, ctrl=ctrl)
     pred = make_lane(ctrl + 1.0, 1.0)
-    assert lane_pair_cost(pred, gt) == pytest.approx(0.0075)
+    assert training_cost(monkeypatch, [pred], [gt])[0, 0] == pytest.approx(0.0075)
 
 
 def test_lane_pair_cost_m_mismatch():
     gt = GtLane(id=0, ctrl=np.zeros((4, 3)))
     with pytest.raises(ValueError):
-        lane_pair_cost(make_lane(np.zeros((3, 3))), gt)
+        match_for_training([make_lane(np.zeros((3, 3)))], [gt])
 
 
-def test_match_for_training_identity_on_copies():
+def test_match_for_training_identity_on_copies(monkeypatch):
     rng = np.random.default_rng(3)
     gts = [GtLane(id=i, ctrl=rng.normal(scale=10, size=(4, 3))) for i in range(4)]
     preds = [make_lane(g.ctrl, 1.0) for g in gts]
     a = match_for_training(preds, gts)
     assert a.pairs == {i: i for i in range(4)}
-    total = sum(lane_pair_cost(preds[i], gts[j]) for i, j in a.pairs.items())
+    cost = training_cost(monkeypatch, preds, gts)
+    total = sum(cost[i, j] for i, j in a.pairs.items())
     assert total == pytest.approx(0.0, abs=1e-12)
 
 
@@ -175,10 +224,14 @@ def test_match_for_training_crossed():
     assert a.pairs == {0: 1, 1: 0}
 
 
+def frechet_matrix(preds, gts):
+    return frechet_distance(np.stack(preds), np.stack(gts))
+
+
 def test_greedy_all_tp_on_exact_copies():
     gts = [np.array([(0, 0, 0), (1, 0, 0)], dtype=float), np.array([(5, 5, 0), (6, 5, 0)], dtype=float)]
     preds = [g.copy() for g in gts]
-    flags, pairs = greedy_metric_match(preds, gts, frechet_distance, threshold=0.5)
+    flags, pairs = greedy_metric_match(frechet_matrix(preds, gts), threshold=0.5)
     assert flags == [True, True]
     assert pairs == [(0, 0), (1, 1)]
 
@@ -186,7 +239,7 @@ def test_greedy_all_tp_on_exact_copies():
 def test_greedy_single_use_gt():
     gt = [np.zeros((2, 3))]
     preds = [np.zeros((2, 3)), np.zeros((2, 3))]
-    flags, _ = greedy_metric_match(preds, gt, frechet_distance, threshold=0.5)
+    flags, _ = greedy_metric_match(frechet_matrix(preds, gt), threshold=0.5)
     assert flags == [True, False]
 
 
@@ -197,15 +250,16 @@ def test_greedy_rank2_steals_gt_from_rank3():
     p1 = gt_a + 0.1
     p2 = gt_b + 0.2
     p3 = gt_b + 0.1
-    flags, pairs = greedy_metric_match([p1, p2, p3], [gt_a, gt_b], frechet_distance, threshold=1.0)
+    flags, pairs = greedy_metric_match(frechet_matrix([p1, p2, p3], [gt_a, gt_b]), threshold=1.0)
     assert flags == [True, True, False]
     assert pairs == [(0, 0), (1, 1)]
 
 
 def test_greedy_iou_mode_picks_best_overlap():
-    gts = [(0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0)]
-    preds = [(1.0, 1.0, 11.0, 11.0), (19.0, 19.0, 29.0, 29.0)]
-    flags, pairs = greedy_metric_match(preds, gts, box_iou, threshold=0.5, higher_is_better=True)
+    # a similarity is matched through its negation and the negated threshold
+    gts = np.array([(0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0)])
+    preds = np.array([(1.0, 1.0, 11.0, 11.0), (19.0, 19.0, 29.0, 29.0)])
+    flags, pairs = greedy_metric_match(-box_iou(preds, gts), threshold=-0.5)
     assert flags == [True, True]
     assert pairs == [(0, 0), (1, 1)]
 
@@ -214,8 +268,15 @@ def test_greedy_appending_low_rank_preds_keeps_earlier_flags():
     rng = np.random.default_rng(12)
     gts = [rng.normal(size=(3, 3)) for _ in range(3)]
     preds = [g + rng.normal(scale=0.05, size=(3, 3)) for g in gts]
-    flags_before, _ = greedy_metric_match(preds, gts, frechet_distance, threshold=1.0)
+    flags_before, _ = greedy_metric_match(frechet_matrix(preds, gts), threshold=1.0)
     extra = [rng.normal(size=(3, 3)) + 100.0 for _ in range(4)]
-    flags_after, _ = greedy_metric_match(preds + extra, gts, frechet_distance, threshold=1.0)
+    flags_after, _ = greedy_metric_match(frechet_matrix(preds + extra, gts), threshold=1.0)
     assert flags_after[: len(preds)] == flags_before
     assert sum(flags_after) <= min(len(preds) + len(extra), len(gts))
+
+
+def test_greedy_ties_go_to_the_lowest_gt_and_empty_sides():
+    flags, pairs = greedy_metric_match(np.zeros((2, 3)), threshold=0.0)
+    assert flags == [True, True] and pairs == [(0, 0), (1, 1)]
+    assert greedy_metric_match(np.zeros((2, 0)), threshold=1.0) == ([False, False], [])
+    assert greedy_metric_match(np.zeros((0, 2)), threshold=1.0) == ([], [])

@@ -157,6 +157,64 @@ def test_mixed_control_point_counts_rejected(tmp_path):
         dataio.load_scenes(p)
 
 
+def _set_scene(path, value):
+    def mutate(obj):
+        target = obj
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+
+    return mutate
+
+
+def _set_feature(value):
+    def mutate(obj):
+        obj["lanes"][0]["feature"] = value
+
+    return mutate
+
+
+@pytest.mark.parametrize(
+    "kind, mutate, fieldname",
+    [
+        pytest.param("det", _set_feature([0.5, float("nan"), 1.0]), "lanes.feature", id="feature-nan"),
+        pytest.param("det", _set_feature([float("inf"), 0.0]), "lanes.feature", id="feature-inf"),
+        pytest.param("det", _set_feature([[0.5, 1.0]]), "lanes.feature", id="feature-2d"),
+        pytest.param("det", _set_scene(("traffic", 0, "category"), True), "traffic.category", id="det-category-true"),
+        pytest.param("det", _set_scene(("traffic", 1, "category"), 1.5), "traffic.category", id="det-category-1.5"),
+        pytest.param("scene", _set_scene(("traffic", 0, "category"), True), "traffic.category", id="category-true"),
+        pytest.param("scene", _set_scene(("traffic", 1, "id"), True), "traffic.id", id="traffic-id-true"),
+        pytest.param("scene", _set_scene(("lanes", 1, "id"), 1.7), "lanes.id", id="lane-id-1.7"),
+        pytest.param("scene", _set_scene(("lanes", 1, "id"), True), "lanes.id", id="lane-id-true"),
+        pytest.param("scene", _set_scene(("topo_ll", 0, 1), 1.7), "topo_ll", id="topo_ll-1.7"),
+        pytest.param("scene", _set_scene(("topo_lt", 0, 0), False), "topo_lt", id="topo_lt-false"),
+        pytest.param("scene", _set_scene(("topo_lt", 1, 1), "1"), "topo_lt", id="topo_lt-string"),
+    ],
+)
+def test_loader_rejects_bools_fractions_and_nonfinite_features(tmp_path, kind, mutate, fieldname):
+    if kind == "scene":
+        to_obj, load = dataio.scene_to_obj, dataio.load_scenes
+        records = [make_scene("s-1"), make_scene()]
+    else:
+        to_obj, load = dataio.detection_to_obj, dataio.load_detections
+        records = [make_detection("s-1"), make_detection(with_feature=True)]
+    objs = [to_obj(r) for r in records]
+    mutate(objs[1])
+    p = tmp_path / "records.jsonl"
+    # json.dumps writes NaN/Infinity tokens, which json.loads accepts
+    p.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    with pytest.raises(FormatError, match=f":2: field '{fieldname}'"):
+        load(p)
+
+
+def test_loader_accepts_integral_floats(tmp_path):
+    obj = dataio.scene_to_obj(make_scene())
+    obj["lanes"][1]["id"] = 1.0
+    p = tmp_path / "scenes.jsonl"
+    p.write_text(json.dumps(obj) + "\n")
+    assert dataio.load_scenes(p) == [make_scene()]
+
+
 def test_report_roundtrip(tmp_path):
     # fixture: final-leaderboard first row
     report = MetricReport(0.36, 0.80, 0.23, 0.33, 0.55,

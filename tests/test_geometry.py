@@ -186,3 +186,47 @@ def test_control_point_l1_symmetric_rejects_mismatch():
 def test_zero_length_lane_is_legal():
     flat = np.zeros((4, 3))
     assert frechet_distance(sample_lane(flat, 5), sample_lane(flat, 5)) == 0.0
+
+
+def test_batch_kernels_equal_their_pairs_bitwise():
+    rng = np.random.default_rng(43)
+    lanes_a = rng.normal(scale=10.0, size=(5, 4, 3))
+    lanes_b = rng.normal(scale=10.0, size=(3, 4, 3))
+    polys_a = sample_lane(lanes_a, 9)
+    polys_b = sample_lane(lanes_b, 9)
+    assert polys_a.shape == (5, 9, 3)
+    for i, lane in enumerate(lanes_a):
+        assert sample_lane(lane, 9).tobytes() == polys_a[i].tobytes()
+    corners = rng.uniform(0, 50, size=(9, 2))
+    boxes_a = np.concatenate([corners[:5], corners[:5] + rng.uniform(1, 20, size=(5, 2))], axis=1)
+    boxes_b = np.concatenate([corners[5:8], corners[5:8] + rng.uniform(1, 20, size=(3, 2))], axis=1)
+    for kernel, a, b in (
+        (frechet_distance, polys_a, polys_b),
+        (control_point_l1, lanes_a, lanes_b),
+        (box_iou, boxes_a, boxes_b),
+    ):
+        mat = kernel(a, b)
+        assert mat.shape == (len(a), len(b))
+        for i in range(len(a)):
+            for j in range(len(b)):
+                assert mat[i, j] == kernel(a[i], b[j])
+    assert frechet_distance(polys_a[:0], polys_b).shape == (0, 3)
+
+
+def test_batch_kernels_keep_the_pair_checks():
+    lanes = np.zeros((2, 4, 3))
+    with pytest.raises(ValueError, match="at least 2"):
+        sample_lane(np.zeros((2, 1, 3)), 5)
+    bad = lanes.copy()
+    bad[1, 2, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        control_point_l1(bad, lanes)
+    with pytest.raises(ValueError, match="counts differ"):
+        control_point_l1(lanes, np.zeros((2, 3, 3)))
+    boxes = np.array([(0.0, 0.0, 1.0, 1.0), (2.0, 2.0, 2.0, 3.0)])
+    with pytest.raises(ValueError, match="degenerate box \\[2.0, 2.0, 2.0, 3.0\\]"):
+        box_iou(boxes, boxes[:1])
+    with pytest.raises(ValueError, match="finite"):
+        box_iou(np.array([(0.0, 0.0, np.inf, 1.0)]), boxes[:1])
+    with pytest.raises(ValueError, match="not a mix"):
+        frechet_distance(np.zeros((2, 5, 3)), np.zeros((5, 3)))
