@@ -171,6 +171,8 @@ def run_sweep(opts: dict) -> int:
     scenes = dataio.load_scenes(opts["scenes_file"])
     cfg = _metric_config_from(opts)
     seeds = int(opts["seeds"])
+    if seeds < 1:
+        raise ValueError(f"--seeds must be >= 1, got {seeds}")
     seed = int(opts["seed"]) if opts.get("seed") is not None else 0
     levels_spec = opts.get("levels")
     if isinstance(levels_spec, str):

@@ -63,12 +63,11 @@ class FormatError(ValueError):
 
 
 class ValidationError(ValueError):
-    """A parsed record violates a declared invariant."""
+    """A parsed record violates a declared invariant; ``where`` is its ``path:line``."""
 
-    def __init__(self, scene_id: str, fieldname: str, message: str):
-        super().__init__(f"scene {scene_id!r}, field {fieldname!r}: {message}")
-        self.scene_id = scene_id
-        self.field = fieldname
+    def __init__(self, scene_id: str, fieldname: str, message: str, where: str = ""):
+        super().__init__(f"{where}{': ' if where else ''}scene {scene_id!r}, field {fieldname!r}: {message}")
+        self.scene_id, self.field, self.message = scene_id, fieldname, message
 
 
 @dataclass(eq=False)
@@ -193,6 +192,14 @@ class MetricReport:
 # validation
 
 
+def _geometry(check, value, scene_id: str, fieldname: str) -> np.ndarray:
+    """``check(value)``, its ValueError raised as a ValidationError naming the field."""
+    try:
+        return check(value)
+    except ValueError as exc:
+        raise ValidationError(scene_id, fieldname, str(exc)) from exc
+
+
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
     seen = set()
     for te in elements:
@@ -200,7 +207,7 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             if te.id in seen:
                 raise ValidationError(scene_id, "traffic.id", f"duplicate id {te.id}")
             seen.add(te.id)
-        as_box(te.box)
+        _geometry(as_box, te.box, scene_id, "traffic.box")
         if not (0 <= te.category < NUM_CATEGORIES):
             raise ValidationError(
                 scene_id, "traffic.category", f"category {te.category} outside [0, {NUM_CATEGORIES - 1}]"
@@ -218,7 +225,7 @@ def validate_scene(scene: SceneRecord, control_points: int | None = None) -> Non
         if lane.id in lane_ids:
             raise ValidationError(scene.scene_id, "lanes.id", f"duplicate id {lane.id}")
         lane_ids.add(lane.id)
-        pts = as_control_points(lane.ctrl)
+        pts = _geometry(as_control_points, lane.ctrl, scene.scene_id, "lanes.ctrl")
         if control_points is not None and pts.shape[0] != control_points:
             raise ValidationError(
                 scene.scene_id,
@@ -251,7 +258,7 @@ def validate_detection(
             record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {max_lanes}"
         )
     for idx, lane in enumerate(record.lanes):
-        pts = as_control_points(lane.ctrl)
+        pts = _geometry(as_control_points, lane.ctrl, record.scene_id, "lanes.ctrl")
         if control_points is not None and pts.shape[0] != control_points:
             raise ValidationError(
                 record.scene_id,
@@ -391,19 +398,12 @@ def _load_lines(path, parse_obj, validate):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
-                record = parse_obj(obj)
-            except ValidationError:
-                raise
+                record = parse_obj(json.loads(line))
+                validate(record)
+            except ValidationError as exc:
+                raise ValidationError(exc.scene_id, exc.field, exc.message, f"{path}:{line_no}") from exc
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(path, line_no, str(exc)) from exc
-            try:
-                validate(record)
-            except ValueError as exc:
-                if isinstance(exc, ValidationError):
-                    raise
-                scene_id = getattr(record, "scene_id", "?")
-                raise ValidationError(scene_id, "record", str(exc)) from exc
             out.append(record)
     return out
 

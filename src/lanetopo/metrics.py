@@ -12,6 +12,7 @@ in the topology metrics, so detection errors propagate.
 from __future__ import annotations
 
 import math
+import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -41,13 +42,14 @@ class DetMatchConfig:
 
     def __post_init__(self):
         ts = tuple(self.lane_frechet_thresholds)
-        if not ts or any(t <= 0 for t in ts) or list(ts) != sorted(ts):
-            raise ValueError(f"lane thresholds must be positive and sorted, got {ts}")
+        if not ts or not all(math.isfinite(t) and t > 0 for t in ts) or list(ts) != sorted(ts):
+            raise ValueError(f"DetMatchConfig.lane_frechet_thresholds must be finite, positive and sorted, got {ts}")
         self.lane_frechet_thresholds = ts
         if not (0.0 < self.traffic_iou_threshold <= 1.0):
-            raise ValueError("traffic_iou_threshold must be in (0, 1]")
-        if self.sample_points < 2:
-            raise ValueError("sample_points must be >= 2")
+            raise ValueError("DetMatchConfig.traffic_iou_threshold must be in (0, 1]")
+        sp = self.sample_points
+        if isinstance(sp, bool) or not isinstance(sp, numbers.Integral) or sp < 2:
+            raise ValueError(f"DetMatchConfig.sample_points must be an integer >= 2, got {sp!r}")
 
 
 def average_precision(flags, num_gt: int) -> float:

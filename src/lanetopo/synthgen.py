@@ -16,7 +16,8 @@ and perturbed confidences, all driven by explicit seeds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -93,13 +94,10 @@ class NoiseModel:
     conf_noise: float = 0.0
 
     def __post_init__(self):
-        for name in ("drop_prob", "confusion_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        for name in ("ctrl_sigma", "box_sigma", "spurious_rate", "conf_noise"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        for f in fields(self):
+            v, prob = getattr(self, f.name), f.name.endswith("_prob")
+            if not (math.isfinite(v) and 0.0 <= v <= (1.0 if prob else math.inf)):
+                raise ValueError(f"NoiseModel.{f.name} must be finite and {'in [0, 1]' if prob else '>= 0'}, got {v!r}")
 
 
 def _make_lane_ctrl(start: np.ndarray, heading: float, rng, m: int) -> np.ndarray:

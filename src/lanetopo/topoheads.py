@@ -298,41 +298,57 @@ def embed_traffic_batch(elements: Sequence[TrafficElement], params: TopoHeadPara
     return mlp_forward(params.traffic_embedder, x)
 
 
+# hidden entries per block of pair rows (256 KiB of float64, cache-resident):
+# a 16-lane scene is one block, a ~300 x 300 scene one left row per block
+_PAIR_BLOCK = 1 << 15
+
+
+def _pair_blocks(n: int, m: int, hidden: int):
+    rows = max(1, _PAIR_BLOCK // max(m * hidden, 1))
+    return (slice(i, i + rows) for i in range(0, n, rows))
+
+
 def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols: slice, right_cols: slice):
-    """Logits of ``head`` for every (left row i, right row j) pair.
+    """Logits of the one-hidden-layer ``head`` for every (left row i, right row j) pair.
 
     The head's first layer sees row i of ``left`` through its input
     columns ``left_cols`` and row j of ``right`` through ``right_cols``, so
-    it is the broadcast sum of two per-side projections.
+    it is the broadcast sum of two per-side projections. The hidden layer
+    is built a block of left rows at a time and never kept.
     """
-    n, m = left.shape[0], right.shape[0]
-    w = head.weights[0]
-    proj_l = left @ w[:, left_cols].T
-    proj_r = right @ w[:, right_cols].T
-    pre = (proj_l[:, None, :] + proj_r[None, :, :] + head.biases[0]).reshape(n * m, w.shape[0])
-    rest = MlpParams(head.weights[1:], head.biases[1:])
-    out, rest_cache = mlp_forward(rest, np.maximum(pre, 0.0))
-    sides = ((left, left_cols), (right, right_cols))
-    cache = {"pre": [pre, *rest_cache["pre"]], "rest": (rest, rest_cache), "sides": sides}
-    return out.reshape(n, m), cache
+    w1, w2, b2 = head.weights[0], head.weights[1][0], head.biases[1][0]
+    proj_l, proj_r = left @ w1[:, left_cols].T, right @ w1[:, right_cols].T
+    shifted = proj_r + head.biases[0]
+    out = np.empty((len(left), len(right)))
+    for rows in _pair_blocks(len(left), len(right), len(w2)):
+        hidden = proj_l[rows, None] + shifted
+        # einsum, not BLAS: a logit's bits must not depend on its position
+        out[rows] = np.einsum("kjh,h->kj", np.maximum(hidden, 0.0, out=hidden), w2) + b2
+    return out, {"proj": (proj_l, proj_r), "sides": ((left, left_cols), (right, right_cols))}
 
 
 def _pair_backward(head: MlpParams, head_grads: MlpParams, cache: dict, dlogits: np.ndarray):
     """Backward of _pair_logits. Fills ``head_grads``, which must hold zeros,
     and returns the gradients w.r.t. ``left`` and ``right``."""
-    n, m = dlogits.shape
-    rest, rest_cache = cache["rest"]
-    rest_grads = MlpParams(head_grads.weights[1:], head_grads.biases[1:])
-    _, dh = mlp_backward(rest, rest_cache, dlogits.reshape(n * m, 1), rest_grads)
-    dh *= cache["pre"][0] > 0
-    gz = dh.reshape(n, m, dh.shape[1])
-    g_left, g_right = gz.sum(axis=1), gz.sum(axis=0)
+    (proj_l, proj_r), ((left, left_cols), (right, right_cols)) = cache["proj"], cache["sides"]
+    w1, w2 = head.weights[0], head.weights[1][0]
+    shifted = proj_r + head.biases[0]
+    # masked dlogits summed over the other side; scaled by w2 at the end
+    g_left, g_right = np.empty_like(proj_l), np.zeros_like(proj_r)
+    for rows in _pair_blocks(*dlogits.shape, len(w2)):
+        d = dlogits[rows]
+        hidden = np.maximum(proj_l[rows, None] + shifted, 0.0)
+        head_grads.weights[1][0] += d.reshape(-1) @ hidden.reshape(-1, len(w2))
+        masked = np.greater(hidden, 0.0, out=hidden)
+        masked *= d[..., None]
+        g_left[rows] = masked.sum(axis=1)
+        g_right += masked.sum(axis=0)
+    head_grads.biases[1][:] += dlogits.sum()
+    g_left, g_right = g_left * w2, g_right * w2
     head_grads.biases[0][:] += g_left.sum(axis=0)
-    (left, left_cols), (right, right_cols) = cache["sides"]
-    w, gw = head.weights[0], head_grads.weights[0]
-    gw[:, left_cols] += g_left.T @ left
-    gw[:, right_cols] += g_right.T @ right
-    return g_left @ w[:, left_cols], g_right @ w[:, right_cols]
+    head_grads.weights[0][:, left_cols] += g_left.T @ left
+    head_grads.weights[0][:, right_cols] += g_right.T @ right
+    return g_left @ w1[:, left_cols], g_right @ w1[:, right_cols]
 
 
 def ll_logits(lane_feats: np.ndarray, params: TopoHeadParams):
@@ -390,6 +406,10 @@ def project_labels(
 class AdamState:
     m: np.ndarray
     v: np.ndarray
+    scratch: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)  # not state
+
+    def __post_init__(self):
+        self.scratch = (np.empty_like(self.m), np.empty_like(self.m))
 
     @classmethod
     def zeros(cls, params: TopoHeadParams) -> "AdamState":
@@ -405,7 +425,8 @@ def adamw_step(
 ) -> tuple[TopoHeadParams, AdamState]:
     """Decoupled-weight-decay Adam update with bias correction (in place).
 
-    ``step_index`` is 1-based.
+    ``step_index`` is 1-based. The update ``p -= lr * (m / c1) / (sqrt(v / c2) + eps)``
+    keeps that operation order; its temporaries live in ``state.scratch``.
     """
     if step_index < 1:
         raise ValueError("step_index is 1-based")
@@ -413,14 +434,16 @@ def adamw_step(
     if p.shape != g.shape:
         raise ValueError(f"parameter/gradient shape mismatch: {p.shape} vs {g.shape}")
     b1, b2 = cfg.adam_beta1, cfg.adam_beta2
-    c1 = 1.0 - b1**step_index
-    c2 = 1.0 - b2**step_index
+    c1, c2 = 1.0 - b1**step_index, 1.0 - b2**step_index
+    s, t = state.scratch
     m *= b1
-    m += (1.0 - b1) * g
+    m += np.multiply(1.0 - b1, g, out=s)
     v *= b2
-    v += (1.0 - b2) * g * g
+    v += np.multiply(np.multiply(1.0 - b2, g, out=s), g, out=s)
     p *= 1.0 - cfg.lr * cfg.weight_decay
-    p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+    np.multiply(cfg.lr, np.divide(m, c1, out=s), out=s)
+    np.add(np.sqrt(np.divide(v, c2, out=t), out=t), cfg.adam_eps, out=t)
+    p -= np.divide(s, t, out=s)
     return params, state
 
 

@@ -81,18 +81,19 @@ def min_abs_preactivation(det, params):
     traffic_feats, traffic_cache = th.embed_traffic_batch(det.traffic, params)
     _, ll_cache = th.ll_logits(lane_feats, params)
     _, lt_cache = th.lt_logits(lane_feats, traffic_feats, params)
-    caches = [ll_cache, lt_cache]
-    if lane_cache is not None:
-        caches.extend(lane_cache)
-    if traffic_cache is not None:
-        caches.append(traffic_cache)
+    # the pair heads keep only their per-side projections: rebuild the
+    # hidden pre-activation of every pair from them and the first bias
+    pres = []
+    for head, cache in ((params.ll_head, ll_cache), (params.lt_head, lt_cache)):
+        proj_l, proj_r = cache["proj"]
+        pres.append(proj_l[:, None, :] + (proj_r + head.biases[0]))
+    for cache in (*(lane_cache or ()), traffic_cache):
+        if cache is not None:
+            pres.extend(cache["pre"][:-1])  # last layer is identity, no kink
     smallest = np.inf
-    for cache in caches:
-        if cache is None:
-            continue
-        for pre in cache["pre"][:-1]:  # last layer is identity, no kink
-            if pre.size:
-                smallest = min(smallest, float(np.min(np.abs(pre))))
+    for pre in pres:
+        if pre.size:
+            smallest = min(smallest, float(np.min(np.abs(pre))))
     return smallest
 
 

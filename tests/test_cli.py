@@ -193,6 +193,38 @@ def test_head_config_validated_at_every_boundary(dataset, tmp_path, capsys, chan
         assert np.array_equal(topoheads.load_params(path).flat, params.flat)
 
 
+@pytest.mark.parametrize(
+    "args, field",
+    [
+        pytest.param(["evaluate", "--lane-thresholds", "nan"], "lane_frechet_thresholds", id="thresholds-nan"),
+        pytest.param(["evaluate", "--lane-thresholds", "1,2,inf"], "lane_frechet_thresholds", id="thresholds-inf"),
+        pytest.param(["sweep", "--seeds", "0"], "seeds", id="seeds-0"),
+        pytest.param(["sweep", "--seeds", "1", "--levels", '[{"box_sigma": Infinity}]'], "box_sigma", id="level-inf"),
+        pytest.param(["corrupt", "--seed", "0", "--ctrl-sigma", "nan"], "ctrl_sigma", id="ctrl_sigma-nan"),
+        pytest.param(["corrupt", "--seed", "0", "--spurious-rate", "inf"], "spurious_rate", id="spurious_rate-inf"),
+        pytest.param({"sample_points": 2.5}, "sample_points", id="sample_points-2.5"),
+        pytest.param({"sample_points": 11.0}, "sample_points", id="sample_points-float"),
+    ],
+)
+def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys, args, field):
+    if isinstance(args, dict):
+        with pytest.raises(ValueError, match=f"DetMatchConfig.{field}"):
+            metrics.DetMatchConfig(**args)
+        return
+    scenes = dataset / "test_scenes.jsonl"
+    preds, params = tmp_path / "perfect.jsonl", tmp_path / "params.json"
+    perfect_predictions_file(scenes, preds)
+    topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3)), params)
+    files = {
+        "evaluate": ["--predictions", str(preds)],
+        "sweep": ["--params", str(params), "--out", str(tmp_path / "sw")],
+        "corrupt": ["--out", str(tmp_path / "det.jsonl")],
+    }[args[0]]
+    code = run([*args, *files, "--scenes-file", str(scenes)])
+    err = capsys.readouterr().err
+    assert code == 2 and field in err, err
+
+
 def perfect_predictions_file(scenes_path, out_path):
     scenes = dataio.load_scenes(scenes_path)
     records = []

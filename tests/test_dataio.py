@@ -248,3 +248,25 @@ def test_report_inconsistent_ols_warns(tmp_path):
 def test_report_rejects_out_of_range(tmp_path):
     with pytest.raises(ValueError):
         dataio.write_report(MetricReport(1.5, 0, 0, 0, 0), tmp_path / "bad.json")
+
+
+@pytest.mark.parametrize(
+    "mutate, fieldname",
+    [
+        pytest.param(_set_scene(("lanes", 1, "ctrl", 2, 0), float("nan")), "lanes.ctrl", id="ctrl-nan"),
+        pytest.param(_set_scene(("traffic", 0, "box"), [5.0, 5.0, 5.0, 9.0]), "traffic.box", id="box-degenerate"),
+    ],
+)
+def test_loader_geometry_errors_name_path_line_and_field(tmp_path, capsys, mutate, fieldname):
+    from lanetopo.cli import main
+
+    objs = [dataio.scene_to_obj(make_scene("s-1")), dataio.scene_to_obj(make_scene())]
+    mutate(objs[1])
+    p = tmp_path / "scenes.jsonl"
+    p.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    where = f"{p}:2: scene 's0', field '{fieldname}'"
+    with pytest.raises(ValidationError) as info:
+        dataio.load_scenes(p)
+    assert str(info.value).startswith(where) and info.value.field == fieldname
+    assert main(["corrupt", "--scenes-file", str(p), "--seed", "0", "--out", str(tmp_path / "d.jsonl")]) == 2
+    assert where in capsys.readouterr().err

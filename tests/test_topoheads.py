@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -314,6 +315,77 @@ def test_pair_logits_match_unfactorized_heads():
     np.testing.assert_allclose(lt, lt_ref.reshape(n, t), rtol=1e-12, atol=1e-12)
 
 
+def test_pair_kernel_across_blocks_matches_dense_heads():
+    # default width: a 200-wide right side gives one left row per block,
+    # a 40-wide one several rows per block and several blocks
+    cfg = th.HeadConfig(seed=14)
+    params = th.init_params(cfg)
+    rng = np.random.default_rng(14)
+    n, t, c = 40, 200, cfg.feature_dim
+    lanes = rng.normal(size=(n, c))
+    traffic = rng.normal(size=(t, c))
+    dense_ll = np.hstack([np.repeat(lanes, n, axis=0), np.tile(lanes, (n, 1))])
+    dense_lt = (lanes[:, None, :] + traffic[None, :, :]).reshape(n * t, c)
+    cases = (
+        (th.ll_logits(lanes, params), params.ll_head, "ll_head", dense_ll, (n, n)),
+        (th.lt_logits(lanes, traffic, params), params.lt_head, "lt_head", dense_lt, (n, t)),
+    )
+    for (logits, cache), head, name, dense, shape in cases:
+        ref, ref_cache = th.mlp_forward(head, dense)
+        np.testing.assert_allclose(logits, ref.reshape(shape), rtol=1e-12, atol=1e-12)
+        # dense reference of the same gradients: the head's own backward
+        # on every pair input, folded back onto the two sides
+        dlogits = rng.normal(size=shape)
+        ref_grads, dx = th.mlp_backward(head, ref_cache, dlogits.reshape(-1, 1))
+        dx = dx.reshape(*shape, -1)
+        if name == "ll_head":
+            ref_left, ref_right = dx[..., :c].sum(axis=1), dx[..., c:].sum(axis=0)
+        else:
+            ref_left, ref_right = dx.sum(axis=1), dx.sum(axis=0)
+        grads = th.TopoHeadParams(cfg)
+        g_left, g_right = th._pair_backward(head, getattr(grads, name), cache, dlogits)
+        np.testing.assert_allclose(g_left, ref_left, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(g_right, ref_right, rtol=1e-12, atol=1e-12)
+        got = getattr(grads, name)
+        for a, b in zip(got.weights + got.biases, ref_grads.weights + ref_grads.biases):
+            np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("n, t", [(40, 200), (37, 203)])
+def test_predict_permutation_equivariance_exact_across_blocks(n, t):
+    # lanes and traffic both permuted; 37 x 203 puts pairs in the tail
+    # lanes of a BLAS matrix-vector kernel, whose bits depend on position
+    cfg = th.HeadConfig(seed=15)
+    params = th.init_params(cfg)
+    _, det = random_scene_pair(np.random.default_rng(15), n_lanes=n, n_traffic=t, m=cfg.control_points)
+    ll, lt = th.predict(det, params)
+    perm_l = np.random.default_rng(16).permutation(n)
+    perm_t = np.random.default_rng(17).permutation(t)
+    det_p = DetectionRecord(det.scene_id, [det.lanes[i] for i in perm_l], [det.traffic[k] for k in perm_t])
+    ll_p, lt_p = th.predict(det_p, params)
+    assert np.array_equal(ll_p, ll[np.ix_(perm_l, perm_l)])
+    assert np.array_equal(lt_p, lt[np.ix_(perm_l, perm_t)])
+
+
+def test_pair_heads_allocate_no_pair_sized_hidden_tensor():
+    # query-budget scene (~300 lanes x ~300 traffic elements): a cached
+    # (n*m, H) hidden tensor would alone take ~90 MiB here
+    from lanetopo.synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_scene
+
+    scene = generate_scene(GeneratorConfig(seed=0), 0)
+    det = corrupt_scene(scene, NoiseModel(ctrl_sigma=0.3, drop_prob=0.1, spurious_rate=280.0), [0, 1])
+    assert len(det.lanes) >= 250 and len(det.traffic) >= 250
+    params = th.init_params(th.HeadConfig())
+    for run in (lambda: th.scene_loss_and_grads(det, scene, params), lambda: th.predict(det, params)):
+        tracemalloc.start()
+        try:
+            run()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+
 def test_init_params_views_hold_the_seeded_draws():
     cfg = small_config(seed=12)
     params = th.init_params(cfg)
@@ -394,6 +466,29 @@ def test_adamw_decay_only():
     before = params.flat.copy()
     th.adamw_step(params, th.TopoHeadParams(cfg), th.AdamState.zeros(params), 1, cfg)
     assert params.flat == pytest.approx(before * (1 - 0.1 * 0.5), rel=1e-12)
+
+
+def test_adamw_bit_identical_to_out_of_place_update():
+    cfg = small_config(lr=1e-2, weight_decay=0.1)
+    params = th.init_params(cfg)
+    state = th.AdamState.zeros(params)
+    assert "scratch" not in repr(state)
+    p, m, v = params.flat.copy(), np.zeros_like(params.flat), np.zeros_like(params.flat)
+    rng = np.random.default_rng(18)
+    for step in range(1, 121):
+        g = rng.normal(size=p.shape) * 10.0 ** rng.uniform(-6, 2)
+        th.adamw_step(params, th.TopoHeadParams(cfg, g), state, step, cfg)
+        # the reference: the same expression, evaluated out of place
+        b1, b2 = cfg.adam_beta1, cfg.adam_beta2
+        c1 = 1.0 - b1**step
+        c2 = 1.0 - b2**step
+        m *= b1
+        m += (1.0 - b1) * g
+        v *= b2
+        v += (1.0 - b2) * g * g
+        p *= 1.0 - cfg.lr * cfg.weight_decay
+        p -= cfg.lr * (m / c1) / (np.sqrt(v / c2) + cfg.adam_eps)
+        assert np.array_equal(params.flat, p) and np.array_equal(state.m, m) and np.array_equal(state.v, v), step
 
 
 # ---------------------------------------------------------------------------
