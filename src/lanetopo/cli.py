@@ -33,13 +33,21 @@ DEFAULT_SWEEP_LEVELS = (
 NOISE_KEYS = ("ctrl_sigma", "box_sigma", "drop_prob", "spurious_rate", "confusion_prob", "conf_noise")
 
 
-def _parse_pair(text: str) -> tuple[int, int]:
-    parts = [int(v) for v in str(text).split(",")]
-    if len(parts) == 1:
-        return parts[0], parts[0]
-    if len(parts) != 2:
-        raise ValueError(f"expected 'lo,hi', got {text!r}")
-    return parts[0], parts[1]
+def _int(value, key: str) -> int:
+    """An integer option: an int or an integral string; anything else is an error naming it."""
+    try:
+        if type(value) is int or isinstance(value, str):  # a bool is an int subclass
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"option {key!r} (--{key.replace('_', '-')}) must be an integer, got {value!r}")
+
+
+def _parse_pair(opts: dict, key: str) -> tuple[int, int]:
+    parts = [_int(v, key) for v in str(opts[key]).split(",")]
+    if len(parts) not in (1, 2):
+        raise ValueError(f"option {key!r}: expected 'lo,hi', got {opts[key]!r}")
+    return parts[0], parts[-1]
 
 
 def _parse_floats(text) -> tuple[float, ...]:
@@ -60,14 +68,14 @@ def _require(opts: dict, *keys: str) -> None:
 
 def _generator_from(opts: dict) -> synthgen.GeneratorConfig:
     return synthgen.GeneratorConfig(
-        scenes=int(opts["scenes"]),
-        lanes_per_scene=_parse_pair(opts["lanes"]),
+        scenes=_int(opts["scenes"], "scenes"),
+        lanes_per_scene=_parse_pair(opts, "lanes"),
         map_extent=float(opts["map_extent"]),
         branch_prob=float(opts["branch_prob"]),
-        traffic_per_scene=_parse_pair(opts["traffic"]),
+        traffic_per_scene=_parse_pair(opts, "traffic"),
         lt_assoc_prob=float(opts["lt_assoc_prob"]),
-        seed=int(opts["seed"]),
-        control_points=int(opts["control_points"]),
+        seed=_int(opts["seed"], "seed"),
+        control_points=_int(opts["control_points"], "control_points"),
     )
 
 
@@ -76,8 +84,8 @@ def _head_config_from(opts: dict) -> topoheads.HeadConfig:
     floats = ("lr", "focal_alpha", "focal_gamma", "weight_decay", "coord_scale")
     width = opts.get("detector_feature_width")
     return topoheads.HeadConfig(
-        detector_feature_width=int(width) if width else None,
-        **{k: int(opts[k]) for k in ints},
+        detector_feature_width=_int(width, "detector_feature_width") if width else None,
+        **{k: _int(opts[k], k) for k in ints},
         **{k: float(opts[k]) for k in floats},
     )
 
@@ -86,7 +94,7 @@ def _metric_config_from(opts: dict) -> metrics.DetMatchConfig:
     return metrics.DetMatchConfig(
         lane_frechet_thresholds=_parse_floats(opts["lane_thresholds"]),
         traffic_iou_threshold=float(opts["iou_threshold"]),
-        sample_points=int(opts["sample_points"]),
+        sample_points=_int(opts["sample_points"], "sample_points"),
     )
 
 
@@ -109,7 +117,7 @@ def run_corrupt(opts: dict) -> int:
     _require(opts, "seed", "scenes_file", "out")
     scenes = dataio.load_scenes(opts["scenes_file"])
     noise = _noise_from(opts)
-    seed = int(opts["seed"])
+    seed = _int(opts["seed"], "seed")
     detections = [synthgen.corrupt_scene(s, noise, [seed, i]) for i, s in enumerate(scenes)]
     dataio.save_detections(detections, opts["out"])
     print(f"corrupted {len(detections)} scenes -> {opts['out']}")
@@ -170,10 +178,10 @@ def run_sweep(opts: dict) -> int:
     params = topoheads.load_params(opts["params"])
     scenes = dataio.load_scenes(opts["scenes_file"])
     cfg = _metric_config_from(opts)
-    seeds = int(opts["seeds"])
+    seeds = _int(opts["seeds"], "seeds")
     if seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {seeds}")
-    seed = int(opts["seed"]) if opts.get("seed") is not None else 0
+    seed = _int(opts["seed"], "seed") if opts.get("seed") is not None else 0
     levels_spec = opts.get("levels")
     if isinstance(levels_spec, str):
         levels_spec = json.loads(levels_spec)
@@ -252,8 +260,8 @@ def run_resample(opts: dict) -> int:
     stats = detstrat.category_histogram(scenes)
     cfg = detstrat.ResampleConfig(
         freq_threshold=float(opts["freq_threshold"]),
-        min_factor=int(opts["min_factor"]),
-        max_factor=int(opts["max_factor"]),
+        min_factor=_int(opts["min_factor"], "min_factor"),
+        max_factor=_int(opts["max_factor"], "max_factor"),
     )
     plan = detstrat.resample_plan(scenes, stats, cfg)
     Path(opts["out"]).write_text(json.dumps(plan) + "\n", encoding="utf-8")

@@ -15,11 +15,16 @@ Detection line: same shape with
     "lanes": [{"ctrl": ..., "class_score": num, "feature": [...]?}, ...]
 
 Prediction line: a detection line plus topology probabilities
-    "topo_ll_prob": [[p, ...] * n], "topo_lt_prob": [[p, ...] * n]
+    "topo_ll_prob": str, "topo_lt_prob": str
+the padded standard base64 of the (n, n) / (n, t) matrices' row-major
+little-endian float64 bytes, so they round-trip bit-exactly. With numpy:
+    lt = np.frombuffer(base64.b64decode(obj["topo_lt_prob"]), "<f8")
+    lt = lt.reshape(len(obj["lanes"]), len(obj["traffic"]))
 """
 
 from __future__ import annotations
 
+import base64
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -277,14 +282,19 @@ def validate_detection(
             )
     _check_traffic(record.scene_id, record.traffic, require_ids=False)
     if isinstance(record, PredictionRecord):
-        n, t = len(record.lanes), len(record.traffic)
-        if record.topo_ll_prob.shape != (n, n):
-            raise ValidationError(record.scene_id, "topo_ll_prob", f"shape {record.topo_ll_prob.shape} != ({n}, {n})")
-        if record.topo_lt_prob.shape != (n, t):
-            raise ValidationError(record.scene_id, "topo_lt_prob", f"shape {record.topo_lt_prob.shape} != ({n}, {t})")
-        for name, mat in (("topo_ll_prob", record.topo_ll_prob), ("topo_lt_prob", record.topo_lt_prob)):
+        for name, mat in _prob_matrices(record):
             if mat.size and not (np.all(mat >= 0.0) and np.all(mat <= 1.0)):
                 raise ValidationError(record.scene_id, name, "probabilities outside [0, 1]")
+
+
+def _prob_matrices(record: PredictionRecord):
+    """``(field, matrix)`` for both probability matrices, each checked to be (n, n) / (n, t)."""
+    n, t = len(record.lanes), len(record.traffic)
+    for name, shape in (("topo_ll_prob", (n, n)), ("topo_lt_prob", (n, t))):
+        mat = getattr(record, name)
+        if np.shape(mat) != shape:
+            raise ValidationError(record.scene_id, name, f"shape {np.shape(mat)} != {shape}")
+        yield name, mat
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +304,7 @@ def validate_detection(
 def traffic_to_obj(te: TrafficElement) -> dict:
     return {
         "id": int(te.id),
-        "box": [float(v) for v in np.asarray(te.box, dtype=float)],
+        "box": np.asarray(te.box, dtype=float).tolist(),
         "category": int(te.category),
         "confidence": float(te.confidence),
     }
@@ -322,8 +332,7 @@ def scene_to_obj(scene: SceneRecord) -> dict:
     return {
         "scene_id": scene.scene_id,
         "lanes": [
-            {"id": int(l.id), "ctrl": [[float(v) for v in p] for p in np.asarray(l.ctrl, dtype=float)]}
-            for l in scene.lanes
+            {"id": int(l.id), "ctrl": np.asarray(l.ctrl, dtype=float).tolist()} for l in scene.lanes
         ],
         "traffic": [traffic_to_obj(te) for te in scene.traffic],
         "topo_ll": [[int(i), int(j)] for i, j in sorted(scene.topo_ll)],
@@ -345,11 +354,11 @@ def detection_to_obj(record: DetectionRecord) -> dict:
     lanes = []
     for lane in record.lanes:
         entry = {
-            "ctrl": [[float(v) for v in p] for p in np.asarray(lane.ctrl, dtype=float)],
+            "ctrl": np.asarray(lane.ctrl, dtype=float).tolist(),
             "class_score": float(lane.class_score),
         }
         if lane.feature is not None:
-            entry["feature"] = [float(v) for v in lane.feature]
+            entry["feature"] = np.asarray(lane.feature, dtype=float).tolist()
         lanes.append(entry)
     obj = {
         "scene_id": record.scene_id,
@@ -357,9 +366,23 @@ def detection_to_obj(record: DetectionRecord) -> dict:
         "traffic": [traffic_to_obj(te) for te in record.traffic],
     }
     if isinstance(record, PredictionRecord):
-        obj["topo_ll_prob"] = [[float(v) for v in row] for row in record.topo_ll_prob]
-        obj["topo_lt_prob"] = [[float(v) for v in row] for row in record.topo_lt_prob]
+        for name, mat in _prob_matrices(record):
+            obj[name] = base64.b64encode(np.asarray(mat, dtype="<f8").tobytes()).decode("ascii")
     return obj
+
+
+def _matrix(text, shape: tuple[int, int], fieldname: str) -> np.ndarray:
+    """A base64 float64 matrix of ``shape`` as a writable native array."""
+    if not isinstance(text, str):
+        hint = " (the old list form: re-run `lanetopo predict`)" if isinstance(text, list) else ""
+        raise ValueError(f"field {fieldname!r}: expected a base64 string, got {type(text).__name__}{hint}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError as exc:  # binascii.Error
+        raise ValueError(f"field {fieldname!r}: invalid base64: {exc}") from exc
+    if len(raw) != 8 * shape[0] * shape[1]:
+        raise ValueError(f"field {fieldname!r}: {len(raw)} bytes, expected 8 * {shape[0]} * {shape[1]}")
+    return np.frombuffer(raw, "<f8").reshape(shape).astype(float)
 
 
 def _feature(values) -> np.ndarray:
@@ -381,8 +404,8 @@ def detection_from_obj(obj: dict) -> DetectionRecord:
     traffic = [traffic_from_obj(te) for te in obj["traffic"]]
     if "topo_ll_prob" in obj:
         n, t = len(lanes), len(traffic)
-        ll = np.asarray(obj["topo_ll_prob"], dtype=float).reshape(n, n)
-        lt = np.asarray(obj["topo_lt_prob"], dtype=float).reshape(n, t)
+        ll = _matrix(obj["topo_ll_prob"], (n, n), "topo_ll_prob")
+        lt = _matrix(obj["topo_lt_prob"], (n, t), "topo_lt_prob")
         return PredictionRecord(str(obj["scene_id"]), lanes, traffic, topo_ll_prob=ll, topo_lt_prob=lt)
     return DetectionRecord(str(obj["scene_id"]), lanes, traffic)
 

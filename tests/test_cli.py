@@ -204,6 +204,17 @@ def test_head_config_validated_at_every_boundary(dataset, tmp_path, capsys, chan
         pytest.param(["corrupt", "--seed", "0", "--spurious-rate", "inf"], "spurious_rate", id="spurious_rate-inf"),
         pytest.param({"sample_points": 2.5}, "sample_points", id="sample_points-2.5"),
         pytest.param({"sample_points": 11.0}, "sample_points", id="sample_points-float"),
+        # integer options take ints and integral strings only, and an error names the option
+        pytest.param(["evaluate", {"sample_points": 2.5}], "sample_points", id="config-sample_points-2.5"),
+        pytest.param(["evaluate", "--sample-points", "2.5"], "sample-points", id="flag-sample-points-2.5"),
+        pytest.param(["generate", {"scenes": 8.7, "seed": 0.9}], "scenes", id="config-scenes-8.7"),
+        pytest.param(["generate", {"seed": 0.9}], "seed", id="config-seed-0.9"),
+        pytest.param(["generate", "--seed", "0", "--lanes", "12.5,18"], "lanes", id="flag-lanes-12.5"),
+        pytest.param(["train", {"epochs": 1.9}], "epochs", id="config-epochs-1.9"),
+        pytest.param(["train", {"mlp_hidden": True}], "mlp_hidden", id="config-mlp_hidden-true"),
+        pytest.param(["sweep", {"seeds": 1.5}], "seeds", id="config-seeds-1.5"),
+        pytest.param(["sweep", "--seeds", "1.5"], "seeds", id="flag-seeds-1.5"),
+        pytest.param(["corrupt", {"seed": 0.5}], "seed", id="config-corrupt-seed-0.5"),
     ],
 )
 def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys, args, field):
@@ -216,11 +227,19 @@ def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys,
     perfect_predictions_file(scenes, preds)
     topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3)), params)
     files = {
-        "evaluate": ["--predictions", str(preds)],
-        "sweep": ["--params", str(params), "--out", str(tmp_path / "sw")],
-        "corrupt": ["--out", str(tmp_path / "det.jsonl")],
+        "evaluate": ["--predictions", str(preds), "--scenes-file", str(scenes)],
+        "sweep": ["--params", str(params), "--out", str(tmp_path / "sw"), "--scenes-file", str(scenes)],
+        "corrupt": ["--out", str(tmp_path / "det.jsonl"), "--scenes-file", str(scenes)],
+        "generate": ["--scenes", "4", "--out", str(tmp_path / "gen")],
+        "train": small_train_args(dataset, tmp_path / "run")[1:],
     }[args[0]]
-    code = run([*args, *files, "--scenes-file", str(scenes)])
+    flags = dict(zip(files[::2], files[1::2]))
+    if isinstance(args[1], dict):  # a --config entry; a flag for the same key would override it
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args[1]))
+        flags = {f: v for f, v in flags.items() if f[2:].replace("-", "_") not in args[1]}
+        args = [args[0], "--config", str(config)]
+    code = run([*args, *(x for item in flags.items() for x in item)])
     err = capsys.readouterr().err
     assert code == 2 and field in err, err
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import base64
 import json
+import re
 
 import numpy as np
 import pytest
@@ -77,16 +79,16 @@ def test_detection_roundtrip(tmp_path):
     assert dataio.load_detections(p) == records
 
 
-def test_prediction_roundtrip(tmp_path):
-    det = make_detection("s0")
+def make_prediction(scene_id="s0"):
+    det = make_detection(scene_id)
     rng = np.random.default_rng(5)
-    pred = PredictionRecord(
-        det.scene_id,
-        det.lanes,
-        det.traffic,
-        topo_ll_prob=rng.uniform(size=(3, 3)),
-        topo_lt_prob=rng.uniform(size=(3, 2)),
+    return PredictionRecord(
+        det.scene_id, det.lanes, det.traffic, rng.uniform(size=(3, 3)), rng.uniform(size=(3, 2))
     )
+
+
+def test_prediction_roundtrip(tmp_path):
+    pred = make_prediction()
     p = tmp_path / "pred.jsonl"
     dataio.save_detections([pred], p)
     loaded = dataio.load_detections(p)
@@ -270,3 +272,58 @@ def test_loader_geometry_errors_name_path_line_and_field(tmp_path, capsys, mutat
     assert str(info.value).startswith(where) and info.value.field == fieldname
     assert main(["corrupt", "--scenes-file", str(p), "--seed", "0", "--out", str(tmp_path / "d.jsonl")]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "fieldname, value, message",
+    [
+        pytest.param("topo_ll_prob", np.eye(3).tolist(), "re-run `lanetopo predict`", id="ll-list-form"),
+        pytest.param("topo_ll_prob", [np.eye(3).ravel().tolist()], "re-run `lanetopo predict`", id="ll-1xn2-list"),
+        pytest.param("topo_lt_prob", 0.5, "got float", id="lt-number"),
+        pytest.param("topo_lt_prob", None, "got NoneType", id="lt-null"),
+        pytest.param("topo_ll_prob", "AAAA*AAA", "invalid base64", id="ll-bad-alphabet"),
+        pytest.param("topo_ll_prob", "AAAAAAAAAAA", "invalid base64", id="ll-bad-padding"),
+        pytest.param("topo_ll_prob", "", "0 bytes, expected 8 * 3 * 3", id="ll-empty"),
+        pytest.param("topo_lt_prob", base64.b64encode(bytes(8 * 5)).decode(), "40 bytes", id="lt-short"),
+        pytest.param("topo_lt_prob", base64.b64encode(bytes(8 * 6 + 1)).decode(), "49 bytes", id="lt-odd"),
+    ],
+)
+def test_loader_rejects_bad_probability_matrices(tmp_path, fieldname, value, message):
+    objs = [dataio.detection_to_obj(make_prediction("s-1")), dataio.detection_to_obj(make_prediction())]
+    objs[1][fieldname] = value
+    p = tmp_path / "pred.jsonl"
+    p.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}:2: field '{fieldname}': .*{re.escape(message)}"):
+        dataio.load_detections(p)
+
+
+@pytest.mark.parametrize(
+    "fieldname, shape",
+    [("topo_ll_prob", (1, 9)), ("topo_ll_prob", (3, 2)), ("topo_lt_prob", (2, 3)), ("topo_lt_prob", (6,))],
+)
+def test_save_rejects_misshapen_probability_matrices(tmp_path, fieldname, shape):
+    pred = make_prediction()
+    setattr(pred, fieldname, np.zeros(shape))
+    p = tmp_path / "pred.jsonl"
+    with pytest.raises(ValueError, match=f"field '{fieldname}': shape"):
+        dataio.save_detections([make_prediction("s-1"), pred], p)
+    assert dataio.load_detections(p) == [make_prediction("s-1")]
+
+
+def test_prediction_roundtrip_is_bit_exact_at_query_budget(tmp_path):
+    rng = np.random.default_rng(3)
+    n, t = dataio.DEFAULT_QUERY_BUDGET, 295
+    lanes = [PredLane(ctrl=rng.normal(size=(4, 3)), class_score=0.5) for _ in range(n)]
+    traffic = [TrafficElement(id=k, box=np.array([1.0, 1.0, 9.0, 9.0]), category=0) for k in range(t)]
+    special = [-0.0, 5e-324, 0.0, 1.0, np.nextafter(1.0, 0.0)]
+    ll, lt = rng.uniform(size=(n, n)), rng.uniform(size=(n, t))
+    ll.flat[: len(special)] = lt.flat[-len(special):] = special
+    pred = PredictionRecord("q", lanes, traffic, topo_ll_prob=ll, topo_lt_prob=lt)
+    p = tmp_path / "pred.jsonl"
+    dataio.save_detections([pred], p)
+    (loaded,) = dataio.load_detections(p)
+    assert loaded == pred
+    for got, want in ((loaded.topo_ll_prob, ll), (loaded.topo_lt_prob, lt)):
+        assert got.tobytes() == want.tobytes()
+        assert got.dtype == np.float64 and got.dtype.isnative and got.flags.writeable
+    assert np.signbit(loaded.topo_ll_prob.flat[0]) and loaded.topo_lt_prob.flat[-4] == 5e-324
