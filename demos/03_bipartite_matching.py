@@ -41,7 +41,7 @@ ranked_preds = sample_lane(
 )
 dist = frechet_distance(ranked_preds, gts)  # (3, 2): every pred against every GT
 print("\nFrechet distances (ranked preds x GTs):\n", np.round(dist, 2))
-flags, pairs = greedy_metric_match(dist, threshold=2.0)
-print("\ngreedy flags by rank:", flags)
-print("matched (pred, gt) pairs:", pairs)
+flags, match = greedy_metric_match(dist, threshold=2.0)  # match[rank] is a GT index, -1 for a FP
+print("\ngreedy flags by rank:", flags.tolist())
+print("matched (pred, gt) pairs:", [(p, g) for p, g in enumerate(match.tolist()) if g >= 0])
 print("the rank-2 duplicate of gt0 became a false positive")

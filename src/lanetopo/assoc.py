@@ -9,11 +9,14 @@ Two matching regimes live here:
 * greedy confidence-ranked matching with a distance threshold, the
   standard detection-AP protocol used by the metrics.
 
-Both take a whole scene's preds x GT matrix.
+Both take a whole scene's preds x GT matrix; the greedy matcher also
+takes a stack of them and walks rank r of every matrix at once.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -33,8 +36,18 @@ class CostConfig:
     focal_gamma: float = 2.0
 
     def __post_init__(self):
-        if self.w_cls < 0 or self.w_l1 < 0:
-            raise ValueError("cost weights must be >= 0")
+        for name, (rule, ok) in _COST_RULES.items():
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and ok(v)):
+                raise ValueError(f"CostConfig.{name} must be a finite number {rule}, got {v!r}")
+
+
+_COST_RULES = {
+    "w_cls": (">= 0", lambda v: v >= 0),
+    "w_l1": (">= 0", lambda v: v >= 0),
+    "focal_alpha": ("in [0, 1]", lambda v: 0 <= v <= 1),
+    "focal_gamma": (">= 0", lambda v: v >= 0),
+}
 
 
 @dataclass
@@ -175,29 +188,43 @@ def match_traffic_for_training(
     return _training_match([p.confidence for p in preds], l1, cfg)
 
 
-def greedy_metric_match(dist, threshold: float) -> tuple[list[bool], list[tuple[int, int]]]:
+def greedy_metric_match(dist, threshold) -> tuple[np.ndarray, np.ndarray]:
     """Greedy TP/FP labeling over confidence-ranked predictions.
 
-    ``dist`` is the (preds, GT) distance matrix with its rows already
-    sorted by confidence descending (stable, ties by input order). For a
+    ``dist`` is a (preds, GT) distance matrix with its rows already sorted
+    by confidence descending (stable, ties by input order), or a
+    (..., N, M) stack of such matrices; ``threshold`` is one threshold per
+    leading index (anything that broadcasts to ``dist.shape[:-2]``). For a
     similarity such as IoU pass its negation and the negated threshold.
     Scanning in rank order, a prediction is a TP if some still-unmatched
     GT lies within the threshold (<=); it takes the nearest one, the
-    lowest GT index on a tie. Each GT matches at most once.
+    lowest GT index on a tie. Each GT matches at most once per matrix.
+    Rank r of every matrix in the stack is matched in one step. Pad ragged
+    matrices with +inf, which never lies within a finite threshold.
 
-    Returns per-prediction flags (rank order) and the matched pair list.
+    Returns bool flags (..., N) in rank order and int ``match`` (..., N):
+    the GT index each prediction took, -1 for a false positive.
     """
     d = np.asarray(dist, dtype=float)
-    if d.ndim != 2:
-        raise ValueError(f"distances must be a 2D matrix, got shape {d.shape}")
-    free = np.ones(d.shape[1], dtype=bool)
-    flags: list[bool] = []
-    matched_pairs: list[tuple[int, int]] = []
-    for p_idx, row in enumerate(d):
-        candidates = np.flatnonzero(free & (row <= threshold))
-        flags.append(candidates.size > 0)
-        if candidates.size:
-            g_idx = int(candidates[np.argmin(row[candidates])])
-            free[g_idx] = False
-            matched_pairs.append((p_idx, g_idx))
-    return flags, matched_pairs
+    if d.ndim < 2:
+        raise ValueError(f"distances must be a matrix or a stack of them, got shape {d.shape}")
+    lead, (n, m) = d.shape[:-2], d.shape[-2:]
+    k = int(np.prod(lead))
+    thr = np.broadcast_to(np.asarray(threshold, dtype=float), lead).reshape(k, 1)
+    d = d.reshape(k, n, m)
+    match = np.full((k, n), -1)
+    if m:
+        free = np.ones((k, m), dtype=bool)
+        stack = np.arange(k)
+        for r in range(n):
+            row = d[:, r]
+            cand = free & (row <= thr)
+            g = np.argmin(np.where(cand, row, np.inf), axis=1)
+            # a row whose candidates all sit at +inf (an infinite threshold)
+            # takes its lowest candidate, as a tie would
+            g = np.where(cand[stack, g], g, np.argmax(cand, axis=1))
+            hit = cand[stack, g]
+            free[stack[hit], g[hit]] = False
+            match[hit, r] = g[hit]
+    match = match.reshape(*lead, n)
+    return match >= 0, match

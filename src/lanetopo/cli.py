@@ -44,9 +44,16 @@ def _int(value, key: str) -> int:
 
 
 def _parse_pair(opts: dict, key: str) -> tuple[int, int]:
-    parts = [_int(v, key) for v in str(opts[key]).split(",")]
-    if len(parts) not in (1, 2):
-        raise ValueError(f"option {key!r}: expected 'lo,hi', got {opts[key]!r}")
+    """A (lo, hi) option: 'lo,hi' (or one integer for both) as text, or a
+    JSON list of two integers."""
+    value = opts[key]
+    if isinstance(value, list) and len(value) == 2:
+        parts = value
+    elif (type(value) is int or isinstance(value, str)) and str(value).count(",") <= 1:
+        parts = str(value).split(",")
+    else:
+        raise ValueError(f"option {key!r} (--{key}) must be 'lo,hi' or a list [lo, hi] of two integers, got {value!r}")
+    parts = [_int(v, key) for v in parts]
     return parts[0], parts[-1]
 
 
@@ -177,6 +184,8 @@ def run_sweep(opts: dict) -> int:
     _require(opts, "params", "scenes_file", "out")
     params = topoheads.load_params(opts["params"])
     scenes = dataio.load_scenes(opts["scenes_file"])
+    if not scenes:
+        raise ValueError(f"{opts['scenes_file']}: no scenes to evaluate")
     cfg = _metric_config_from(opts)
     seeds = _int(opts["seeds"], "seeds")
     if seeds < 1:

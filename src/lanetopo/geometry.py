@@ -6,9 +6,10 @@ Lanes are Bezier curves given by an ordered set of 3D control points
 
 The pairwise kernels (``frechet_distance``, ``box_iou``,
 ``control_point_l1``) take either one item per side and return a float,
-or one batch per side and return the (n, m) matrix of every pair. Both
-forms run the same elementwise arithmetic, so a matrix entry equals the
-float of its pair bit for bit.
+or one batch per side and return the (n, m) matrix of every pair; the
+Frechet kernels also take stacked batches (..., n, P, 3) x (..., m, Q, 3)
+-> (..., n, m). Every form runs the same elementwise arithmetic, so a
+matrix entry equals the float of its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ __all__ = [
     "bezier_point",
     "sample_lane",
     "frechet_distance",
+    "frechet_lower_bound",
     "box_iou",
     "control_point_l1",
     "as_control_points",
@@ -102,14 +104,9 @@ def sample_lane(ctrl, num_points: int) -> np.ndarray:
     return _de_casteljau(pts, ts)
 
 
-def frechet_distance(a, b):
-    """Discrete Frechet distance between 3D polylines.
-
-    Dynamic program over the coupling lattice: the minimax leash length
-    over all monotone couplings of the two point sequences. Symmetric,
-    and zero iff the sequences are identical. Two polylines give a float;
-    an (n, P, 3) and an (m, Q, 3) batch give the (n, m) matrix.
-    """
+def _polylines(a, b):
+    """Both sides as float arrays of polylines with at least one point each,
+    plus whether they are batches."""
     batch = _is_batch(a, b, 2)
     pa = np.asarray(a, dtype=float)
     pb = np.asarray(b, dtype=float)
@@ -117,10 +114,37 @@ def frechet_distance(a, b):
         pa, pb = np.atleast_2d(pa)[None], np.atleast_2d(pb)[None]
     if pa.shape[-2] == 0 or pb.shape[-2] == 0:
         raise ValueError("polylines must contain at least one point")
-    # point distances, (P, Q, n, m): each lattice cell is one contiguous (n, m)
-    # block; coordinates are summed in order, as a sum over the last axis would
-    coords = zip(pa.transpose(2, 1, 0), pb.transpose(2, 1, 0))  # per coordinate: (P, n), (Q, m)
-    dist = np.sqrt(sum((ca[:, None, :, None] - cb[None, :, None, :]) ** 2 for ca, cb in coords))
+    return pa, pb, batch
+
+
+def _point_distances(pa: np.ndarray, pb: np.ndarray) -> np.ndarray:
+    """Distances between every point of (..., n, P, 3) and (..., m, Q, 3)
+    polylines, as (P, Q, ..., n, m): each lattice cell is one contiguous
+    (..., n, m) block. The squared x, y and z differences are summed in that
+    order, as a sum over the last axis would, then square-rooted."""
+    lead = np.broadcast_shapes(pa.shape[:-3], pb.shape[:-3])
+    pa = np.broadcast_to(pa, lead + pa.shape[-3:])
+    pb = np.broadcast_to(pb, lead + pb.shape[-3:])
+    (n, p), (m, q) = pa.shape[-3:-1], pb.shape[-3:-1]
+    # per coordinate, contiguous (P, 1, ..., n, 1) and (1, Q, ..., 1, m)
+    ca = np.ascontiguousarray(np.moveaxis(pa, (-1, -2), (0, 1))).reshape(3, p, 1, *lead, n, 1)
+    cb = np.ascontiguousarray(np.moveaxis(pb, (-1, -2), (0, 1))).reshape(3, 1, q, *lead, 1, m)
+    return np.sqrt(sum((xa - xb) ** 2 for xa, xb in zip(ca, cb)))
+
+
+def frechet_distance(a, b):
+    """Discrete Frechet distance between 3D polylines.
+
+    Dynamic program over the coupling lattice: the minimax leash length
+    over all monotone couplings of the two point sequences. Symmetric,
+    and zero iff the sequences are identical. Two polylines give a float;
+    an (n, P, 3) and an (m, Q, 3) batch give the (n, m) matrix; stacked
+    batches (..., n, P, 3) and (..., m, Q, 3) whose leading shapes
+    broadcast give (..., n, m); every lattice step is one numpy call over
+    the whole stack.
+    """
+    pa, pb, batch = _polylines(a, b)
+    dist = _point_distances(pa, pb)
     p, q = dist.shape[:2]
     # dp[i + 1, j + 1] is the leash for the prefixes a[:i+1], b[:j+1]; the
     # border is +inf except the corner, so every cell uses one rule
@@ -130,6 +154,21 @@ def frechet_distance(a, b):
         for j in range(q):
             dp[i + 1, j + 1] = np.maximum(np.minimum(np.minimum(dp[i, j + 1], dp[i, j]), dp[i + 1, j]), dist[i, j])
     out = dp[-1, -1]
+    return out if batch else float(out[0, 0])
+
+
+def frechet_lower_bound(a, b):
+    """The larger of the first-point and the last-point distance, in every
+    form of :func:`frechet_distance`, at the cost of two-point polylines.
+
+    Every monotone coupling holds both end pairs, the dynamic program only
+    takes minima and maxima, and this bound uses the same point-distance
+    arithmetic: ``frechet_distance(a, b) >= frechet_lower_bound(a, b)``
+    bit for bit, so a pair whose bound exceeds a threshold is beyond it.
+    """
+    pa, pb, batch = _polylines(a, b)
+    dist = _point_distances(pa[..., [0, -1], :], pb[..., [0, -1], :])
+    out = np.maximum(dist[0, 0], dist[1, 1])
     return out if batch else float(out[0, 0])
 
 

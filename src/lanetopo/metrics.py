@@ -20,7 +20,7 @@ import numpy as np
 
 from . import assoc, dataio
 from .dataio import MetricReport, SceneRecord
-from .geometry import box_iou, frechet_distance, sample_lane
+from .geometry import box_iou, frechet_distance, frechet_lower_bound, sample_lane
 
 __all__ = [
     "DetMatchConfig",
@@ -99,73 +99,93 @@ def _align(predictions, gts):
     return [(g, by_id[g.scene_id]) for g in sorted(gts, key=lambda g: g.scene_id)]
 
 
-def _scene_lane_distances(pred, gt, sample_points: int):
-    """Ranked pred indices and the (ranked preds, GT) Frechet matrix of one
-    scene; every threshold reuses the matrix."""
-    order = sorted(range(len(pred.lanes)), key=lambda i: (-pred.lanes[i].class_score, i))
-    if not order or not gt.lanes:
-        return order, np.zeros((len(order), len(gt.lanes)))
-    pred_polys = sample_lane(np.stack([pred.lanes[i].ctrl for i in order]), sample_points)
-    gt_polys = sample_lane(np.stack([lane.ctrl for lane in gt.lanes]), sample_points)
-    return order, frechet_distance(pred_polys, gt_polys)
+def _flat(counts: np.ndarray):
+    """Owner position and input index of every item of the concatenated
+    per-scene lists whose lengths are ``counts``."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    return owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)
 
 
-def _match_scene_traffic(pred, gt, iou_threshold: float):
-    """Per-attribute greedy traffic match on the scene's IoU matrix; returns
-    rank entries and pairs.
-
-    Rank entries are (category, confidence, input index, flag).
-    """
-    boxes = [np.reshape([te.box for te in rec.traffic], (-1, 4)) for rec in (pred, gt)]
-    iou = box_iou(*boxes)
-    entries = []
-    pairs = []
-    categories = sorted(
-        {te.category for te in pred.traffic} | {te.category for te in gt.traffic}
-    )
-    for cat in categories:
-        p_idx = [i for i, te in enumerate(pred.traffic) if te.category == cat]
-        g_idx = [j for j, te in enumerate(gt.traffic) if te.category == cat]
-        p_idx.sort(key=lambda i: (-pred.traffic[i].confidence, i))
-        # IoU is a similarity: negate it and its threshold (exact)
-        flags, cat_pairs = assoc.greedy_metric_match(-iou[np.ix_(p_idx, g_idx)], -iou_threshold)
-        entries.extend(
-            (cat, pred.traffic[i].confidence, i, flag) for i, flag in zip(p_idx, flags)
-        )
-        pairs.extend((p_idx[p], g_idx[g]) for p, g in cat_pairs)
-    return entries, pairs
+def _rank_within(group: np.ndarray, *keys: np.ndarray) -> np.ndarray:
+    """Each item's position within its group when sorted by ``keys``, the
+    most significant first."""
+    order = np.lexsort((*keys[::-1], group))
+    rank = np.empty(len(group), dtype=int)
+    rank[order] = np.arange(len(group)) - np.searchsorted(group[order], group[order])
+    return rank
 
 
-def _pooled_ap(per_scene, num_gt: int) -> float:
-    """Global AP over (confidence, scene_id, input index, flag) tuples."""
-    ranked = sorted(per_scene, key=lambda e: (-e[0], e[1], e[2]))
-    return average_precision([e[3] for e in ranked], num_gt)
+def _pooled_ap(flags, conf, scene, idx, num_gt: int) -> float:
+    """Global AP of flagged predictions, ranked by confidence descending,
+    ties by scene position (scenes are in scene_id order), then input
+    index."""
+    return average_precision(flags[np.lexsort((idx, scene, -conf))].tolist(), num_gt)
+
+
+def _padded_stack(flat: np.ndarray, group: np.ndarray, rank: np.ndarray, shape) -> np.ndarray:
+    """Zero-padded (*shape, ...) stack holding ``flat[k]`` at (group[k], rank[k])."""
+    out = np.zeros((*shape, *flat.shape[1:]))
+    out[group, rank] = flat
+    return out
+
+
+def _matched_pairs(match, group, rank, p_scene, p_idx, gt_idx_at, scene_ids):
+    """Per-scene (pred index, GT index) pairs of a greedy ``match`` stack,
+    in group order then rank order; prediction k sits at (group[k],
+    rank[k]) and ``gt_idx_at[g, col]`` is the GT index of column ``col``."""
+    pred_at = np.zeros(match.shape, dtype=int)
+    pred_at[group, rank] = np.arange(len(group))
+    g, r = np.nonzero(match >= 0)
+    k = pred_at[g, r]
+    pairs = {sid: [] for sid in scene_ids}
+    for s, p, q in zip(p_scene[k].tolist(), p_idx[k].tolist(), gt_idx_at[g, match[g, r]].tolist()):
+        pairs[scene_ids[s]].append((p, q))
+    return pairs
 
 
 def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
     """Lane detection score: mean AP over the Frechet thresholds.
+
+    Every scene is scored in one batch: one ``sample_lane`` call per side
+    (so all predicted lanes share one control-point count, as do all GT
+    lanes), one ``frechet_distance`` call on the (pred, GT) pairs whose
+    end points lie within the loosest threshold (the Frechet distance of
+    any other pair exceeds every threshold, see ``frechet_lower_bound``),
+    and one greedy pass over the +inf-padded (threshold, scene) stack.
 
     Returns (score, per-threshold breakdown, per-scene matched pairs at
     the loosest threshold).
     """
     cfg = cfg or DetMatchConfig()
     aligned = _align(predictions, gts)
-    num_gt = sum(len(g.lanes) for g in gts)
     thresholds = cfg.lane_frechet_thresholds
-    pools = [[] for _ in thresholds]
-    loose_pairs = {}
-    for gt, pred in aligned:
-        order, dist = _scene_lane_distances(pred, gt, cfg.sample_points)
-        for pool, tau in zip(pools, thresholds):
-            flags, pairs = assoc.greedy_metric_match(dist, tau)
-            pool.extend(
-                (pred.lanes[i].class_score, gt.scene_id, i, flag)
-                for i, flag in zip(order, flags)
-            )
-        # the loop leaves the loosest threshold's pairs
-        loose_pairs[gt.scene_id] = [(order[p], g) for p, g in pairs]
-    breakdown = {tau: _pooled_ap(pool, num_gt) for pool, tau in zip(pools, thresholds)}
+    n = np.array([len(pred.lanes) for _, pred in aligned], dtype=int)
+    m = np.array([len(gt.lanes) for gt, _ in aligned], dtype=int)
+    p_scene, p_idx = _flat(n)
+    g_scene, g_idx = _flat(m)
+    conf = np.array([lane.class_score for _, pred in aligned for lane in pred.lanes], dtype=float)
+    rank = _rank_within(p_scene, -conf, p_idx)
+    shape = (len(aligned), n.max(initial=0), m.max(initial=0))
+    dist = np.full(shape, np.inf)
+    if n.any() and m.any():
+        pred_ctrl = np.stack([lane.ctrl for _, pred in aligned for lane in pred.lanes])
+        gt_ctrl = np.stack([lane.ctrl for gt, _ in aligned for lane in gt.lanes])
+        pred_polys = _padded_stack(sample_lane(pred_ctrl, cfg.sample_points), p_scene, rank, shape[:2])
+        gt_polys = _padded_stack(sample_lane(gt_ctrl, cfg.sample_points), g_scene, g_idx, shape[::2])
+        real = (np.arange(shape[1]) < n[:, None])[:, :, None] & (np.arange(shape[2]) < m[:, None])[:, None, :]
+        near = real & (frechet_lower_bound(pred_polys, gt_polys) <= thresholds[-1])
+        s, r, c = np.nonzero(near)
+        dist[s, r, c] = frechet_distance(pred_polys[s, r, None], gt_polys[s, c, None])[:, 0, 0]
+    stack = np.broadcast_to(dist, (len(thresholds), *shape))
+    flags, match = assoc.greedy_metric_match(stack, np.array(thresholds)[:, None])
+    num_gt = int(m.sum())
+    breakdown = {
+        tau: _pooled_ap(f[p_scene, rank], conf, p_scene, p_idx, num_gt) for tau, f in zip(thresholds, flags)
+    }
     score = float(np.mean(list(breakdown.values())))
+    scene_ids = [gt.scene_id for gt, _ in aligned]
+    gt_idx_at = np.broadcast_to(np.arange(shape[2]), shape[::2])
+    loose_pairs = _matched_pairs(match[-1], p_scene, rank, p_scene, p_idx, gt_idx_at, scene_ids)
     return score, breakdown, loose_pairs
 
 
@@ -174,24 +194,51 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     threshold, matching within the same attribute only. Attributes with
     zero GT and zero predictions are excluded from the mean.
 
+    One greedy pass matches every (scene, attribute) group on its -IoU
+    matrix (IoU is a similarity: negating it and its threshold is exact),
+    stacked with +inf padding.
+
     Returns (score, per-attribute breakdown, per-scene matched pairs).
     """
     cfg = cfg or DetMatchConfig()
     aligned = _align(predictions, gts)
-    pool_by_cat: dict[int, list] = {}
-    gt_count_by_cat = Counter(te.category for gt in gts for te in gt.traffic)
-    pairs_by_scene = {}
-    for gt, pred in aligned:
-        entries, pairs = _match_scene_traffic(pred, gt, cfg.traffic_iou_threshold)
-        pairs_by_scene[gt.scene_id] = pairs
-        for cat, conf, idx, flag in entries:
-            pool_by_cat.setdefault(cat, []).append((conf, gt.scene_id, idx, flag))
-    categories = sorted(set(pool_by_cat) | set(gt_count_by_cat))
-    breakdown = {
-        cat: _pooled_ap(pool_by_cat.get(cat, []), gt_count_by_cat.get(cat, 0))
-        for cat in categories
-    }
+    n = np.array([len(pred.traffic) for _, pred in aligned], dtype=int)
+    m = np.array([len(gt.traffic) for gt, _ in aligned], dtype=int)
+    p_scene, p_idx = _flat(n)
+    g_scene, g_idx = _flat(m)
+    pred_te = [te for _, pred in aligned for te in pred.traffic]
+    gt_te = [te for gt, _ in aligned for te in gt.traffic]
+    p_cat = np.array([te.category for te in pred_te], dtype=int)
+    g_cat = np.array([te.category for te in gt_te], dtype=int)
+    conf = np.array([te.confidence for te in pred_te], dtype=float)
+    # one group per (scene, attribute) present on either side, in that order
+    cats = np.concatenate([p_cat, g_cat])
+    lo = cats.min(initial=0)
+    span = cats.max(initial=0) - lo + 1
+    keys, group = np.unique(np.concatenate([p_scene, g_scene]) * span + (cats - lo), return_inverse=True)
+    p_group, g_group = group[: len(pred_te)], group[len(pred_te) :]
+    p_rank = _rank_within(p_group, -conf, p_idx)
+    g_col = _rank_within(g_group, g_idx)
+    shape = (len(keys), np.bincount(p_group, minlength=1).max(), np.bincount(g_group, minlength=1).max())
+    dist = np.full(shape, np.inf)
+    p_boxes = np.reshape([te.box for te in pred_te], (-1, 4))
+    g_boxes = np.reshape([te.box for te in gt_te], (-1, 4))
+    per_scene = (np.split(np.arange(len(te)), np.cumsum(k)[:-1]) for te, k in ((pred_te, n), (gt_te, m)))
+    for pi, gi in zip(*per_scene):
+        i, j = np.nonzero(p_cat[pi, None] == g_cat[None, gi])  # one scene's same-attribute pairs
+        dist[p_group[pi[i]], p_rank[pi[i]], g_col[gi[j]]] = -box_iou(p_boxes[pi], g_boxes[gi])[i, j]
+    flags, match = assoc.greedy_metric_match(dist, -cfg.traffic_iou_threshold)
+    p_flags = flags[p_group, p_rank]
+    gt_count_by_cat = Counter(g_cat.tolist())
+    breakdown = {}
+    for cat in sorted(set(p_cat.tolist()) | set(gt_count_by_cat)):
+        sel = p_cat == cat
+        breakdown[cat] = _pooled_ap(p_flags[sel], conf[sel], p_scene[sel], p_idx[sel], gt_count_by_cat[cat])
     score = float(np.mean(list(breakdown.values()))) if breakdown else 1.0
+    gt_idx_at = np.zeros(shape[::2], dtype=int)
+    gt_idx_at[g_group, g_col] = g_idx
+    scene_ids = [gt.scene_id for gt, _ in aligned]
+    pairs_by_scene = _matched_pairs(match, p_group, p_rank, p_scene, p_idx, gt_idx_at, scene_ids)
     return score, breakdown, pairs_by_scene
 
 
@@ -303,7 +350,13 @@ def top_score(prediction, gt: SceneRecord, lane_pairs, traffic_pairs=(), edge_sp
 
 
 def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricReport:
-    """All five scores plus breakdowns; vertex APs pool across scenes."""
+    """All five scores plus breakdowns; vertex APs pool across scenes.
+
+    An evaluation over zero scenes has nothing to score and raises
+    ``ValueError`` rather than reporting vacuous perfect scores.
+    """
+    if not gts:
+        raise ValueError("no scenes to evaluate")
     cfg = cfg or DetMatchConfig()
     detl, lane_breakdown, lane_pairs = det_l(predictions, gts, cfg)
     dett, traffic_breakdown, traffic_pairs = det_t(predictions, gts, cfg)
@@ -330,6 +383,8 @@ def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricRepor
 def evaluate_files(predictions_path, scenes_path, cfg: DetMatchConfig | None = None) -> MetricReport:
     predictions = dataio.load_detections(predictions_path)
     gts = dataio.load_scenes(scenes_path)
+    if not gts:
+        raise ValueError(f"{scenes_path}: no scenes to evaluate")
     for p in predictions:
         if not isinstance(p, dataio.PredictionRecord):
             raise ValueError(f"scene {p.scene_id!r}: record carries no topology probabilities")

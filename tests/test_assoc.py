@@ -154,6 +154,32 @@ def test_hungarian_matches_scipy(shape):
     assert total_cost(cost, a) == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("w_cls", float("nan")),
+        ("w_cls", True),
+        ("w_l1", float("inf")),
+        ("focal_alpha", 7.0),
+        ("focal_alpha", -0.25),
+        ("focal_alpha", float("nan")),
+        ("focal_gamma", -1.0),
+        ("focal_gamma", float("inf")),
+        ("focal_gamma", "2"),
+    ],
+)
+def test_cost_config_rejects_values_that_matched_silently(field, value):
+    with pytest.raises(ValueError, match=f"CostConfig.{field}"):
+        assoc.CostConfig(**{field: value})
+
+
+def test_cost_config_keeps_its_range_edges():
+    assoc.CostConfig(w_cls=0.0, w_l1=0, focal_alpha=1.0, focal_gamma=0.0)
+    assoc.CostConfig(focal_alpha=0)
+    with pytest.raises(ValueError, match="CostConfig.w_l1"):
+        assoc.CostConfig(w_l1=-1e-9)
+
+
 def make_lane(ctrl, score=1.0):
     return PredLane(ctrl=np.asarray(ctrl, dtype=float), class_score=score)
 
@@ -228,19 +254,24 @@ def frechet_matrix(preds, gts):
     return frechet_distance(np.stack(preds), np.stack(gts))
 
 
+def matched_pairs(match):
+    """(rank, GT index) pairs of a 1-D greedy match array."""
+    return [(p, g) for p, g in enumerate(match.tolist()) if g >= 0]
+
+
 def test_greedy_all_tp_on_exact_copies():
     gts = [np.array([(0, 0, 0), (1, 0, 0)], dtype=float), np.array([(5, 5, 0), (6, 5, 0)], dtype=float)]
     preds = [g.copy() for g in gts]
-    flags, pairs = greedy_metric_match(frechet_matrix(preds, gts), threshold=0.5)
-    assert flags == [True, True]
-    assert pairs == [(0, 0), (1, 1)]
+    flags, match = greedy_metric_match(frechet_matrix(preds, gts), threshold=0.5)
+    assert flags.tolist() == [True, True]
+    assert matched_pairs(match) == [(0, 0), (1, 1)]
 
 
 def test_greedy_single_use_gt():
     gt = [np.zeros((2, 3))]
     preds = [np.zeros((2, 3)), np.zeros((2, 3))]
     flags, _ = greedy_metric_match(frechet_matrix(preds, gt), threshold=0.5)
-    assert flags == [True, False]
+    assert flags.tolist() == [True, False]
 
 
 def test_greedy_rank2_steals_gt_from_rank3():
@@ -250,18 +281,18 @@ def test_greedy_rank2_steals_gt_from_rank3():
     p1 = gt_a + 0.1
     p2 = gt_b + 0.2
     p3 = gt_b + 0.1
-    flags, pairs = greedy_metric_match(frechet_matrix([p1, p2, p3], [gt_a, gt_b]), threshold=1.0)
-    assert flags == [True, True, False]
-    assert pairs == [(0, 0), (1, 1)]
+    flags, match = greedy_metric_match(frechet_matrix([p1, p2, p3], [gt_a, gt_b]), threshold=1.0)
+    assert flags.tolist() == [True, True, False]
+    assert matched_pairs(match) == [(0, 0), (1, 1)]
 
 
 def test_greedy_iou_mode_picks_best_overlap():
     # a similarity is matched through its negation and the negated threshold
     gts = np.array([(0.0, 0.0, 10.0, 10.0), (20.0, 20.0, 30.0, 30.0)])
     preds = np.array([(1.0, 1.0, 11.0, 11.0), (19.0, 19.0, 29.0, 29.0)])
-    flags, pairs = greedy_metric_match(-box_iou(preds, gts), threshold=-0.5)
-    assert flags == [True, True]
-    assert pairs == [(0, 0), (1, 1)]
+    flags, match = greedy_metric_match(-box_iou(preds, gts), threshold=-0.5)
+    assert flags.tolist() == [True, True]
+    assert matched_pairs(match) == [(0, 0), (1, 1)]
 
 
 def test_greedy_appending_low_rank_preds_keeps_earlier_flags():
@@ -271,12 +302,49 @@ def test_greedy_appending_low_rank_preds_keeps_earlier_flags():
     flags_before, _ = greedy_metric_match(frechet_matrix(preds, gts), threshold=1.0)
     extra = [rng.normal(size=(3, 3)) + 100.0 for _ in range(4)]
     flags_after, _ = greedy_metric_match(frechet_matrix(preds + extra, gts), threshold=1.0)
-    assert flags_after[: len(preds)] == flags_before
+    assert flags_after[: len(preds)].tolist() == flags_before.tolist()
     assert sum(flags_after) <= min(len(preds) + len(extra), len(gts))
 
 
 def test_greedy_ties_go_to_the_lowest_gt_and_empty_sides():
-    flags, pairs = greedy_metric_match(np.zeros((2, 3)), threshold=0.0)
-    assert flags == [True, True] and pairs == [(0, 0), (1, 1)]
-    assert greedy_metric_match(np.zeros((2, 0)), threshold=1.0) == ([False, False], [])
-    assert greedy_metric_match(np.zeros((0, 2)), threshold=1.0) == ([], [])
+    flags, match = greedy_metric_match(np.zeros((2, 3)), threshold=0.0)
+    assert flags.tolist() == [True, True] and matched_pairs(match) == [(0, 0), (1, 1)]
+    flags, match = greedy_metric_match(np.zeros((2, 0)), threshold=1.0)
+    assert flags.tolist() == [False, False] and matched_pairs(match) == []
+    flags, match = greedy_metric_match(np.zeros((0, 2)), threshold=1.0)
+    assert flags.tolist() == [] and matched_pairs(match) == []
+
+
+def greedy_reference(dist, threshold):
+    """Row-by-row greedy match of one matrix: the rule, written out."""
+    free = [True] * dist.shape[1]
+    match = []
+    for row in dist.tolist():
+        cands = [j for j, v in enumerate(row) if free[j] and v <= threshold]
+        g = min(cands, key=lambda j: (row[j], j)) if cands else -1
+        if cands:
+            free[g] = False
+        match.append(g)
+    return match
+
+
+def test_stacked_greedy_matches_each_slice():
+    rng = np.random.default_rng(71)
+    # coarse values make ties common; +inf entries are padding
+    dist = rng.integers(0, 6, size=(3, 4, 7, 5)).astype(float)
+    dist[rng.uniform(size=dist.shape) < 0.2] = np.inf
+    thresholds = rng.integers(0, 6, size=(3, 4)).astype(float)
+    thresholds[0, 0] = np.inf  # +inf candidates tie: the lowest index wins
+    dist[0, 0, :2] = [0.0, np.inf, np.inf, np.inf, np.inf]
+    flags, match = greedy_metric_match(dist, thresholds)
+    assert flags.shape == match.shape == (3, 4, 7)
+    for idx in np.ndindex(3, 4):
+        slice_flags, slice_match = greedy_metric_match(dist[idx], thresholds[idx])
+        assert match[idx].tolist() == slice_match.tolist() == greedy_reference(dist[idx], thresholds[idx])
+        assert flags[idx].tolist() == slice_flags.tolist() == (slice_match >= 0).tolist()
+    # one threshold broadcasts over the whole stack
+    flags_one, match_one = greedy_metric_match(dist, 2.0)
+    for idx in np.ndindex(3, 4):
+        assert match_one[idx].tolist() == greedy_reference(dist[idx], 2.0)
+    with pytest.raises(ValueError, match="matrix"):
+        greedy_metric_match(np.zeros(3), 1.0)

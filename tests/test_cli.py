@@ -193,6 +193,9 @@ def test_head_config_validated_at_every_boundary(dataset, tmp_path, capsys, chan
         assert np.array_equal(topoheads.load_params(path).flat, params.flat)
 
 
+EMPTY = "<empty file>"
+
+
 @pytest.mark.parametrize(
     "args, field",
     [
@@ -215,6 +218,13 @@ def test_head_config_validated_at_every_boundary(dataset, tmp_path, capsys, chan
         pytest.param(["sweep", {"seeds": 1.5}], "seeds", id="config-seeds-1.5"),
         pytest.param(["sweep", "--seeds", "1.5"], "seeds", id="flag-seeds-1.5"),
         pytest.param(["corrupt", {"seed": 0.5}], "seed", id="config-corrupt-seed-0.5"),
+        # a [lo, hi] list checks each entry; any other shape names both forms
+        pytest.param(["generate", {"seed": 0, "lanes": [12.5, 18]}], "lanes", id="config-lanes-list-12.5"),
+        pytest.param(["generate", {"seed": 0, "lanes": [12, 15, 18]}], "'lo,hi' or a list [lo, hi]", id="config-lanes-list-3"),
+        pytest.param(["generate", {"seed": 0, "traffic": {"lo": 3}}], "'lo,hi' or a list [lo, hi]", id="config-traffic-dict"),
+        # zero scenes would score a vacuous 100 on every metric
+        pytest.param(["evaluate", "--predictions", EMPTY, "--scenes-file", EMPTY], "empty.jsonl", id="evaluate-zero-scenes"),
+        pytest.param(["sweep", "--seeds", "1", "--scenes-file", EMPTY], "empty.jsonl", id="sweep-zero-scenes"),
     ],
 )
 def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys, args, field):
@@ -222,6 +232,9 @@ def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys,
         with pytest.raises(ValueError, match=f"DetMatchConfig.{field}"):
             metrics.DetMatchConfig(**args)
         return
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    args = [str(empty) if a == EMPTY else a for a in args]
     scenes = dataset / "test_scenes.jsonl"
     preds, params = tmp_path / "perfect.jsonl", tmp_path / "params.json"
     perfect_predictions_file(scenes, preds)
@@ -233,7 +246,7 @@ def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys,
         "generate": ["--scenes", "4", "--out", str(tmp_path / "gen")],
         "train": small_train_args(dataset, tmp_path / "run")[1:],
     }[args[0]]
-    flags = dict(zip(files[::2], files[1::2]))
+    flags = {f: v for f, v in zip(files[::2], files[1::2]) if f not in args}
     if isinstance(args[1], dict):  # a --config entry; a flag for the same key would override it
         config = tmp_path / "config.json"
         config.write_text(json.dumps(args[1]))
@@ -242,6 +255,18 @@ def test_boundary_rejects_values_that_scored_silently(dataset, tmp_path, capsys,
     code = run([*args, *(x for item in flags.items() for x in item)])
     err = capsys.readouterr().err
     assert code == 2 and field in err, err
+
+
+def test_pair_options_accept_a_json_list(tmp_path):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"scenes": 4, "seed": 2, "lanes": [5, 6], "traffic": [2, 3]}))
+    assert run(["generate", "--config", str(config), "--out", str(tmp_path / "list")]) == 0
+    flags = ["--scenes", "4", "--seed", "2", "--lanes", "5,6", "--traffic", "2,3"]
+    assert run(["generate", *flags, "--out", str(tmp_path / "text")]) == 0
+    for name in ("train_scenes.jsonl", "test_detections.jsonl"):
+        assert (tmp_path / "list" / name).read_bytes() == (tmp_path / "text" / name).read_bytes()
+    scenes = dataio.load_scenes(tmp_path / "list" / "train_scenes.jsonl")
+    assert scenes and all(5 <= len(s.lanes) <= 6 and 2 <= len(s.traffic) <= 3 for s in scenes)
 
 
 def perfect_predictions_file(scenes_path, out_path):

@@ -8,6 +8,7 @@ from lanetopo.geometry import (
     box_iou,
     control_point_l1,
     frechet_distance,
+    frechet_lower_bound,
     sample_lane,
 )
 
@@ -141,6 +142,43 @@ def test_frechet_symmetry_and_endpoint_lower_bounds():
         assert d == pytest.approx(frechet_distance(b, a))
         assert d >= np.linalg.norm(a[0] - b[0]) - 1e-12
         assert d >= np.linalg.norm(a[-1] - b[-1]) - 1e-12
+
+
+def test_stacked_frechet_equals_each_slice_bitwise():
+    rng = np.random.default_rng(53)
+    a = rng.normal(scale=4.0, size=(3, 5, 7, 3))
+    b = rng.normal(scale=4.0, size=(3, 4, 6, 3))
+    stacked = frechet_distance(a, b)
+    assert stacked.shape == (3, 5, 4)
+    for s in range(3):
+        assert stacked[s].tobytes() == frechet_distance(a[s], b[s]).tobytes()
+    # one pair per slice, and a leading shape that broadcasts
+    pairs = frechet_distance(a[:, :4, None], b[:, :, None])
+    assert pairs[..., 0, 0].tobytes() == np.stack([stacked[s].diagonal() for s in range(3)]).tobytes()
+    assert frechet_distance(a[:1], b).tobytes() == np.stack([frechet_distance(a[0], b[s]) for s in range(3)]).tobytes()
+    assert frechet_distance(a[:, :0], b).shape == (3, 0, 4)
+
+
+def test_frechet_lower_bound_never_exceeds_the_distance_bitwise():
+    rng = np.random.default_rng(59)
+    for _ in range(20):
+        p, q = rng.integers(1, 9, size=2)
+        a = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(2, 6, p, 3))
+        b = rng.normal(scale=rng.choice([1e-3, 1.0, 1e3]), size=(2, 5, q, 3))
+        bound = frechet_lower_bound(a, b)
+        dist = frechet_distance(a, b)
+        assert bound.shape == dist.shape == (2, 6, 5)
+        assert np.all(bound <= dist)
+        ends = np.maximum(
+            np.linalg.norm(a[:, :, None, 0] - b[:, None, :, 0], axis=-1),
+            np.linalg.norm(a[:, :, None, -1] - b[:, None, :, -1], axis=-1),
+        )
+        np.testing.assert_allclose(bound, ends, rtol=1e-12)
+    # the bound is tight when the end points are the farthest pair
+    a = np.array([(0.0, 0.0, 0.0), (1.0, 0.5, 0.0), (2.0, 0.0, 0.0)])
+    b = a.copy()
+    b[[0, -1], 1] = 3.0
+    assert frechet_lower_bound(a, b) == frechet_distance(a, b) == 3.0
 
 
 def test_box_iou_identity_disjoint_overlap():

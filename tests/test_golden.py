@@ -112,19 +112,21 @@ def test_training_matches_match_recorded():
     assert got == _recorded("training_pairs")
 
 
-def test_one_frechet_call_per_scored_scene(monkeypatch):
+def test_one_pruned_frechet_call_per_det_l(monkeypatch):
     calls = []
     original = metrics.frechet_distance
 
     def counting(a, b):
-        calls.append(1)
+        calls.append(len(a))
         return original(a, b)
 
     monkeypatch.setattr(metrics, "frechet_distance", counting)
     scenes, records = fixture()["level2"]
-    scored = sum(1 for s, r in zip(scenes, records) if s.lanes and r.lanes)
+    all_pairs = sum(len(s.lanes) * len(r.lanes) for s, r in zip(scenes, records))
     metrics.evaluate(records, scenes)
-    assert len(calls) == scored
+    # one call per det_l, on the pairs the end-point bound keeps
+    assert len(calls) == 1
+    assert 0 < calls[0] < all_pairs
 
 
 if __name__ == "__main__":

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+import reference_metrics
 
 from lanetopo import metrics
 from lanetopo.dataio import (
@@ -366,3 +367,73 @@ def test_detection_channel_monotone_in_noise():
         return float(np.mean(scores))
 
     assert mean_det_l(mild) >= mean_det_l(harsh)
+
+
+# ---------------------------------------------------------------------------
+# the batched DET_l / DET_t against the per-scene loop
+
+
+def edge_case_inputs(thresholds):
+    """Seeded multi-scene records plus hand-made scenes at the edges of the
+    batch: empty sides, pairs exactly on every threshold (end points
+    included) and confidences tied across scenes."""
+    gen = GeneratorConfig(seed=23, lanes_per_scene=(2, 9), traffic_per_scene=(0, 7))
+    noise = NoiseModel(ctrl_sigma=0.8, box_sigma=6.0, drop_prob=0.2, spurious_rate=2.0, confusion_prob=0.2)
+    scenes = [generate_scene(gen, i) for i in range(9)]
+    records = []
+    for i, scene in enumerate(scenes):
+        det = corrupt_scene(scene, noise, [23, i])
+        rng = np.random.default_rng([23, i])
+        for lane in det.lanes:  # coarse scores tie within and across scenes
+            lane.class_score = float(rng.choice([0.25, 0.5, 0.5, 0.75]))
+        for te in det.traffic:
+            te.confidence = float(rng.choice([0.5, 0.5, 0.9]))
+        records.append(PredictionRecord(det.scene_id, det.lanes, det.traffic))
+    records[0] = PredictionRecord(records[0].scene_id, [], [])  # no predictions
+    scenes[1] = SceneRecord(scenes[1].scene_id, [], [], set(), set())  # no GT
+    records[2] = PredictionRecord(records[2].scene_id, records[2].lanes, [])
+    scenes[3] = SceneRecord(scenes[3].scene_id, scenes[3].lanes, [], set(), set())
+
+    # one lane per threshold whose end points sit exactly that far off and
+    # whose interior is closer: its Frechet distance is the threshold itself
+    xs = np.array([0.0, 10.0, 20.0, 30.0])
+    gt_lanes, pred_lanes = [], []
+    for k, tau in enumerate(thresholds):
+        y0 = 100.0 * (k + 1)
+        gt_lanes.append(GtLane(id=k, ctrl=np.stack([xs, np.full(4, y0), np.zeros(4)], axis=1)))
+        ctrl = gt_lanes[-1].ctrl.copy()
+        ctrl[[0, -1], 1] += tau
+        pred_lanes.append(PredLane(ctrl=ctrl, class_score=0.5))
+    # boxes with IoU exactly 0.5, 0.75 and 1.0 against the first GT box
+    gt_box = TrafficElement(id=0, box=np.array([0.0, 0.0, 8.0, 8.0]), category=3)
+    boxes = ([0.0, 0.0, 8.0, 4.0], [0.0, 0.0, 8.0, 6.0], [0.0, 0.0, 8.0, 8.0])
+    pred_boxes = [TrafficElement(id=j, box=np.array(b), category=3, confidence=0.5) for j, b in enumerate(boxes)]
+    scenes.append(SceneRecord("zz-exact", gt_lanes, [gt_box], set(), set()))
+    records.append(PredictionRecord("zz-exact", pred_lanes, pred_boxes))
+    return scenes, records
+
+
+@pytest.mark.parametrize("thresholds", [(0.5,), (1.0, 2.0, 3.0), (1.0, 2.0, 3.0, 10.0)])
+@pytest.mark.parametrize("iou", [0.5, 0.75])
+def test_batched_detection_equals_the_per_scene_loop(thresholds, iou):
+    scenes, records = edge_case_inputs(thresholds)
+    exact = scenes[-1], records[-1]
+    polys = [metrics.sample_lane(np.stack([l.ctrl for l in r.lanes]), 11) for r in (exact[1], exact[0])]
+    on_threshold = metrics.frechet_distance(*polys).diagonal()
+    assert on_threshold.tolist() == list(thresholds)
+    assert metrics.frechet_lower_bound(*polys).diagonal().tolist() == list(thresholds)
+
+    cfg = DetMatchConfig(lane_frechet_thresholds=thresholds, traffic_iou_threshold=iou)
+    for batched, loop in ((metrics.det_l, reference_metrics.det_l), (metrics.det_t, reference_metrics.det_t)):
+        got, want = batched(records, scenes, cfg), loop(records, scenes, cfg)
+        assert got == want
+        # a different scene order gives the same scores and pairs
+        assert batched(records[::-1], scenes[::-1], cfg) == want
+    # at the loosest threshold every exact-threshold lane is a true positive
+    _, _, lane_pairs = metrics.det_l(records, scenes, cfg)
+    assert lane_pairs["zz-exact"] == [(k, k) for k in range(len(thresholds))]
+
+
+def test_evaluate_rejects_zero_scenes():
+    with pytest.raises(ValueError, match="no scenes"):
+        evaluate([], [])
