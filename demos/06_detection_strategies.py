@@ -4,22 +4,15 @@ Detector-side data strategies
 
 The traffic-attribute distribution is heavily skewed (unknown lights
 near half of all annotations, yellow rare, the nine signs sharing about
-a fifth). Four pure data operations address it: frame resampling,
-foreground loss reweighting, pseudo labels, and multi-scale TTA fusion.
+a fifth). Two pure data operations address it: frame resampling and
+multi-scale TTA fusion.
 """
 
 import numpy as np
 
 from lanetopo import GeneratorConfig, TrafficElement, generate_scene
 from lanetopo.dataio import CATEGORY_NAMES
-from lanetopo.detstrat import (
-    PseudoConfig,
-    category_histogram,
-    class_weight_map,
-    resample_plan,
-    select_pseudo_labels,
-    tta_merge,
-)
+from lanetopo.detstrat import category_histogram, resample_plan, tta_merge
 
 gen = GeneratorConfig(scenes=60, seed=12)
 frames = [generate_scene(gen, i) for i in range(60)]
@@ -34,16 +27,6 @@ plan = resample_plan(frames, stats)
 print(f"\nresampling: {len(frames)} frames -> {len(plan)} after duplicating rare-category frames")
 dup = {i: plan.count(i) for i in range(len(frames)) if plan.count(i) > 1}
 print(f"  {len(dup)} frames duplicated, factors seen: {sorted(set(dup.values()))}")
-
-weights = class_weight_map({5, 7, 11}, 2.0)  # the easily-confused turn-left family
-print("\nforeground loss weights:", weights.tolist())
-
-preds = [
-    TrafficElement(i, np.array([10.0 * i, 0.0, 10.0 * i + 8.0, 8.0]), 1, conf)
-    for i, conf in enumerate((0.95, 0.41, 0.77, 0.52))
-]
-kept = select_pseudo_labels(preds, PseudoConfig(confidence_threshold=0.5))
-print(f"\npseudo labels at threshold 0.5: kept {[p.element.id for p in kept]} with weight 1.0")
 
 # the same physical box seen at two test scales merges back to one
 base = TrafficElement(0, np.array([100.0, 100.0, 180.0, 160.0]), 2, 0.9)

@@ -6,9 +6,9 @@ The package splits into:
 * :mod:`lanetopo.geometry` - Bezier lanes, discrete Frechet distance, box IoU
 * :mod:`lanetopo.dataio` - record types and the JSONL dataset format
 * :mod:`lanetopo.synthgen` - scene generator and detector-corruption channel
-* :mod:`lanetopo.assoc` - focal matching cost, Hungarian and greedy bipartite matching
+* :mod:`lanetopo.assoc` - focal matching cost, Hungarian/greedy matching, GT-edge projection
 * :mod:`lanetopo.topoheads` - MLP topology heads, AdamW training
-* :mod:`lanetopo.detstrat` - resampling, reweighting, pseudo labels, TTA fusion
+* :mod:`lanetopo.detstrat` - category statistics, frame resampling, TTA fusion
 * :mod:`lanetopo.metrics` - DET/TOP scores and the aggregate OLS
 * :mod:`lanetopo.cli` - reproducible batch commands over all of the above
 """
@@ -24,7 +24,7 @@ from .dataio import (
     TrafficElement,
 )
 from .geometry import bezier_point, box_iou, control_point_l1, frechet_distance, sample_lane
-from .metrics import DetMatchConfig, average_precision, evaluate, ols, top_score
+from .metrics import DetMatchConfig, average_precision, evaluate, ols
 from .synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_dataset, generate_scene
 from .topoheads import (
     HeadConfig,
@@ -70,6 +70,5 @@ __all__ = [
     "ols",
     "predict",
     "sample_lane",
-    "top_score",
     "train",
 ]

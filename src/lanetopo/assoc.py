@@ -10,7 +10,9 @@ Two matching regimes live here:
   standard detection-AP protocol used by the metrics.
 
 Both take a whole scene's preds x GT matrix; the greedy matcher also
-takes a stack of them and walks rank r of every matrix at once.
+takes a stack of them and walks rank r of every matrix at once. Either
+matching projects the GT topology onto prediction indices
+(:func:`project_edges`): the training labels and the TOP hits.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import GtLane, PredLane, TrafficElement
+from .dataio import GtLane, PredLane, SceneRecord, TrafficElement
 from .geometry import control_point_l1
 
 
@@ -186,6 +188,32 @@ def match_traffic_for_training(
     gt_boxes = np.array([g.box for g in gts], dtype=float).reshape(-1, 4)
     l1 = np.mean(np.abs(boxes[:, None] - gt_boxes[None]), axis=-1)
     return _training_match([p.confidence for p in preds], l1, cfg)
+
+
+def project_edges(
+    lane_pairs: dict[int, int], traffic_pairs: dict[int, int], scene: SceneRecord, n: int, t: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Project a scene's GT topology onto prediction indices through the
+    matchings ``{pred index: GT index}`` of its lanes and traffic elements.
+
+    Entry (i, j) of the bool (n, n) lane-lane matrix is True iff
+    predictions i and j are matched and their GT lanes form an edge; the
+    (n, t) lane-traffic matrix is analogous. Rows and columns of unmatched
+    predictions stay False.
+    """
+    for kind, pairs, size, gts in (("lane", lane_pairs, n, scene.lanes), ("traffic", traffic_pairs, t, scene.traffic)):
+        for p, g in pairs.items():
+            if not (0 <= p < size and 0 <= g < len(gts)):
+                raise IndexError(f"{kind} assignment ({p} -> {g}) out of range")
+    lane_pred = {scene.lanes[g].id: p for p, g in lane_pairs.items()}
+    traffic_pred = {scene.traffic[g].id: p for p, g in traffic_pairs.items()}
+    ll = np.zeros((n, n), dtype=bool)
+    lt = np.zeros((n, t), dtype=bool)
+    for out, edges, right in ((ll, scene.topo_ll, lane_pred), (lt, scene.topo_lt, traffic_pred)):
+        for a, b in edges:
+            if a in lane_pred and b in right:
+                out[lane_pred[a], right[b]] = True
+    return ll, lt
 
 
 def greedy_metric_match(dist, threshold) -> tuple[np.ndarray, np.ndarray]:

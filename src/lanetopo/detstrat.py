@@ -1,6 +1,6 @@
 """Detector-side data strategies as pure, detector-agnostic operations:
-category statistics, CBGS-style frame resampling, foreground loss
-reweighting, pseudo-label selection, and multi-scale TTA box fusion.
+category statistics, CBGS-style frame resampling, and multi-scale TTA
+box fusion.
 
 Nothing here trains a detector; these transform data for whatever
 trainer consumes them. A demonstration harness in the CLI applies the
@@ -9,7 +9,7 @@ resampling plan to the synthetic training split.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,16 +39,6 @@ class ResampleConfig:
 
 
 @dataclass
-class PseudoConfig:
-    confidence_threshold: float = 0.5
-    loss_weight: float = 1.0
-
-    def __post_init__(self):
-        if not (0.0 <= self.confidence_threshold <= 1.0):
-            raise ValueError("confidence_threshold must be in [0, 1]")
-
-
-@dataclass
 class TtaConfig:
     scales: tuple[float, ...] = (0.7, 1.0, 1.4)
     merge_iou: float = 0.6
@@ -59,12 +49,6 @@ class TtaConfig:
                 raise ValueError(f"scale {s} outside the supported range [0.7, 1.4]")
         if not (0.0 < self.merge_iou <= 1.0):
             raise ValueError("merge_iou must be in (0, 1]")
-
-
-@dataclass
-class PseudoLabel:
-    element: TrafficElement
-    loss_weight: float
 
 
 def category_histogram(frames: Sequence[SceneRecord]) -> CategoryStats:
@@ -103,31 +87,6 @@ def resample_plan(
                 factor = max(factor, duplication_factor(freq, cfg))
         plan.extend([idx] * factor)
     return plan
-
-
-def class_weight_map(difficult_categories, weight: float) -> np.ndarray:
-    """Per-category classification-loss weights: ``weight`` for the listed
-    categories, 1.0 elsewhere."""
-    if weight <= 0:
-        raise ValueError("weight must be > 0")
-    weights = np.ones(NUM_CATEGORIES)
-    for cat in difficult_categories:
-        if not (0 <= cat < NUM_CATEGORIES):
-            raise ValueError(f"category {cat} outside taxonomy")
-        weights[cat] = weight
-    return weights
-
-
-def select_pseudo_labels(
-    predictions: Sequence[TrafficElement], cfg: PseudoConfig | None = None
-) -> list[PseudoLabel]:
-    """Promote confident predictions to annotations, order preserved."""
-    cfg = cfg or PseudoConfig()
-    return [
-        PseudoLabel(element=p, loss_weight=cfg.loss_weight)
-        for p in predictions
-        if p.confidence >= cfg.confidence_threshold
-    ]
 
 
 def tta_merge(

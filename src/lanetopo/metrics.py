@@ -27,7 +27,6 @@ __all__ = [
     "average_precision",
     "det_l",
     "det_t",
-    "top_score",
     "ols",
     "evaluate",
     "evaluate_files",
@@ -246,103 +245,50 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
 # topology score
 
 
-def _vertex_aps_ll(prediction, gt: SceneRecord, lane_pairs):
-    """Per-GT-lane AP over candidate edges incident to its matched
-    prediction (both directions), ranked by predicted probability."""
-    probs = prediction.topo_ll_prob
-    n = len(prediction.lanes)
-    gt_pos = {lane.id: pos for pos, lane in enumerate(gt.lanes)}
-    matched = {g: p for p, g in lane_pairs}  # gt position -> pred index
-    pred_to_gt_id = {p: gt.lanes[g].id for p, g in lane_pairs}
-    aps = []
-    for pos, lane in enumerate(gt.lanes):
-        incident = [(a, b) for (a, b) in gt.topo_ll if a == lane.id or b == lane.id]
-        if not incident:
-            continue
-        if pos not in matched:
-            aps.append(0.0)
-            continue
-        i = matched[pos]
-        candidates = []  # (prob, direction, other) with deterministic tie order
-        for j in range(n):
-            if j == i:
-                continue
-            candidates.append((float(probs[i, j]), 0, j))
-            candidates.append((float(probs[j, i]), 1, j))
-        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
-        flags = []
-        for _, direction, j in candidates:
-            other_id = pred_to_gt_id.get(j)
-            if other_id is None:
-                flags.append(False)
-            elif direction == 0:
-                flags.append((lane.id, other_id) in gt.topo_ll)
-            else:
-                flags.append((other_id, lane.id) in gt.topo_ll)
-        aps.append(average_precision(flags, len(incident)))
-    return aps
+def _ranked_ap(prob: np.ndarray, hits: np.ndarray, num_gt: int) -> float:
+    """AP of ``hits`` ranked by probability descending; a stable sort keeps
+    ties in input order."""
+    return average_precision(hits[np.argsort(-prob, kind="stable")].tolist(), num_gt)
 
 
-def _vertex_aps_lt(prediction, gt: SceneRecord, lane_pairs, traffic_pairs):
-    """Per-GT-vertex AP in the lane-traffic bipartite space, covering both
-    lane-side and traffic-side vertices."""
-    probs = prediction.topo_lt_prob
-    n, t = len(prediction.lanes), len(prediction.traffic)
-    lane_matched = {g: p for p, g in lane_pairs}
-    traffic_matched = {g: p for p, g in traffic_pairs}
-    pred_lane_gt_id = {p: gt.lanes[g].id for p, g in lane_pairs}
-    pred_traffic_gt_id = {p: gt.traffic[g].id for p, g in traffic_pairs}
-    aps = []
-    for pos, lane in enumerate(gt.lanes):
-        incident = sum(1 for (a, _) in gt.topo_lt if a == lane.id)
-        if not incident:
-            continue
-        if pos not in lane_matched:
-            aps.append(0.0)
-            continue
-        i = lane_matched[pos]
-        candidates = sorted(
-            ((float(probs[i, k]), k) for k in range(t)), key=lambda c: (-c[0], c[1])
-        )
-        flags = [
-            (lane.id, pred_traffic_gt_id[k]) in gt.topo_lt if k in pred_traffic_gt_id else False
-            for _, k in candidates
-        ]
-        aps.append(average_precision(flags, incident))
-    for pos, te in enumerate(gt.traffic):
-        incident = sum(1 for (_, b) in gt.topo_lt if b == te.id)
-        if not incident:
-            continue
-        if pos not in traffic_matched:
-            aps.append(0.0)
-            continue
-        k = traffic_matched[pos]
-        candidates = sorted(
-            ((float(probs[i, k]), i) for i in range(n)), key=lambda c: (-c[0], c[1])
-        )
-        flags = [
-            (pred_lane_gt_id[i], te.id) in gt.topo_lt if i in pred_lane_gt_id else False
-            for _, i in candidates
-        ]
-        aps.append(average_precision(flags, incident))
-    return aps
+def _vertex_aps(prediction, gt: SceneRecord, lane_pairs: dict[int, int], traffic_pairs: dict[int, int]):
+    """Per-GT-vertex topology APs of one scene: (lane-lane, lane-traffic).
 
-
-def top_score(prediction, gt: SceneRecord, lane_pairs, traffic_pairs=(), edge_space: str = "ll") -> float:
-    """Topology score of one scene: mean per-vertex edge AP.
-
-    ``lane_pairs``/``traffic_pairs`` come from the detection-level greedy
-    match at the loosest threshold. GT vertices whose entity went
-    undetected contribute 0. A scene with no topology vertices scores
-    vacuously 1.0.
+    ``lane_pairs``/``traffic_pairs`` map prediction to GT index, from the
+    detection-level greedy match at the loosest threshold. Every GT vertex
+    with incident edges is scored on its matched prediction's probability
+    row (a traffic vertex: its column of the lane-traffic matrix) against
+    the same slice of the GT edges projected through the matchings; a lane
+    vertex ranks its outgoing row, diagonal dropped, before its incoming
+    column, so ties go outgoing first, then to the lowest prediction
+    index. A vertex whose entity went undetected scores 0. Lane-traffic
+    lists the lane vertices, then the traffic vertices.
     """
-    if edge_space == "ll":
-        aps = _vertex_aps_ll(prediction, gt, lane_pairs)
-    elif edge_space == "lt":
-        aps = _vertex_aps_lt(prediction, gt, lane_pairs, traffic_pairs)
-    else:
-        raise ValueError(f"unknown edge space {edge_space!r}")
-    return float(np.mean(aps)) if aps else 1.0
+    n, t = len(prediction.lanes), len(prediction.traffic)
+    ll_hits, lt_hits = assoc.project_edges(lane_pairs, traffic_pairs, gt, n, t)
+    ll_prob, lt_prob = prediction.topo_ll_prob, prediction.topo_lt_prob
+
+    def lane_lane(i):
+        others = np.delete(np.arange(n), i)
+        return (
+            np.concatenate([ll_prob[i, others], ll_prob[others, i]]),
+            np.concatenate([ll_hits[i, others], ll_hits[others, i]]),
+        )
+
+    def aps(entities, pairs, degree, candidates):
+        detected = {g: p for p, g in pairs.items()}
+        return [
+            _ranked_ap(*candidates(detected[pos]), degree[e.id]) if pos in detected else 0.0
+            for pos, e in enumerate(entities)
+            if degree[e.id]
+        ]
+
+    ll_degree = Counter(v for edge in gt.topo_ll for v in edge)
+    lane_degree, traffic_degree = Counter(a for a, _ in gt.topo_lt), Counter(k for _, k in gt.topo_lt)
+    ll_aps = aps(gt.lanes, lane_pairs, ll_degree, lane_lane)
+    lt_aps = aps(gt.lanes, lane_pairs, lane_degree, lambda i: (lt_prob[i], lt_hits[i]))
+    lt_aps += aps(gt.traffic, traffic_pairs, traffic_degree, lambda k: (lt_prob[:, k], lt_hits[:, k]))
+    return ll_aps, lt_aps
 
 
 # ---------------------------------------------------------------------------
@@ -360,12 +306,12 @@ def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricRepor
     cfg = cfg or DetMatchConfig()
     detl, lane_breakdown, lane_pairs = det_l(predictions, gts, cfg)
     dett, traffic_breakdown, traffic_pairs = det_t(predictions, gts, cfg)
-    aligned = _align(predictions, gts)
     ll_aps: list[float] = []
     lt_aps: list[float] = []
-    for gt, pred in aligned:
-        ll_aps.extend(_vertex_aps_ll(pred, gt, lane_pairs[gt.scene_id]))
-        lt_aps.extend(_vertex_aps_lt(pred, gt, lane_pairs[gt.scene_id], traffic_pairs[gt.scene_id]))
+    for gt, pred in _align(predictions, gts):
+        ll, lt = _vertex_aps(pred, gt, dict(lane_pairs[gt.scene_id]), dict(traffic_pairs[gt.scene_id]))
+        ll_aps += ll
+        lt_aps += lt
     top_ll = float(np.mean(ll_aps)) if ll_aps else 1.0
     top_lt = float(np.mean(lt_aps)) if lt_aps else 1.0
     return MetricReport(

@@ -17,6 +17,7 @@ and perturbed confidences, all driven by explicit seeds.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -66,6 +67,11 @@ class GeneratorConfig:
     control_points: int = 4  # M
 
     def __post_init__(self):
+        for name in ("scenes", "lanes_per_scene", "traffic_per_scene", "control_points"):
+            v = getattr(self, name)
+            items = v if name.endswith("_per_scene") else (v,)
+            if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in items):
+                raise ValueError(f"GeneratorConfig.{name} must hold integers only, got {v!r}")
         if self.scenes < 0:
             raise ValueError("scenes must be >= 0")
         lo, hi = self.lanes_per_scene
@@ -78,8 +84,8 @@ class GeneratorConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.map_extent <= 0:
-            raise ValueError("map_extent must be > 0")
+        if not (math.isfinite(self.map_extent) and self.map_extent > 0):
+            raise ValueError(f"GeneratorConfig.map_extent must be finite and > 0, got {self.map_extent!r}")
         if self.control_points < 2:
             raise ValueError("control_points must be >= 2")
 
@@ -285,8 +291,8 @@ def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed) -> DetectionRecor
 def split_counts(total: int, fractions) -> list[int]:
     """Largest-remainder apportionment; exact for fractions that divide evenly."""
     fracs = [float(f) for f in fractions]
-    if any(f <= 0 for f in fracs):
-        raise ValueError(f"split fractions must be positive, got {fracs}")
+    if not all(math.isfinite(f) and f > 0 for f in fracs):
+        raise ValueError(f"split fractions must be finite and positive, got {fracs}")
     if abs(sum(fracs) - 1.0) > 1e-9:
         raise ValueError(f"split fractions must sum to 1, got {sum(fracs)}")
     raw = [f * total for f in fracs]

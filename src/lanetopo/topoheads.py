@@ -365,39 +365,6 @@ def lt_logits(lane_feats: np.ndarray, traffic_feats: np.ndarray, params: TopoHea
     return _pair_logits(params.lt_head, lane_feats, traffic_feats, slice(None), slice(None))
 
 
-def project_labels(
-    lane_assignment: assoc.Assignment,
-    traffic_assignment: assoc.Assignment,
-    scene: SceneRecord,
-    n: int,
-    t: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Project GT adjacency onto prediction indices through the matchings.
-
-    Entry (i, j) of the lane-lane labels is 1 iff both predictions matched
-    and their GT lanes form an edge; lane-traffic analogous. Rows/columns
-    of unmatched predictions stay all-zero.
-    """
-    lane_id = {idx: lane.id for idx, lane in enumerate(scene.lanes)}
-    traffic_id = {idx: te.id for idx, te in enumerate(scene.traffic)}
-    for p, g in lane_assignment.pairs.items():
-        if not (0 <= p < n) or g not in lane_id:
-            raise IndexError(f"lane assignment ({p} -> {g}) out of range")
-    for p, g in traffic_assignment.pairs.items():
-        if not (0 <= p < t) or g not in traffic_id:
-            raise IndexError(f"traffic assignment ({p} -> {g}) out of range")
-    ll = np.zeros((n, n))
-    lt = np.zeros((n, t))
-    for i, gi in lane_assignment.pairs.items():
-        for j, gj in lane_assignment.pairs.items():
-            if i != j and (lane_id[gi], lane_id[gj]) in scene.topo_ll:
-                ll[i, j] = 1.0
-        for k, gk in traffic_assignment.pairs.items():
-            if (lane_id[gi], traffic_id[gk]) in scene.topo_lt:
-                lt[i, k] = 1.0
-    return ll, lt
-
-
 # ---------------------------------------------------------------------------
 # optimizer
 
@@ -473,7 +440,7 @@ def scene_loss_and_grads(
 
     lane_assign = assoc.match_for_training(detection.lanes, scene.lanes, cost_cfg)
     traffic_assign = assoc.match_traffic_for_training(detection.traffic, scene.traffic, cost_cfg)
-    ll_labels, lt_labels = project_labels(lane_assign, traffic_assign, scene, n, t)
+    ll_labels, lt_labels = assoc.project_edges(lane_assign.pairs, traffic_assign.pairs, scene, n, t)
 
     off_diag = ~np.eye(n, dtype=bool) if n else np.zeros((0, 0), dtype=bool)
     n_ll = int(off_diag.sum())

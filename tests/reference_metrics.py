@@ -1,9 +1,13 @@
-"""Per-scene DET_l and DET_t: the scoring loop that ``lanetopo.metrics``
-replaced with one batch per evaluation, kept as a test oracle.
+"""Scoring loops that ``lanetopo.metrics`` replaced, kept as test oracles.
 
-Each scene is matched on its own (preds, GT) matrices by a row-by-row
-greedy scan, then the flags pool across scenes. The batched functions must
-return the same scores, breakdowns and matched pairs, exactly.
+Per-scene DET_l and DET_t: each scene is matched on its own (preds, GT)
+matrices by a row-by-row greedy scan, then the flags pool across scenes.
+The batched functions must return the same scores, breakdowns and matched
+pairs, exactly.
+
+Per-vertex TOP: each GT vertex ranks candidate edges built as Python
+tuples, looking each one up in the GT edge sets by id. The whole-matrix
+routine must return the same vertex APs, exactly.
 """
 
 from __future__ import annotations
@@ -84,3 +88,84 @@ def det_t(predictions, gts, cfg=None):
     breakdown = {c: pooled_ap(pool_by_cat.get(c, []), gt_count_by_cat.get(c, 0)) for c in categories}
     score = float(np.mean(list(breakdown.values()))) if breakdown else 1.0
     return score, breakdown, pairs_by_scene
+
+
+def vertex_aps_ll(prediction, gt, lane_pairs):
+    """Per-GT-lane AP over candidate edges incident to its matched
+    prediction (both directions), ranked by predicted probability."""
+    probs = prediction.topo_ll_prob
+    n = len(prediction.lanes)
+    matched = {g: p for p, g in lane_pairs}  # gt position -> pred index
+    pred_to_gt_id = {p: gt.lanes[g].id for p, g in lane_pairs}
+    aps = []
+    for pos, lane in enumerate(gt.lanes):
+        incident = [(a, b) for (a, b) in gt.topo_ll if a == lane.id or b == lane.id]
+        if not incident:
+            continue
+        if pos not in matched:
+            aps.append(0.0)
+            continue
+        i = matched[pos]
+        candidates = []  # (prob, direction, other) with deterministic tie order
+        for j in range(n):
+            if j == i:
+                continue
+            candidates.append((float(probs[i, j]), 0, j))
+            candidates.append((float(probs[j, i]), 1, j))
+        candidates.sort(key=lambda c: (-c[0], c[1], c[2]))
+        flags = []
+        for _, direction, j in candidates:
+            other_id = pred_to_gt_id.get(j)
+            if other_id is None:
+                flags.append(False)
+            elif direction == 0:
+                flags.append((lane.id, other_id) in gt.topo_ll)
+            else:
+                flags.append((other_id, lane.id) in gt.topo_ll)
+        aps.append(average_precision(flags, len(incident)))
+    return aps
+
+
+def vertex_aps_lt(prediction, gt, lane_pairs, traffic_pairs):
+    """Per-GT-vertex AP in the lane-traffic bipartite space, covering both
+    lane-side and traffic-side vertices."""
+    probs = prediction.topo_lt_prob
+    n, t = len(prediction.lanes), len(prediction.traffic)
+    lane_matched = {g: p for p, g in lane_pairs}
+    traffic_matched = {g: p for p, g in traffic_pairs}
+    pred_lane_gt_id = {p: gt.lanes[g].id for p, g in lane_pairs}
+    pred_traffic_gt_id = {p: gt.traffic[g].id for p, g in traffic_pairs}
+    aps = []
+    for pos, lane in enumerate(gt.lanes):
+        incident = sum(1 for (a, _) in gt.topo_lt if a == lane.id)
+        if not incident:
+            continue
+        if pos not in lane_matched:
+            aps.append(0.0)
+            continue
+        i = lane_matched[pos]
+        candidates = sorted(
+            ((float(probs[i, k]), k) for k in range(t)), key=lambda c: (-c[0], c[1])
+        )
+        flags = [
+            (lane.id, pred_traffic_gt_id[k]) in gt.topo_lt if k in pred_traffic_gt_id else False
+            for _, k in candidates
+        ]
+        aps.append(average_precision(flags, incident))
+    for pos, te in enumerate(gt.traffic):
+        incident = sum(1 for (_, b) in gt.topo_lt if b == te.id)
+        if not incident:
+            continue
+        if pos not in traffic_matched:
+            aps.append(0.0)
+            continue
+        k = traffic_matched[pos]
+        candidates = sorted(
+            ((float(probs[i, k]), i) for i in range(n)), key=lambda c: (-c[0], c[1])
+        )
+        flags = [
+            (pred_lane_gt_id[i], te.id) in gt.topo_lt if i in pred_lane_gt_id else False
+            for _, i in candidates
+        ]
+        aps.append(average_precision(flags, incident))
+    return aps

@@ -436,3 +436,24 @@ def test_config_file_unknown_key_exits_2(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"bogus": 1}))
     assert run(["generate", "--config", str(cfg_path), "--seed", "1", "--out", str(tmp_path / "x")]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "config, split, flags, field",
+    [
+        pytest.param({"map_extent": float("nan")}, None, ["--map-extent", "nan"], "map_extent", id="map_extent-nan"),
+        pytest.param({"map_extent": float("inf")}, None, ["--map-extent", "inf"], "map_extent", id="map_extent-inf"),
+        pytest.param({"scenes": True}, None, ["--scenes", "true"], "scenes", id="scenes-bool"),
+        pytest.param({"lanes_per_scene": (2.5, 4)}, None, ["--lanes", "2.5,4"], "lanes", id="lanes-2.5"),
+        pytest.param({"traffic_per_scene": (1, 2.5)}, None, ["--traffic", "1,2.5"], "traffic", id="traffic-2.5"),
+        pytest.param({"control_points": 3.0}, None, ["--control-points", "3.0"], "control_points", id="control_points-float"),
+        pytest.param({}, (float("nan"), 0.5, 0.5), ["--split", "nan,0.5,0.5"], "split fractions", id="split-nan"),
+    ],
+)
+def test_generate_rejects_non_finite_and_non_integral_settings(tmp_path, capsys, config, split, flags, field):
+    with pytest.raises(ValueError, match=field):
+        cfg = synthgen.GeneratorConfig(**{"scenes": 4, **config})
+        synthgen.generate_dataset(cfg, synthgen.NoiseModel(), split or (0.8, 0.1, 0.1), tmp_path / "lib")
+    code = run(["generate", "--seed", "0", "--scenes", "4", "--out", str(tmp_path / "cli"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2 and field in err, err

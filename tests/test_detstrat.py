@@ -6,13 +6,10 @@ import pytest
 from lanetopo import detstrat
 from lanetopo.dataio import SceneRecord, TrafficElement
 from lanetopo.detstrat import (
-    PseudoConfig,
     ResampleConfig,
     TtaConfig,
     category_histogram,
-    class_weight_map,
     resample_plan,
-    select_pseudo_labels,
     tta_merge,
 )
 
@@ -110,39 +107,6 @@ def test_resample_plan_reorder_equivariance():
     base_counts = {frames[i].scene_id: base.count(i) for i in range(len(frames))}
     perm_counts = {frames[perm[i]].scene_id: permuted.count(i) for i in range(len(frames))}
     assert base_counts == perm_counts
-
-
-def test_class_weight_map():
-    assert class_weight_map(set(), 2.0) == pytest.approx(np.ones(13))
-    w = class_weight_map({5, 7, 11}, 2.0)  # the turn-left sign family
-    assert w[5] == w[7] == w[11] == 2.0
-    assert w.sum() == pytest.approx(13 + 3)
-    assert class_weight_map({5, 7, 11}, 1.0) == pytest.approx(np.ones(13))
-    with pytest.raises(ValueError):
-        class_weight_map({99}, 2.0)
-
-
-def test_pseudo_labels_threshold_one_keeps_only_certain():
-    preds = [element(conf=1.0, te_id=0), element(conf=0.999, te_id=1)]
-    out = select_pseudo_labels(preds, PseudoConfig(confidence_threshold=1.0))
-    assert [p.element.id for p in out] == [0]
-
-
-def test_pseudo_labels_empty_and_filtering():
-    assert select_pseudo_labels([]) == []
-    preds = [element(conf=c, te_id=i) for i, c in enumerate((0.9, 0.4, 0.6))]
-    out = select_pseudo_labels(preds, PseudoConfig(confidence_threshold=0.5))
-    assert [p.element.id for p in out] == [0, 2]
-    assert all(p.loss_weight == 1.0 for p in out)
-
-
-def test_pseudo_labels_subsequence_property():
-    rng = np.random.default_rng(3)
-    preds = [element(conf=float(rng.uniform()), te_id=i) for i in range(20)]
-    out = select_pseudo_labels(preds)
-    ids = [p.element.id for p in out]
-    assert ids == sorted(ids)
-    assert set(ids) <= set(range(20))
 
 
 def test_tta_single_scale_passthrough():

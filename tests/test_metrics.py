@@ -14,7 +14,7 @@ from lanetopo.dataio import (
     SceneRecord,
     TrafficElement,
 )
-from lanetopo.metrics import DetMatchConfig, average_precision, evaluate, ols, top_score
+from lanetopo.metrics import DetMatchConfig, average_precision, evaluate, ols
 from lanetopo.synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_scene
 
 
@@ -214,8 +214,9 @@ def chain_scene(n=3):
 def test_top_perfect_probabilities():
     scene = chain_scene(3)
     pred = perfect_prediction(scene)
-    pairs = [(i, i) for i in range(3)]
-    assert top_score(pred, scene, pairs, edge_space="ll") == 1.0
+    pairs = {i: i for i in range(3)}
+    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    assert np.mean(ll) == 1.0
 
 
 def test_top_all_zero_probabilities_tie_order():
@@ -224,8 +225,10 @@ def test_top_all_zero_probabilities_tie_order():
     scene = chain_scene(2)
     pred = perfect_prediction(scene)
     pred.topo_ll_prob = np.zeros((2, 2))
-    pairs = [(0, 0), (1, 1)]
-    assert top_score(pred, scene, pairs, edge_space="ll") == pytest.approx(0.75)
+    pairs = {0: 0, 1: 1}
+    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    assert np.mean(ll) == pytest.approx(0.75)
+    assert ll == [1.0, 0.5]  # the mean alone is the same with incoming first
 
 
 def test_top_three_lane_chain_false_edge_below_true():
@@ -235,8 +238,9 @@ def test_top_three_lane_chain_false_edge_below_true():
     pred.topo_ll_prob[0, 1] = 0.9
     pred.topo_ll_prob[1, 2] = 0.9
     pred.topo_ll_prob[0, 2] = 0.8  # false edge, still below the true ones
-    pairs = [(i, i) for i in range(3)]
-    assert top_score(pred, scene, pairs, edge_space="ll") == pytest.approx(1.0)
+    pairs = {i: i for i in range(3)}
+    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    assert np.mean(ll) == pytest.approx(1.0)
 
 
 def test_top_three_lane_chain_false_edge_above_true():
@@ -247,19 +251,20 @@ def test_top_three_lane_chain_false_edge_above_true():
     pred.topo_ll_prob[0, 1] = 0.9
     pred.topo_ll_prob[1, 2] = 0.9
     pred.topo_ll_prob[0, 2] = 0.95
-    pairs = [(i, i) for i in range(3)]
-    assert top_score(pred, scene, pairs, edge_space="ll") == pytest.approx(2.0 / 3.0)
+    pairs = {i: i for i in range(3)}
+    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    assert np.mean(ll) == pytest.approx(2.0 / 3.0)
 
 
 def test_top_undetected_vertex_scores_zero():
     scene = chain_scene(2)
     pred = perfect_prediction(scene)
     # lane 1 undetected: only lane 0 matched
-    pairs = [(0, 0)]
-    score = top_score(pred, scene, pairs, edge_space="ll")
+    pairs = {0: 0}
+    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
     # vertex 0 detected: its only candidate set has no matched endpoint -> AP 0;
     # vertex 1 undetected -> 0
-    assert score == 0.0
+    assert np.mean(ll) == 0.0
 
 
 def test_top_lt_covers_both_sides():
@@ -267,15 +272,20 @@ def test_top_lt_covers_both_sides():
     te = box_element(0, 1, te_id=0)
     scene = SceneRecord("s0", [lane], [te], set(), {(0, 0)})
     pred = perfect_prediction(scene)
-    assert top_score(pred, scene, [(0, 0)], [(0, 0)], edge_space="lt") == 1.0
+    _, lt = metrics._vertex_aps(pred, scene, {0: 0}, {0: 0})
+    assert np.mean(lt) == 1.0
     # drop the traffic match: lane vertex candidates all unmatched -> 0, traffic vertex undetected -> 0
-    assert top_score(pred, scene, [(0, 0)], [], edge_space="lt") == 0.0
+    _, lt = metrics._vertex_aps(pred, scene, {0: 0}, {})
+    assert np.mean(lt) == 0.0
 
 
 def test_top_vacuous_scene():
     scene = SceneRecord("s0", [straight_lane(0, 0)], [], set(), set())
     pred = perfect_prediction(scene)
-    assert top_score(pred, scene, [(0, 0)], edge_space="ll") == 1.0
+    # no vertex has an edge: nothing to average, and the report scores it vacuously
+    assert metrics._vertex_aps(pred, scene, {0: 0}, {}) == ([], [])
+    report = evaluate([pred], [scene])
+    assert report.top_ll == report.top_lt == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -437,3 +447,47 @@ def test_batched_detection_equals_the_per_scene_loop(thresholds, iou):
 def test_evaluate_rejects_zero_scenes():
     with pytest.raises(ValueError, match="no scenes"):
         evaluate([], [])
+
+
+def topology_edge_case_inputs():
+    """Seeded multi-scene predictions whose probabilities are rounded to one
+    decimal (ties everywhere), with dropped lanes and traffic elements, a
+    scene with no traffic, one with no topology edges and one at the query
+    budget."""
+    gen = GeneratorConfig(seed=41, lanes_per_scene=(3, 10), traffic_per_scene=(1, 8))
+    scenes = [generate_scene(gen, i) for i in range(8)]
+    scenes[1] = SceneRecord(scenes[1].scene_id, scenes[1].lanes, [], scenes[1].topo_ll, set())
+    scenes[2] = SceneRecord(scenes[2].scene_id, scenes[2].lanes, scenes[2].traffic, set(), set())
+    noise = NoiseModel(ctrl_sigma=0.6, box_sigma=4.0, drop_prob=0.25, spurious_rate=1.5, confusion_prob=0.1)
+    records = []
+    for i, scene in enumerate(scenes):
+        det = corrupt_scene(scene, NoiseModel(spurious_rate=280.0) if i == 3 else noise, [41, i])
+        rng = np.random.default_rng([41, i])
+        n, t = len(det.lanes), len(det.traffic)
+        ll, lt = np.round(rng.uniform(size=(n, n)), 1), np.round(rng.uniform(size=(n, t)), 1)
+        np.fill_diagonal(ll, 0.0)
+        records.append(PredictionRecord(det.scene_id, det.lanes, det.traffic, topo_ll_prob=ll, topo_lt_prob=lt))
+    return scenes, records
+
+
+def test_whole_matrix_top_equals_the_per_vertex_loop():
+    scenes, records = topology_edge_case_inputs()
+    assert len(records[3].lanes) > 250  # the query-budget scene
+    _, _, lane_pairs = metrics.det_l(records, scenes)
+    _, _, traffic_pairs = metrics.det_t(records, scenes)
+    undetected_lanes = undetected_traffic = 0
+    want_ll, want_lt = [], []
+    for gt, pred in metrics._align(records, scenes):
+        lp, tp = dict(lane_pairs[gt.scene_id]), dict(traffic_pairs[gt.scene_id])
+        ll = reference_metrics.vertex_aps_ll(pred, gt, lp.items())
+        lt = reference_metrics.vertex_aps_lt(pred, gt, lp.items(), tp.items())
+        assert metrics._vertex_aps(pred, gt, lp, tp) == (ll, lt)
+        want_ll += ll
+        want_lt += lt
+        lane_ends = {v for edge in gt.topo_ll for v in edge} | {a for a, _ in gt.topo_lt}
+        traffic_ends = {k for _, k in gt.topo_lt}
+        undetected_lanes += sum(l.id in lane_ends for g, l in enumerate(gt.lanes) if g not in lp.values())
+        undetected_traffic += sum(te.id in traffic_ends for g, te in enumerate(gt.traffic) if g not in tp.values())
+    assert undetected_lanes and undetected_traffic
+    report = evaluate(records, scenes)
+    assert (report.top_ll, report.top_lt) == (float(np.mean(want_ll)), float(np.mean(want_lt)))

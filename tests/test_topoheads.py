@@ -14,7 +14,7 @@ from lanetopo.dataio import (
     SceneRecord,
     TrafficElement,
 )
-from lanetopo.assoc import Assignment
+from lanetopo.assoc import project_edges
 
 from gradcheck import full_gradient_check, random_scene_pair, small_config
 
@@ -406,11 +406,9 @@ def test_project_labels_identity_assignment():
     rng = np.random.default_rng(11)
     scene, det = random_scene_pair(rng)
     n, t = len(det.lanes), len(det.traffic)
-    lane_a = Assignment(pairs={i: i for i in range(n)})
-    traffic_a = Assignment(pairs={k: k for k in range(t)})
-    ll, lt = th.project_labels(lane_a, traffic_a, scene, n, t)
+    ll, lt = project_edges({i: i for i in range(n)}, {k: k for k in range(t)}, scene, n, t)
     for i, j in scene.topo_ll:
-        assert ll[i, j] == 1.0
+        assert ll[i, j]
     assert ll.sum() == len(scene.topo_ll)
     assert lt.sum() == len(scene.topo_lt)
 
@@ -418,23 +416,23 @@ def test_project_labels_identity_assignment():
 def test_project_labels_empty_assignment():
     rng = np.random.default_rng(12)
     scene, det = random_scene_pair(rng)
-    ll, lt = th.project_labels(Assignment(), Assignment(), scene, 3, 2)
-    assert np.all(ll == 0) and np.all(lt == 0)
+    ll, lt = project_edges({}, {}, scene, 3, 2)
+    assert ll.shape == (3, 3) and lt.shape == (3, 2)
+    assert not ll.any() and not lt.any()
 
 
 def test_project_labels_crossed_assignment_permutes():
     lanes = [GtLane(id=0, ctrl=np.zeros((3, 3))), GtLane(id=1, ctrl=np.ones((3, 3)))]
     scene = SceneRecord("s", lanes, [], topo_ll={(0, 1)}, topo_lt=set())
-    crossed = Assignment(pairs={0: 1, 1: 0})
-    ll, _ = th.project_labels(crossed, Assignment(), scene, 2, 0)
+    ll, _ = project_edges({0: 1, 1: 0}, {}, scene, 2, 0)
     # prediction 1 plays GT lane 0, prediction 0 plays GT lane 1
-    assert ll[1, 0] == 1.0 and ll.sum() == 1.0
+    assert ll[1, 0] and ll.sum() == 1
 
 
 def test_project_labels_out_of_range():
     scene = SceneRecord("s", [GtLane(id=0, ctrl=np.zeros((3, 3)))], [], set(), set())
     with pytest.raises(IndexError):
-        th.project_labels(Assignment(pairs={5: 0}), Assignment(), scene, 2, 0)
+        project_edges({5: 0}, {}, scene, 2, 0)
 
 
 # ---------------------------------------------------------------------------
