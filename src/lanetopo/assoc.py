@@ -17,8 +17,6 @@ matching projects the GT topology onto prediction indices
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -26,30 +24,17 @@ import numpy as np
 
 from .dataio import GtLane, PredLane, SceneRecord, TrafficElement
 from .geometry import control_point_l1
+from .settings import Settings, setting
 
 
 @dataclass
-class CostConfig:
+class CostConfig(Settings):
     """Matching-cost weights: classification (focal) and geometry (L1)."""
 
-    w_cls: float = 1.5
-    w_l1: float = 0.0075
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-
-    def __post_init__(self):
-        for name, (rule, ok) in _COST_RULES.items():
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and ok(v)):
-                raise ValueError(f"CostConfig.{name} must be a finite number {rule}, got {v!r}")
-
-
-_COST_RULES = {
-    "w_cls": (">= 0", lambda v: v >= 0),
-    "w_l1": (">= 0", lambda v: v >= 0),
-    "focal_alpha": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "focal_gamma": (">= 0", lambda v: v >= 0),
-}
+    w_cls: float = setting(1.5, float, "[0, inf)")
+    w_l1: float = setting(0.0075, float, "[0, inf)")
+    focal_alpha: float = setting(0.25, float, "[0, 1]")
+    focal_gamma: float = setting(2.0, float, "[0, inf)")
 
 
 @dataclass

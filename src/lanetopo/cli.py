@@ -15,6 +15,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -30,41 +31,69 @@ DEFAULT_SWEEP_LEVELS = (
     {"ctrl_sigma": 1.0, "drop_prob": 0.3},
 )
 
-NOISE_KEYS = ("ctrl_sigma", "box_sigma", "drop_prob", "spurious_rate", "confusion_prob", "conf_noise")
+NOISE_KEYS = tuple(f.name for f in fields(synthgen.NoiseModel))
+
+# options named differently from the config field they set
+FLAG_FIELDS = {
+    "lanes": "lanes_per_scene",
+    "traffic": "traffic_per_scene",
+    "lane_thresholds": "lane_frechet_thresholds",
+    "iou_threshold": "traffic_iou_threshold",
+}
 
 
-def _int(value, key: str) -> int:
+def _flag(key: str, field: str = "") -> str:
+    return f"option {key!r} (--{key.replace('_', '-')}{', ' + field if field else ''})"
+
+
+def _int(value, key: str, field: str = "") -> int:
     """An integer option: an int or an integral string; anything else is an error naming it."""
     try:
         if type(value) is int or isinstance(value, str):  # a bool is an int subclass
             return int(value)
     except ValueError:
         pass
-    raise ValueError(f"option {key!r} (--{key.replace('_', '-')}) must be an integer, got {value!r}")
+    raise ValueError(f"{_flag(key, field)} must be an integer, got {value!r}")
 
 
-def _parse_pair(opts: dict, key: str) -> tuple[int, int]:
-    """A (lo, hi) option: 'lo,hi' (or one integer for both) as text, or a
-    JSON list of two integers."""
-    value = opts[key]
-    if isinstance(value, list) and len(value) == 2:
-        parts = value
-    elif (type(value) is int or isinstance(value, str)) and str(value).count(",") <= 1:
-        parts = str(value).split(",")
-    else:
-        raise ValueError(f"option {key!r} (--{key}) must be 'lo,hi' or a list [lo, hi] of two integers, got {value!r}")
-    parts = [_int(v, key) for v in parts]
-    return parts[0], parts[-1]
+def _real(value, key: str, field: str = "") -> float:
+    """A real option: a number or a numeric string, not a bool; anything else is an error naming it."""
+    try:
+        if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+            return float(value)
+    except (ValueError, OverflowError):
+        pass
+    raise ValueError(f"{_flag(key, field)} must be a number, got {value!r}")
 
 
-def _parse_floats(text) -> tuple[float, ...]:
-    if isinstance(text, (list, tuple)):
-        return tuple(float(v) for v in text)
-    return tuple(float(v) for v in str(text).split(","))
+def _items(value, key: str, convert, size=None, field: str = "") -> tuple:
+    """A tuple option: 'a,b' as text or a JSON list, each entry converted;
+    one value as text stands for both ends of a pair (``size=2``)."""
+    if isinstance(value, str) or (isinstance(value, (int, float)) and not isinstance(value, bool)):
+        value = str(value).split(",")
+        if size == 2 and len(value) == 1:
+            value *= 2
+    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+        form = "'lo,hi' or a list [lo, hi] of two" if size == 2 else "'a,b,...' or a list of"
+        raise ValueError(f"{_flag(key, field)} must be {form} numbers, got {value!r}")
+    return tuple(convert(v, key, field) for v in value)
 
 
-def _noise_from(opts: dict) -> synthgen.NoiseModel:
-    return synthgen.NoiseModel(**{k: float(opts[k]) for k in NOISE_KEYS})
+def _config(cls, opts: dict):
+    """A ``cls`` from the options that set its fields, each converted as its
+    declared rule says; a field with no option keeps its dataclass default."""
+    rules = {f.name: f.metadata["rule"] for f in fields(cls)}
+    kwargs = {}
+    for key, value in opts.items():
+        name = FLAG_FIELDS.get(key, key)
+        if name not in rules:
+            continue
+        rule, field = rules[name], f"{cls.__name__}.{name}"
+        convert = _int if rule.kind is int else _real
+        if value is not None:  # None goes to the rule, which allows it only for an optional field
+            value = convert(value, key, field) if rule.items is None else _items(value, key, convert, rule.items, field)
+        kwargs[name] = value
+    return cls(**kwargs)
 
 
 def _require(opts: dict, *keys: str) -> None:
@@ -73,47 +102,15 @@ def _require(opts: dict, *keys: str) -> None:
         raise ValueError(f"missing required option(s): {', '.join('--' + k.replace('_', '-') for k in missing)}")
 
 
-def _generator_from(opts: dict) -> synthgen.GeneratorConfig:
-    return synthgen.GeneratorConfig(
-        scenes=_int(opts["scenes"], "scenes"),
-        lanes_per_scene=_parse_pair(opts, "lanes"),
-        map_extent=float(opts["map_extent"]),
-        branch_prob=float(opts["branch_prob"]),
-        traffic_per_scene=_parse_pair(opts, "traffic"),
-        lt_assoc_prob=float(opts["lt_assoc_prob"]),
-        seed=_int(opts["seed"], "seed"),
-        control_points=_int(opts["control_points"], "control_points"),
-    )
-
-
-def _head_config_from(opts: dict) -> topoheads.HeadConfig:
-    ints = ("feature_dim", "mlp_hidden", "control_points", "epochs", "seed")
-    floats = ("lr", "focal_alpha", "focal_gamma", "weight_decay", "coord_scale")
-    width = opts.get("detector_feature_width")
-    return topoheads.HeadConfig(
-        detector_feature_width=_int(width, "detector_feature_width") if width else None,
-        **{k: _int(opts[k], k) for k in ints},
-        **{k: float(opts[k]) for k in floats},
-    )
-
-
-def _metric_config_from(opts: dict) -> metrics.DetMatchConfig:
-    return metrics.DetMatchConfig(
-        lane_frechet_thresholds=_parse_floats(opts["lane_thresholds"]),
-        traffic_iou_threshold=float(opts["iou_threshold"]),
-        sample_points=_int(opts["sample_points"], "sample_points"),
-    )
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
 def run_generate(opts: dict) -> int:
     _require(opts, "seed", "out")
-    cfg = _generator_from(opts)
-    noise = _noise_from(opts)
-    fractions = _parse_floats(opts["split"])
+    cfg = _config(synthgen.GeneratorConfig, opts)
+    noise = _config(synthgen.NoiseModel, opts)
+    fractions = _items(opts["split"], "split", _real)
     paths = synthgen.generate_dataset(cfg, noise, fractions, opts["out"])
     for split in ("train", "val", "test"):
         print(f"{split}: {paths[split]['count']} scenes -> {paths[split]['scenes']}")
@@ -123,8 +120,8 @@ def run_generate(opts: dict) -> int:
 def run_corrupt(opts: dict) -> int:
     _require(opts, "seed", "scenes_file", "out")
     scenes = dataio.load_scenes(opts["scenes_file"])
-    noise = _noise_from(opts)
-    seed = _int(opts["seed"], "seed")
+    noise = _config(synthgen.NoiseModel, opts)
+    seed = _config(synthgen.GeneratorConfig, opts).seed
     detections = [synthgen.corrupt_scene(s, noise, [seed, i]) for i, s in enumerate(scenes)]
     dataio.save_detections(detections, opts["out"])
     print(f"corrupted {len(detections)} scenes -> {opts['out']}")
@@ -133,7 +130,7 @@ def run_corrupt(opts: dict) -> int:
 
 def run_train(opts: dict) -> int:
     _require(opts, "seed", "train_scenes", "train_detections", "out")
-    cfg = _head_config_from(opts)
+    cfg = _config(topoheads.HeadConfig, opts)
     train_scenes = dataio.load_scenes(opts["train_scenes"], control_points=cfg.control_points)
     train_dets = dataio.load_detections(opts["train_detections"], control_points=cfg.control_points)
     val_scenes, val_dets = [], []
@@ -171,7 +168,7 @@ def run_predict(opts: dict) -> int:
 
 def run_evaluate(opts: dict) -> int:
     _require(opts, "predictions", "scenes_file")
-    cfg = _metric_config_from(opts)
+    cfg = _config(metrics.DetMatchConfig, opts)
     report = metrics.evaluate_files(opts["predictions"], opts["scenes_file"], cfg)
     print(dataio.format_report_table(report))
     if opts.get("out"):
@@ -186,11 +183,11 @@ def run_sweep(opts: dict) -> int:
     scenes = dataio.load_scenes(opts["scenes_file"])
     if not scenes:
         raise ValueError(f"{opts['scenes_file']}: no scenes to evaluate")
-    cfg = _metric_config_from(opts)
+    cfg = _config(metrics.DetMatchConfig, opts)
     seeds = _int(opts["seeds"], "seeds")
     if seeds < 1:
         raise ValueError(f"--seeds must be >= 1, got {seeds}")
-    seed = _int(opts["seed"], "seed") if opts.get("seed") is not None else 0
+    seed = _config(synthgen.GeneratorConfig, opts).seed
     levels_spec = opts.get("levels")
     if isinstance(levels_spec, str):
         levels_spec = json.loads(levels_spec)
@@ -267,11 +264,7 @@ def run_resample(opts: dict) -> int:
     _require(opts, "scenes_file", "out")
     scenes = dataio.load_scenes(opts["scenes_file"])
     stats = detstrat.category_histogram(scenes)
-    cfg = detstrat.ResampleConfig(
-        freq_threshold=float(opts["freq_threshold"]),
-        min_factor=_int(opts["min_factor"], "min_factor"),
-        max_factor=_int(opts["max_factor"], "max_factor"),
-    )
+    cfg = _config(detstrat.ResampleConfig, opts)
     plan = detstrat.resample_plan(scenes, stats, cfg)
     Path(opts["out"]).write_text(json.dumps(plan) + "\n", encoding="utf-8")
     print(f"{len(scenes)} frames -> {len(plan)} after resampling; plan -> {opts['out']}")
@@ -285,7 +278,7 @@ def run_tta_merge(opts: dict) -> int:
         (float(entry["scale"]), [dataio.traffic_from_obj(te) for te in entry["traffic"]])
         for entry in payload
     ]
-    cfg = detstrat.TtaConfig(merge_iou=float(opts["merge_iou"]))
+    cfg = _config(detstrat.TtaConfig, opts)
     merged = detstrat.tta_merge(per_scale, cfg)
     Path(opts["out"]).write_text(
         json.dumps([dataio.traffic_to_obj(te) for te in merged]) + "\n", encoding="utf-8"
@@ -309,80 +302,28 @@ COMMANDS = {
     "tta-merge": run_tta_merge,
 }
 
-COMMAND_DEFAULTS: dict[str, dict] = {
-    "generate": {
-        "scenes": 200,
-        "split": "0.8,0.1,0.1",
-        "lanes": "12,18",
-        "traffic": "14,20",
-        "map_extent": 50.0,
-        "branch_prob": 0.3,
-        "lt_assoc_prob": 0.05,
-        "control_points": 4,
-        "seed": None,
-        "out": None,
-        **{k: 0.0 for k in NOISE_KEYS},
-    },
-    "corrupt": {
-        "scenes_file": None,
-        "seed": None,
-        "out": None,
-        **{k: 0.0 for k in NOISE_KEYS},
-    },
-    "train": {
-        "train_scenes": None,
-        "train_detections": None,
-        "val_scenes": None,
-        "val_detections": None,
-        "out": None,
-        "seed": None,
-        "epochs": 10,
-        "lr": 2e-4,
-        "feature_dim": 128,
-        "mlp_hidden": 128,
-        "control_points": 4,
-        "detector_feature_width": None,
-        "focal_alpha": 0.25,
-        "focal_gamma": 2.0,
-        "weight_decay": 0.01,
-        "coord_scale": 50.0,
-    },
-    "predict": {"params": None, "detections": None, "out": None},
-    "evaluate": {
-        "predictions": None,
-        "scenes_file": None,
-        "out": None,
-        "lane_thresholds": "1.0,2.0,3.0",
-        "iou_threshold": 0.75,
-        "sample_points": 11,
-    },
-    "sweep": {
-        "params": None,
-        "scenes_file": None,
-        "out": None,
-        "seed": 0,
-        "seeds": 20,
-        "levels": None,
-        "lane_thresholds": "1.0,2.0,3.0",
-        "iou_threshold": 0.75,
-        "sample_points": 11,
-    },
-    "stats": {"scenes_file": None, "out": None},
-    "resample": {
-        "scenes_file": None,
-        "out": None,
-        "freq_threshold": 0.10,
-        "min_factor": 5,
-        "max_factor": 20,
-    },
-    "tta-merge": {"input": None, "out": None, "merge_iou": 0.6},
+# every option of each command; an option that sets a config field takes its
+# default from the dataclass
+COMMAND_OPTIONS = {
+    "generate": (
+        "scenes", "split", "lanes", "traffic", "map_extent", "branch_prob", "lt_assoc_prob",
+        "control_points", "seed", "out", *NOISE_KEYS,
+    ),
+    "corrupt": ("scenes_file", "seed", "out", *NOISE_KEYS),
+    "train": (
+        "train_scenes", "train_detections", "val_scenes", "val_detections", "out", "seed", "epochs", "lr",
+        "feature_dim", "mlp_hidden", "control_points", "detector_feature_width", "focal_alpha", "focal_gamma",
+        "weight_decay", "coord_scale",
+    ),
+    "predict": ("params", "detections", "out"),
+    "evaluate": ("predictions", "scenes_file", "out", "lane_thresholds", "iou_threshold", "sample_points"),
+    "sweep": ("params", "scenes_file", "out", "seed", "seeds", "levels", "lane_thresholds", "iou_threshold", "sample_points"),
+    "stats": ("scenes_file", "out"),
+    "resample": ("scenes_file", "out", "freq_threshold", "min_factor", "max_factor"),
+    "tta-merge": ("input", "out", "merge_iou"),
 }
-
-
-def _add_flags(sub: argparse.ArgumentParser, defaults: dict) -> None:
-    for key in defaults:
-        flag = "--" + key.replace("_", "-")
-        sub.add_argument(flag, dest=key, default=argparse.SUPPRESS)
+# defaults of the options that set no config field
+OPTION_DEFAULTS = {"generate": {"split": "0.8,0.1,0.1"}, "sweep": {"seeds": 20}}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,19 +332,20 @@ def build_parser() -> argparse.ArgumentParser:
         description="Synthetic lane-topology benchmark: generate, corrupt, train, predict, evaluate, sweep.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
-    for name, defaults in COMMAND_DEFAULTS.items():
+    for name, options in COMMAND_OPTIONS.items():
         sub = subparsers.add_parser(name)
         sub.add_argument("--config", dest="config", default=argparse.SUPPRESS)
-        _add_flags(sub, defaults)
+        for key in options:
+            sub.add_argument("--" + key.replace("_", "-"), dest=key, default=argparse.SUPPRESS)
     return parser
 
 
 def _merge_options(command: str, given: dict) -> dict:
-    opts = dict(COMMAND_DEFAULTS[command])
+    opts = dict(OPTION_DEFAULTS.get(command, {}))
     config_path = given.pop("config", None)
     if config_path:
         file_opts = json.loads(Path(config_path).read_text(encoding="utf-8"))
-        unknown = set(file_opts) - set(opts)
+        unknown = set(file_opts) - set(COMMAND_OPTIONS[command])
         if unknown:
             raise ValueError(f"unknown config keys for {command}: {sorted(unknown)}")
         opts.update(file_opts)

@@ -75,8 +75,24 @@ class ValidationError(ValueError):
         self.scene_id, self.field, self.message = scene_id, fieldname, message
 
 
+class _Record:
+    """Field-wise equality for the array-holding records: ``np.array_equal``
+    for arrays, ``==`` otherwise, and the same type on both sides. Records
+    stay unhashable."""
+
+    def __eq__(self, other):
+        if type(self) is not type(other):
+            return False
+        theirs = vars(other)  # the dataclass fields, by name
+        for name, a in vars(self).items():
+            b = theirs[name]
+            if not (np.array_equal(a, b) if isinstance(a, np.ndarray) or isinstance(b, np.ndarray) else a == b):
+                return False
+        return True
+
+
 @dataclass(eq=False)
-class TrafficElement:
+class TrafficElement(_Record):
     """A 2D front-view box with one of 13 attributes and a confidence score."""
 
     id: int
@@ -84,82 +100,35 @@ class TrafficElement:
     category: int
     confidence: float = 1.0
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, TrafficElement)
-            and self.id == other.id
-            and np.array_equal(self.box, other.box)
-            and self.category == other.category
-            and self.confidence == other.confidence
-        )
-
 
 @dataclass(eq=False)
-class GtLane:
+class GtLane(_Record):
     id: int
     ctrl: np.ndarray  # (M, 3) meters
     category: int = 0  # single "centerline" class
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GtLane)
-            and self.id == other.id
-            and np.array_equal(self.ctrl, other.ctrl)
-            and self.category == other.category
-        )
-
 
 @dataclass(eq=False)
-class SceneRecord:
+class SceneRecord(_Record):
     scene_id: str
     lanes: list[GtLane]
     traffic: list[TrafficElement]
     topo_ll: set[tuple[int, int]] = field(default_factory=set)
     topo_lt: set[tuple[int, int]] = field(default_factory=set)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SceneRecord)
-            and self.scene_id == other.scene_id
-            and self.lanes == other.lanes
-            and self.traffic == other.traffic
-            and self.topo_ll == other.topo_ll
-            and self.topo_lt == other.topo_lt
-        )
-
 
 @dataclass(eq=False)
-class PredLane:
+class PredLane(_Record):
     ctrl: np.ndarray  # (M, 3)
     class_score: float
     feature: np.ndarray | None = None  # detector "decoded feature", optional
 
-    def __eq__(self, other):
-        if not isinstance(other, PredLane):
-            return NotImplemented
-        if (self.feature is None) != (other.feature is None):
-            return False
-        feats_equal = self.feature is None or np.array_equal(self.feature, other.feature)
-        return (
-            np.array_equal(self.ctrl, other.ctrl)
-            and self.class_score == other.class_score
-            and feats_equal
-        )
-
 
 @dataclass(eq=False)
-class DetectionRecord:
+class DetectionRecord(_Record):
     scene_id: str
     lanes: list[PredLane]
     traffic: list[TrafficElement]
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DetectionRecord)
-            and self.scene_id == other.scene_id
-            and self.lanes == other.lanes
-            and self.traffic == other.traffic
-        )
 
 
 @dataclass(eq=False)
@@ -168,14 +137,6 @@ class PredictionRecord(DetectionRecord):
 
     topo_ll_prob: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))  # (n, n)
     topo_lt_prob: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))  # (n, t)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PredictionRecord)
-            and DetectionRecord.__eq__(self, other)
-            and np.array_equal(self.topo_ll_prob, other.topo_ll_prob)
-            and np.array_equal(self.topo_lt_prob, other.topo_lt_prob)
-        )
 
 
 @dataclass

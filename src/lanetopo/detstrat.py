@@ -16,6 +16,7 @@ import numpy as np
 
 from .dataio import NUM_CATEGORIES, SceneRecord, TrafficElement
 from .geometry import box_iou
+from .settings import Settings, setting
 
 
 @dataclass
@@ -26,29 +27,15 @@ class CategoryStats:
 
 
 @dataclass
-class ResampleConfig:
-    freq_threshold: float = 0.10  # categories rarer than this trigger duplication
-    min_factor: int = 5
-    max_factor: int = 20
-
-    def __post_init__(self):
-        if not (1 <= self.min_factor <= self.max_factor):
-            raise ValueError("need 1 <= min_factor <= max_factor")
-        if not (0.0 < self.freq_threshold <= 1.0):
-            raise ValueError("freq_threshold must be in (0, 1]")
+class ResampleConfig(Settings):
+    freq_threshold: float = setting(0.10, float, "(0, 1]")  # categories rarer than this trigger duplication
+    min_factor: int = setting(5, int, "[1, inf)")
+    max_factor: int = setting(20, int, "[min_factor, inf)")
 
 
 @dataclass
-class TtaConfig:
-    scales: tuple[float, ...] = (0.7, 1.0, 1.4)
-    merge_iou: float = 0.6
-
-    def __post_init__(self):
-        for s in self.scales:
-            if not (0.7 <= s <= 1.4):
-                raise ValueError(f"scale {s} outside the supported range [0.7, 1.4]")
-        if not (0.0 < self.merge_iou <= 1.0):
-            raise ValueError("merge_iou must be in (0, 1]")
+class TtaConfig(Settings):
+    merge_iou: float = setting(0.6, float, "(0, 1]")
 
 
 def category_histogram(frames: Sequence[SceneRecord]) -> CategoryStats:

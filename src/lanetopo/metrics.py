@@ -12,7 +12,6 @@ in the topology metrics, so detection errors propagate.
 from __future__ import annotations
 
 import math
-import numbers
 from collections import Counter
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ import numpy as np
 from . import assoc, dataio
 from .dataio import MetricReport, SceneRecord
 from .geometry import box_iou, frechet_distance, frechet_lower_bound, sample_lane
+from .settings import Settings, setting
 
 __all__ = [
     "DetMatchConfig",
@@ -34,21 +34,10 @@ __all__ = [
 
 
 @dataclass
-class DetMatchConfig:
-    lane_frechet_thresholds: tuple[float, ...] = (1.0, 2.0, 3.0)  # meters
-    traffic_iou_threshold: float = 0.75
-    sample_points: int = 11  # polyline resolution for lane distances
-
-    def __post_init__(self):
-        ts = tuple(self.lane_frechet_thresholds)
-        if not ts or not all(math.isfinite(t) and t > 0 for t in ts) or list(ts) != sorted(ts):
-            raise ValueError(f"DetMatchConfig.lane_frechet_thresholds must be finite, positive and sorted, got {ts}")
-        self.lane_frechet_thresholds = ts
-        if not (0.0 < self.traffic_iou_threshold <= 1.0):
-            raise ValueError("DetMatchConfig.traffic_iou_threshold must be in (0, 1]")
-        sp = self.sample_points
-        if isinstance(sp, bool) or not isinstance(sp, numbers.Integral) or sp < 2:
-            raise ValueError(f"DetMatchConfig.sample_points must be an integer >= 2, got {sp!r}")
+class DetMatchConfig(Settings):
+    lane_frechet_thresholds: tuple[float, ...] = setting((1.0, 2.0, 3.0), float, "(0, inf)", items=...)  # meters
+    traffic_iou_threshold: float = setting(0.75, float, "(0, 1]")
+    sample_points: int = setting(11, int, "[2, inf)")  # polyline resolution for lane distances
 
 
 def average_precision(flags, num_gt: int) -> float:

@@ -17,8 +17,7 @@ and perturbed confidences, all driven by explicit seeds.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +34,7 @@ from .dataio import (
     SceneRecord,
     TrafficElement,
 )
+from .settings import Settings, setting
 
 # chain growth
 CHAIN_DEPTH_LIMIT = 3  # lanes per root-to-leaf path
@@ -56,54 +56,25 @@ CATEGORY_WEIGHTS = np.array(
 
 
 @dataclass
-class GeneratorConfig:
-    scenes: int = 200
-    lanes_per_scene: tuple[int, int] = (12, 18)
-    map_extent: float = 50.0  # half-width of the square region, meters
-    branch_prob: float = 0.3
-    traffic_per_scene: tuple[int, int] = (14, 20)
-    lt_assoc_prob: float = 0.05  # extra in-chain attachments beyond the anchor
-    seed: int = 0
-    control_points: int = 4  # M
-
-    def __post_init__(self):
-        for name in ("scenes", "lanes_per_scene", "traffic_per_scene", "control_points"):
-            v = getattr(self, name)
-            items = v if name.endswith("_per_scene") else (v,)
-            if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in items):
-                raise ValueError(f"GeneratorConfig.{name} must hold integers only, got {v!r}")
-        if self.scenes < 0:
-            raise ValueError("scenes must be >= 0")
-        lo, hi = self.lanes_per_scene
-        if not (1 <= lo <= hi):
-            raise ValueError(f"empty lanes_per_scene range {self.lanes_per_scene}")
-        tlo, thi = self.traffic_per_scene
-        if not (0 <= tlo <= thi):
-            raise ValueError(f"empty traffic_per_scene range {self.traffic_per_scene}")
-        for name in ("branch_prob", "lt_assoc_prob"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        if not (math.isfinite(self.map_extent) and self.map_extent > 0):
-            raise ValueError(f"GeneratorConfig.map_extent must be finite and > 0, got {self.map_extent!r}")
-        if self.control_points < 2:
-            raise ValueError("control_points must be >= 2")
+class GeneratorConfig(Settings):
+    scenes: int = setting(200, int, "[0, inf)")
+    lanes_per_scene: tuple[int, int] = setting((12, 18), int, "[1, inf)", items=2)
+    map_extent: float = setting(50.0, float, "(0, inf)")  # half-width of the square region, meters
+    branch_prob: float = setting(0.3, float, "[0, 1]")
+    traffic_per_scene: tuple[int, int] = setting((14, 20), int, "[0, inf)", items=2)
+    lt_assoc_prob: float = setting(0.05, float, "[0, 1]")  # extra in-chain attachments beyond the anchor
+    seed: int = setting(0, int, "[0, inf)")
+    control_points: int = setting(4, int, "[2, inf)")  # M
 
 
 @dataclass
-class NoiseModel:
-    ctrl_sigma: float = 0.0  # meters, per control-point coordinate
-    box_sigma: float = 0.0  # pixels, per box coordinate
-    drop_prob: float = 0.0
-    spurious_rate: float = 0.0  # expected false entities per scene, per type
-    confusion_prob: float = 0.0
-    conf_noise: float = 0.0
-
-    def __post_init__(self):
-        for f in fields(self):
-            v, prob = getattr(self, f.name), f.name.endswith("_prob")
-            if not (math.isfinite(v) and 0.0 <= v <= (1.0 if prob else math.inf)):
-                raise ValueError(f"NoiseModel.{f.name} must be finite and {'in [0, 1]' if prob else '>= 0'}, got {v!r}")
+class NoiseModel(Settings):
+    ctrl_sigma: float = setting(0.0, float, "[0, inf)")  # meters, per control-point coordinate
+    box_sigma: float = setting(0.0, float, "[0, inf)")  # pixels, per box coordinate
+    drop_prob: float = setting(0.0, float, "[0, 1]")
+    spurious_rate: float = setting(0.0, float, "[0, inf)")  # expected false entities per scene, per type
+    confusion_prob: float = setting(0.0, float, "[0, 1]")
+    conf_noise: float = setting(0.0, float, "[0, inf)")
 
 
 def _make_lane_ctrl(start: np.ndarray, heading: float, rng, m: int) -> np.ndarray:
@@ -313,6 +284,8 @@ def generate_dataset(
     """Generate scenes, corrupt them, and write per-split scene/detection
     files. Splits are disjoint contiguous index ranges, deterministic."""
     counts = split_counts(cfg.scenes, split_fractions)
+    if len(counts) != 3:
+        raise ValueError(f"split fractions (train, val, test) must be 3 numbers, got {len(counts)}")
     scenes = [generate_scene(cfg, i) for i in range(cfg.scenes)]
     detections = [corrupt_scene(s, noise, [cfg.seed, 10007, i]) for i, s in enumerate(scenes)]
 

@@ -16,8 +16,6 @@ one flat vector, update with a from-scratch AdamW.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict, fields
@@ -39,56 +37,29 @@ from .dataio import (
     TrafficElement,
     validate_detection,
 )
+from .settings import Settings, setting
 
 
 class TrainingError(RuntimeError):
     """Raised when the training loop hits a non-finite loss."""
 
 
-# (rule, predicate) per real-valued HeadConfig field; each must also be finite
-_REAL_RULES = {
-    "lr": (">= 0", lambda v: v >= 0),
-    "focal_alpha": ("in [0, 1]", lambda v: 0 <= v <= 1),
-    "focal_gamma": (">= 0", lambda v: v >= 0),
-    "weight_decay": (">= 0", lambda v: v >= 0),
-    "adam_beta1": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "adam_beta2": ("in [0, 1)", lambda v: 0 <= v < 1),
-    "adam_eps": ("> 0", lambda v: v > 0),
-    "coord_scale": ("> 0", lambda v: v > 0),
-}
-# smallest allowed value per integer HeadConfig field
-_INT_MINIMUMS = {"feature_dim": 1, "mlp_hidden": 1, "control_points": 2, "epochs": 1, "seed": 0}
-
-
 @dataclass
-class HeadConfig:
-    feature_dim: int = 128  # C, width of lane/traffic features
-    mlp_hidden: int = 128
-    detector_feature_width: int | None = None
-    control_points: int = 4  # M
-    epochs: int = 10
-    lr: float = 2e-4
-    focal_alpha: float = 0.25
-    focal_gamma: float = 2.0
-    weight_decay: float = 0.01
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    coord_scale: float = 50.0  # meters; lane coordinates are divided by this
-    seed: int = 0
-
-    def __post_init__(self):
-        ints = dict(_INT_MINIMUMS)
-        if self.detector_feature_width is not None:
-            ints["detector_feature_width"] = 1
-        for name, lo in ints.items():
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < lo:
-                raise ValueError(f"HeadConfig.{name} must be an integer >= {lo}, got {v!r}")
-        for name, (rule, ok) in _REAL_RULES.items():
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not (math.isfinite(v) and ok(v)):
-                raise ValueError(f"HeadConfig.{name} must be a finite number {rule}, got {v!r}")
+class HeadConfig(Settings):
+    feature_dim: int = setting(128, int, "[1, inf)")  # C, width of lane/traffic features
+    mlp_hidden: int = setting(128, int, "[1, inf)")
+    detector_feature_width: int | None = setting(None, int, "[1, inf)", optional=True)
+    control_points: int = setting(4, int, "[2, inf)")  # M
+    epochs: int = setting(10, int, "[1, inf)")
+    lr: float = setting(2e-4, float, "[0, inf)")
+    focal_alpha: float = setting(0.25, float, "[0, 1]")
+    focal_gamma: float = setting(2.0, float, "[0, inf)")
+    weight_decay: float = setting(0.01, float, "[0, inf)")
+    adam_beta1: float = setting(0.9, float, "[0, 1)")
+    adam_beta2: float = setting(0.999, float, "[0, 1)")
+    adam_eps: float = setting(1e-8, float, "(0, inf)")
+    coord_scale: float = setting(50.0, float, "(0, inf)")  # meters; lane coordinates are divided by this
+    seed: int = setting(0, int, "[0, inf)")
 
 
 @dataclass

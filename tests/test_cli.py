@@ -2,12 +2,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lanetopo import dataio, metrics, synthgen, topoheads
+from lanetopo import dataio, detstrat, metrics, synthgen, topoheads
 from lanetopo.cli import main
 
 
@@ -457,3 +458,85 @@ def test_generate_rejects_non_finite_and_non_integral_settings(tmp_path, capsys,
     code = run(["generate", "--seed", "0", "--scenes", "4", "--out", str(tmp_path / "cli"), *flags])
     err = capsys.readouterr().err
     assert code == 2 and field in err, err
+
+
+@pytest.mark.parametrize(
+    "case, field",
+    [
+        # the CLI read a JSON true as 1.0
+        pytest.param(["corrupt", {"ctrl_sigma": True, "drop_prob": True}], "NoiseModel.ctrl_sigma", id="corrupt-bools"),
+        pytest.param(["train", {"lr": True}], "HeadConfig.lr", id="train-lr-true"),
+        pytest.param(
+            ["evaluate", {"iou_threshold": True, "lane_thresholds": [True, 2]}],
+            "DetMatchConfig.traffic_iou_threshold",
+            id="evaluate-bools",
+        ),
+        pytest.param(["evaluate", {"lane_thresholds": [True, 2]}], "DetMatchConfig.lane_frechet_thresholds", id="thresholds-bool"),
+        pytest.param(["tta-merge", {"merge_iou": True}], "TtaConfig.merge_iou", id="tta-merge-true"),
+        # numpy rejected a negative seed without naming it
+        pytest.param(["generate", "--seed", "-1"], "GeneratorConfig.seed", id="generate-seed-neg"),
+        pytest.param(["corrupt", "--seed", "-1"], "GeneratorConfig.seed", id="corrupt-seed-neg"),
+        pytest.param(["sweep", "--seed", "-1"], "GeneratorConfig.seed", id="sweep-seed-neg"),
+        # the library accepted these
+        pytest.param((synthgen.GeneratorConfig, {"seed": 1.5}), "GeneratorConfig.seed", id="lib-seed-1.5"),
+        pytest.param((synthgen.GeneratorConfig, {"branch_prob": True}), "GeneratorConfig.branch_prob", id="lib-branch_prob-true"),
+        pytest.param((synthgen.GeneratorConfig, {"map_extent": True}), "GeneratorConfig.map_extent", id="lib-map_extent-true"),
+        pytest.param((synthgen.NoiseModel, {"drop_prob": True}), "NoiseModel.drop_prob", id="lib-drop_prob-true"),
+        pytest.param(
+            (metrics.DetMatchConfig, {"traffic_iou_threshold": True}),
+            "DetMatchConfig.traffic_iou_threshold",
+            id="lib-iou-true",
+        ),
+        pytest.param(
+            (metrics.DetMatchConfig, {"lane_frechet_thresholds": (True,)}),
+            "DetMatchConfig.lane_frechet_thresholds",
+            id="lib-thresholds-true",
+        ),
+        pytest.param((detstrat.ResampleConfig, {"min_factor": 2.5}), "ResampleConfig.min_factor", id="lib-min_factor-2.5"),
+        pytest.param(
+            (detstrat.ResampleConfig, {"min_factor": True, "max_factor": True}),
+            "ResampleConfig.min_factor",
+            id="lib-factors-true",
+        ),
+        pytest.param((detstrat.TtaConfig, {"merge_iou": True}), "TtaConfig.merge_iou", id="lib-merge_iou-true"),
+    ],
+)
+def test_every_config_rule_rejects_bools_and_wrong_kinds(dataset, tmp_path, capsys, case, field):
+    if isinstance(case, tuple):
+        cls, kwargs = case
+        with pytest.raises(ValueError, match=re.escape(field)):
+            cls(**kwargs)
+        return
+    scenes = dataset / "test_scenes.jsonl"
+    preds, params, tta = tmp_path / "perfect.jsonl", tmp_path / "params.json", tmp_path / "tta.json"
+    perfect_predictions_file(scenes, preds)
+    topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3)), params)
+    tta.write_text(json.dumps([{"scale": 1.0, "traffic": []}]))
+    files = {
+        "corrupt": ["--seed", "0", "--scenes-file", str(scenes), "--out", str(tmp_path / "det.jsonl")],
+        "train": small_train_args(dataset, tmp_path / "run")[1:],
+        "evaluate": ["--predictions", str(preds), "--scenes-file", str(scenes)],
+        "tta-merge": ["--input", str(tta), "--out", str(tmp_path / "merged.json")],
+        "generate": ["--scenes", "4", "--out", str(tmp_path / "gen")],
+        "sweep": ["--seeds", "1", "--params", str(params), "--out", str(tmp_path / "sw"), "--scenes-file", str(scenes)],
+    }[case[0]]
+    flags = {f: v for f, v in zip(files[::2], files[1::2]) if f not in case}
+    if isinstance(case[1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(case[1]))
+        flags = {f: v for f, v in flags.items() if f[2:].replace("-", "_") not in case[1]}
+        case = [case[0], "--config", str(config)]
+    code = run([*case, *(x for item in flags.items() for x in item)])
+    err = capsys.readouterr().err
+    assert code == 2 and field in err, err
+
+
+@pytest.mark.parametrize("split", [(0.5, 0.5), (0.25, 0.25, 0.25, 0.25)], ids=["2-fractions", "4-fractions"])
+def test_generate_takes_exactly_three_split_fractions(tmp_path, capsys, split):
+    lib, cli = tmp_path / "lib", tmp_path / "cli"
+    with pytest.raises(ValueError, match=re.escape("split fractions (train, val, test)")):
+        synthgen.generate_dataset(synthgen.GeneratorConfig(scenes=6), synthgen.NoiseModel(), split, lib)
+    code = run(["generate", "--seed", "0", "--scenes", "6", "--split", ",".join(map(str, split)), "--out", str(cli)])
+    assert code == 2 and "split fractions (train, val, test)" in capsys.readouterr().err
+    for out in (lib, cli):
+        assert not out.exists() or not any(out.iterdir())

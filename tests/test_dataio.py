@@ -327,3 +327,17 @@ def test_prediction_roundtrip_is_bit_exact_at_query_budget(tmp_path):
         assert got.tobytes() == want.tobytes()
         assert got.dtype == np.float64 and got.dtype.isnative and got.flags.writeable
     assert np.signbit(loaded.topo_ll_prob.flat[0]) and loaded.topo_lt_prob.flat[-4] == 5e-324
+
+
+def test_records_compare_field_wise_by_type_and_stay_unhashable():
+    det = make_detection(with_feature=True)
+    pred = PredictionRecord(det.scene_id, det.lanes, det.traffic)
+    assert det == DetectionRecord(det.scene_id, list(det.lanes), list(det.traffic))
+    assert det != pred and pred != det
+    assert pred == PredictionRecord(det.scene_id, det.lanes, det.traffic, np.zeros((0, 0)), np.zeros((0, 0)))
+    assert pred != PredictionRecord(det.scene_id, det.lanes, det.traffic, np.zeros((3, 3)), np.zeros((3, 2)))
+    lane = det.lanes[0]
+    assert lane != PredLane(lane.ctrl, lane.class_score) and PredLane(lane.ctrl, lane.class_score) != lane
+    for record in (det, pred, lane, det.traffic[0], make_scene(), make_scene().lanes[0]):
+        with pytest.raises(TypeError):
+            hash(record)

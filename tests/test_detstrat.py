@@ -154,7 +154,7 @@ def test_tta_idempotent_and_no_high_iou_survivors():
         )
         b = boxes[-1].box
         boxes[-1].box = np.array([min(b[0], b[2]), min(b[1], b[3]), max(b[0], b[2]) + 5, max(b[1], b[3]) + 5])
-    cfg = TtaConfig(scales=(0.7, 1.0, 1.4), merge_iou=0.6)
+    cfg = TtaConfig(merge_iou=0.6)
     merged = tta_merge([(1.0, boxes[:20]), (1.4, [TrafficElement(t.id, t.box * 1.4, t.category, t.confidence) for t in boxes[20:]])], cfg)
     again = tta_merge([(1.0, merged)], cfg)
     assert len(again) == len(merged)
@@ -171,7 +171,5 @@ def test_tta_idempotent_and_no_high_iou_survivors():
 def test_tta_rejects_bad_scale_and_config():
     with pytest.raises(ValueError):
         tta_merge([(0.0, [element()])])
-    with pytest.raises(ValueError):
-        TtaConfig(scales=(0.5,))
     with pytest.raises(ValueError):
         ResampleConfig(min_factor=10, max_factor=5)
