@@ -68,12 +68,13 @@ def _real(value, key: str, field: str = "") -> float:
 
 def _items(value, key: str, convert, size=None, field: str = "") -> tuple:
     """A tuple option: 'a,b' as text or a JSON list, each entry converted;
+    ``size`` is None or ``...`` for any length, or n for exactly n entries;
     one value as text stands for both ends of a pair (``size=2``)."""
     if isinstance(value, str) or (isinstance(value, (int, float)) and not isinstance(value, bool)):
         value = str(value).split(",")
         if size == 2 and len(value) == 1:
             value *= 2
-    if not isinstance(value, (list, tuple)) or size not in (None, len(value)):
+    if not isinstance(value, (list, tuple)) or size not in (None, ..., len(value)):
         form = "'lo,hi' or a list [lo, hi] of two" if size == 2 else "'a,b,...' or a list of"
         raise ValueError(f"{_flag(key, field)} must be {form} numbers, got {value!r}")
     return tuple(convert(v, key, field) for v in value)
@@ -94,6 +95,14 @@ def _config(cls, opts: dict):
             value = convert(value, key, field) if rule.items is None else _items(value, key, convert, rule.items, field)
         kwargs[name] = value
     return cls(**kwargs)
+
+
+def _at_least(opts: dict, key: str, lo: int) -> int:
+    """An integer option that is not a config field, checked against its lower bound."""
+    value = _int(opts[key], key)
+    if value < lo:
+        raise ValueError(f"{_flag(key)} must be >= {lo}, got {value}")
+    return value
 
 
 def _require(opts: dict, *keys: str) -> None:
@@ -121,7 +130,7 @@ def run_corrupt(opts: dict) -> int:
     _require(opts, "seed", "scenes_file", "out")
     scenes = dataio.load_scenes(opts["scenes_file"])
     noise = _config(synthgen.NoiseModel, opts)
-    seed = _config(synthgen.GeneratorConfig, opts).seed
+    seed = _at_least(opts, "seed", 0)
     detections = [synthgen.corrupt_scene(s, noise, [seed, i]) for i, s in enumerate(scenes)]
     dataio.save_detections(detections, opts["out"])
     print(f"corrupted {len(detections)} scenes -> {opts['out']}")
@@ -184,10 +193,8 @@ def run_sweep(opts: dict) -> int:
     if not scenes:
         raise ValueError(f"{opts['scenes_file']}: no scenes to evaluate")
     cfg = _config(metrics.DetMatchConfig, opts)
-    seeds = _int(opts["seeds"], "seeds")
-    if seeds < 1:
-        raise ValueError(f"--seeds must be >= 1, got {seeds}")
-    seed = _config(synthgen.GeneratorConfig, opts).seed
+    seeds = _at_least(opts, "seeds", 1)
+    seed = _at_least(opts, "seed", 0)
     levels_spec = opts.get("levels")
     if isinstance(levels_spec, str):
         levels_spec = json.loads(levels_spec)
@@ -323,7 +330,7 @@ COMMAND_OPTIONS = {
     "tta-merge": ("input", "out", "merge_iou"),
 }
 # defaults of the options that set no config field
-OPTION_DEFAULTS = {"generate": {"split": "0.8,0.1,0.1"}, "sweep": {"seeds": 20}}
+OPTION_DEFAULTS = {"generate": {"split": "0.8,0.1,0.1"}, "sweep": {"seed": 0, "seeds": 20}}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -30,7 +30,12 @@ class CategoryStats:
 class ResampleConfig(Settings):
     freq_threshold: float = setting(0.10, float, "(0, 1]")  # categories rarer than this trigger duplication
     min_factor: int = setting(5, int, "[1, inf)")
-    max_factor: int = setting(20, int, "[min_factor, inf)")
+    max_factor: int = setting(20, int, "[1, inf)")
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.max_factor < self.min_factor:
+            raise ValueError(f"ResampleConfig.max_factor must be >= min_factor={self.min_factor}, got {self.max_factor}")
 
 
 @dataclass

@@ -27,27 +27,22 @@ class Rule:
         self.kind, self.interval, self.optional = kind, interval, optional
         self.items = items  # None: a scalar; n: a sorted n-tuple; ...: a sorted non-empty tuple
         lo, hi = interval[1:-1].split(",")
-        try:
-            self.lo = float(lo)
-        except ValueError:  # the name of an earlier field, whose value is the bound
-            self.lo = lo
-        self.hi = float(hi)
+        self.lo, self.hi = float(lo), float(hi)  # a bound that is no number fails when the class is defined
         self.open_lo, self.open_hi = interval[0] == "(", interval[-1] == ")"
 
-    def _holds(self, v, owner) -> bool:
+    def _holds(self, v) -> bool:
         if isinstance(v, bool) or not isinstance(v, numbers.Integral if self.kind is int else numbers.Real):
             return False
         if not isinstance(v, numbers.Integral) and not math.isfinite(v):
             return False
-        lo = getattr(owner, self.lo) if isinstance(self.lo, str) else self.lo
-        return (lo < v if self.open_lo else lo <= v) and (v < self.hi if self.open_hi else v <= self.hi)
+        return (self.lo < v if self.open_lo else self.lo <= v) and (v < self.hi if self.open_hi else v <= self.hi)
 
-    def holds(self, value, owner) -> bool:
+    def holds(self, value) -> bool:
         if self.items is None:
-            return (self.optional and value is None) or self._holds(value, owner)
+            return (self.optional and value is None) or self._holds(value)
         if not isinstance(value, (tuple, list)) or not value or self.items not in (..., len(value)):
             return False
-        return all(self._holds(v, owner) for v in value) and all(a <= b for a, b in zip(value, value[1:]))
+        return all(self._holds(v) for v in value) and all(a <= b for a, b in zip(value, value[1:]))
 
     def __str__(self) -> str:
         what = "an integer" if self.kind is int else "a finite number"
@@ -70,7 +65,7 @@ class Settings:
     def __post_init__(self):
         for f in fields(self):
             rule, value = f.metadata["rule"], getattr(self, f.name)
-            if not rule.holds(value, self):
+            if not rule.holds(value):
                 raise ValueError(f"{type(self).__name__}.{f.name} must be {rule}, got {value!r}")
             if rule.items is not None:
                 setattr(self, f.name, tuple(value))

@@ -465,6 +465,7 @@ def train(
     permutation reused by every epoch.
     """
     cfg = cfg or HeadConfig()
+    cost_cfg = cost_cfg or assoc.CostConfig()  # built once, not per scene
     if not train_scenes:
         raise ValueError("training set is empty")
     pairs = _pair_by_scene_id(train_scenes, train_detections, "train")

@@ -464,19 +464,23 @@ def test_generate_rejects_non_finite_and_non_integral_settings(tmp_path, capsys,
     "case, field",
     [
         # the CLI read a JSON true as 1.0
-        pytest.param(["corrupt", {"ctrl_sigma": True, "drop_prob": True}], "NoiseModel.ctrl_sigma", id="corrupt-bools"),
-        pytest.param(["train", {"lr": True}], "HeadConfig.lr", id="train-lr-true"),
+        pytest.param(["corrupt", {"ctrl_sigma": True, "drop_prob": True}], "NoiseModel.ctrl_sigma) must be a number", id="corrupt-bools"),
+        pytest.param(["train", {"lr": True}], "HeadConfig.lr) must be a number", id="train-lr-true"),
         pytest.param(
             ["evaluate", {"iou_threshold": True, "lane_thresholds": [True, 2]}],
-            "DetMatchConfig.traffic_iou_threshold",
+            "DetMatchConfig.traffic_iou_threshold) must be a number",
             id="evaluate-bools",
         ),
-        pytest.param(["evaluate", {"lane_thresholds": [True, 2]}], "DetMatchConfig.lane_frechet_thresholds", id="thresholds-bool"),
-        pytest.param(["tta-merge", {"merge_iou": True}], "TtaConfig.merge_iou", id="tta-merge-true"),
+        pytest.param(
+            ["evaluate", {"lane_thresholds": [True, 2]}],
+            "DetMatchConfig.lane_frechet_thresholds) must be a number, got True",
+            id="thresholds-bool",
+        ),
+        pytest.param(["tta-merge", {"merge_iou": True}], "TtaConfig.merge_iou) must be a number", id="tta-merge-true"),
         # numpy rejected a negative seed without naming it
-        pytest.param(["generate", "--seed", "-1"], "GeneratorConfig.seed", id="generate-seed-neg"),
-        pytest.param(["corrupt", "--seed", "-1"], "GeneratorConfig.seed", id="corrupt-seed-neg"),
-        pytest.param(["sweep", "--seed", "-1"], "GeneratorConfig.seed", id="sweep-seed-neg"),
+        pytest.param(["generate", "--seed", "-1"], "GeneratorConfig.seed must be", id="generate-seed-neg"),
+        pytest.param(["corrupt", "--seed", "-1"], "option 'seed' (--seed) must be >= 0", id="corrupt-seed-neg"),
+        pytest.param(["sweep", "--seed", "-1"], "option 'seed' (--seed) must be >= 0", id="sweep-seed-neg"),
         # the library accepted these
         pytest.param((synthgen.GeneratorConfig, {"seed": 1.5}), "GeneratorConfig.seed", id="lib-seed-1.5"),
         pytest.param((synthgen.GeneratorConfig, {"branch_prob": True}), "GeneratorConfig.branch_prob", id="lib-branch_prob-true"),
@@ -540,3 +544,35 @@ def test_generate_takes_exactly_three_split_fractions(tmp_path, capsys, split):
     assert code == 2 and "split fractions (train, val, test)" in capsys.readouterr().err
     for out in (lib, cli):
         assert not out.exists() or not any(out.iterdir())
+
+
+@pytest.mark.parametrize(
+    "args, scored",
+    [
+        pytest.param(["evaluate", "--lane-thresholds", "1,2"], (1.0, 2.0), id="evaluate-flag"),
+        pytest.param(["evaluate", {"lane_thresholds": [1, 2]}], (1.0, 2.0), id="evaluate-config-list"),
+        pytest.param(["evaluate", {"lane_thresholds": "0.5"}], (0.5,), id="evaluate-config-text"),
+        pytest.param(["sweep", "--lane-thresholds", "2"], (2.0,), id="sweep-flag"),
+    ],
+)
+def test_lane_thresholds_option_sets_the_scored_thresholds(dataset, tmp_path, capsys, monkeypatch, args, scored):
+    seen = []
+    evaluate = metrics.evaluate
+    monkeypatch.setattr(metrics, "evaluate", lambda *a: seen.append(a[2].lane_frechet_thresholds) or evaluate(*a))
+    scenes = dataset / "test_scenes.jsonl"
+    preds, params, report = tmp_path / "perfect.jsonl", tmp_path / "params.json", tmp_path / "report.json"
+    perfect_predictions_file(scenes, preds)
+    topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3)), params)
+    files = {
+        "evaluate": ["--predictions", str(preds), "--scenes-file", str(scenes), "--out", str(report)],
+        "sweep": ["--seeds", "1", "--params", str(params), "--scenes-file", str(scenes), "--out", str(tmp_path / "sw")],
+    }[args[0]]
+    if isinstance(args[1], dict):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(args[1]))
+        args = [args[0], "--config", str(config)]
+    code = run([*args, *files])
+    assert code == 0, capsys.readouterr().err
+    assert seen and all(t == scored for t in seen), seen
+    if args[0] == "evaluate":
+        assert tuple(dataio.load_report(report).lane_ap_by_threshold) == scored
