@@ -14,7 +14,7 @@ The package splits into:
 * :mod:`lanetopo.cli` - reproducible batch commands over all of the above
 """
 
-from .assoc import Assignment, CostConfig, focal_loss, greedy_metric_match, hungarian_solve, match_for_training
+from .assoc import CostConfig, focal_loss, greedy_metric_match, hungarian_solve, match_for_training
 from .dataio import (
     DetectionRecord,
     GtLane,
@@ -39,7 +39,6 @@ from .topoheads import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Assignment",
     "CostConfig",
     "DetectionRecord",
     "DetMatchConfig",

@@ -10,14 +10,16 @@ Two matching regimes live here:
   standard detection-AP protocol used by the metrics.
 
 Both take a whole scene's preds x GT matrix; the greedy matcher also
-takes a stack of them and walks rank r of every matrix at once. Either
-matching projects the GT topology onto prediction indices
+takes a stack of them and walks rank r of every matrix at once. Both
+return a matching in one form: an int array over the predictions whose
+entry i is the GT index that prediction i took, or -1 when it took none.
+Either matching projects the GT topology onto prediction indices
 (:func:`project_edges`): the training labels and the TOP hits.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -35,15 +37,6 @@ class CostConfig(Settings):
     w_l1: float = setting(0.0075, float, "[0, inf)")
     focal_alpha: float = setting(0.25, float, "[0, 1]")
     focal_gamma: float = setting(2.0, float, "[0, inf)")
-
-
-@dataclass
-class Assignment:
-    """Injective partial map prediction-index -> gt-index."""
-
-    pairs: dict[int, int] = field(default_factory=dict)
-    unmatched_preds: list[int] = field(default_factory=list)
-    unmatched_gts: list[int] = field(default_factory=list)
 
 
 def focal_loss(prob, target, alpha: float = 0.25, gamma: float = 2.0):
@@ -70,8 +63,9 @@ def focal_loss(prob, target, alpha: float = 0.25, gamma: float = 2.0):
     return loss, grad
 
 
-def hungarian_solve(cost) -> Assignment:
-    """Minimum-total-cost injective assignment of min(R, C) pairs.
+def hungarian_solve(cost) -> np.ndarray:
+    """Minimum-total-cost injective assignment of min(R, C) pairs: each
+    row's column, or -1 for a row left unmatched.
 
     Shortest augmenting paths (Crouse, IEEE TAES 2016) over the smaller
     side; when rows > cols the matrix is solved transposed, with no dummy
@@ -90,17 +84,21 @@ def hungarian_solve(cost) -> Assignment:
 
     mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(initial=0.0))[1])
     transposed = rows > cols
-    owners = _augment(mat.T if transposed else mat)
-    matched = [(s, o) for o, s in enumerate(owners) if s >= 0]  # (smaller-side, larger-side) index
-    pairs = dict(sorted((o, s) if transposed else (s, o) for s, o in matched))
-    return Assignment(
-        pairs=pairs,
-        unmatched_preds=[r for r in range(rows) if r not in pairs],
-        unmatched_gts=sorted(set(range(cols)) - set(pairs.values())),
-    )
+    owners = _augment(mat.T if transposed else mat)  # each larger-side index's partner
+    return owners if transposed else invert_match(owners, rows)
 
 
-def _augment(cost: np.ndarray) -> list[int]:
+def invert_match(match: np.ndarray, size: int) -> np.ndarray:
+    """The other side's view of a matching: entry g of the result is the
+    index whose ``match`` entry is g, or -1 when none is; ``size`` is the
+    other side's length."""
+    out = np.full(size, -1)
+    taken = np.flatnonzero(match >= 0)
+    out[match[taken]] = taken
+    return out
+
+
+def _augment(cost: np.ndarray) -> np.ndarray:
     """Assign every row (rows <= cols); returns each column's row or -1."""
     n, m = cost.shape
     inf = float("inf")
@@ -137,10 +135,10 @@ def _augment(cost: np.ndarray) -> list[int]:
             job[c_cur] = job[c]
             c_cur = c
 
-    return job[:m].tolist()
+    return job[:m]
 
 
-def _training_match(scores, l1: np.ndarray, cfg: CostConfig) -> Assignment:
+def _training_match(scores, l1: np.ndarray, cfg: CostConfig) -> np.ndarray:
     """Hungarian match on the DETR-style cost: a weighted focal term of the
     positive class, which depends only on the prediction, plus the
     weighted mean-L1 geometry matrix."""
@@ -150,7 +148,7 @@ def _training_match(scores, l1: np.ndarray, cfg: CostConfig) -> Assignment:
 
 def match_for_training(
     preds: Sequence[PredLane], gts: Sequence[GtLane], cfg: CostConfig | None = None
-) -> Assignment:
+) -> np.ndarray:
     """Optimal prediction/GT lane matching for topology supervision.
 
     No distance gating: every prediction up to min(|preds|, |gts|) gets a
@@ -166,7 +164,7 @@ def match_for_training(
 
 def match_traffic_for_training(
     preds: Sequence[TrafficElement], gts: Sequence[TrafficElement], cfg: CostConfig | None = None
-) -> Assignment:
+) -> np.ndarray:
     """Same cost structure for traffic elements, with mean-L1 over box corners."""
     cfg = cfg or CostConfig()
     boxes = np.array([p.box for p in preds], dtype=float).reshape(-1, 4)
@@ -175,29 +173,32 @@ def match_traffic_for_training(
     return _training_match([p.confidence for p in preds], l1, cfg)
 
 
-def project_edges(
-    lane_pairs: dict[int, int], traffic_pairs: dict[int, int], scene: SceneRecord, n: int, t: int
-) -> tuple[np.ndarray, np.ndarray]:
+def project_edges(lane_match, traffic_match, scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
     """Project a scene's GT topology onto prediction indices through the
-    matchings ``{pred index: GT index}`` of its lanes and traffic elements.
+    matchings of its n predicted lanes and t traffic elements (each entry
+    a GT index, -1 for an unmatched prediction).
 
     Entry (i, j) of the bool (n, n) lane-lane matrix is True iff
     predictions i and j are matched and their GT lanes form an edge; the
     (n, t) lane-traffic matrix is analogous. Rows and columns of unmatched
     predictions stay False.
     """
-    for kind, pairs, size, gts in (("lane", lane_pairs, n, scene.lanes), ("traffic", traffic_pairs, t, scene.traffic)):
-        for p, g in pairs.items():
-            if not (0 <= p < size and 0 <= g < len(gts)):
-                raise IndexError(f"{kind} assignment ({p} -> {g}) out of range")
-    lane_pred = {scene.lanes[g].id: p for p, g in lane_pairs.items()}
-    traffic_pred = {scene.traffic[g].id: p for p, g in traffic_pairs.items()}
-    ll = np.zeros((n, n), dtype=bool)
-    lt = np.zeros((n, t), dtype=bool)
-    for out, edges, right in ((ll, scene.topo_ll, lane_pred), (lt, scene.topo_lt, traffic_pred)):
+    lane_match, traffic_match = np.asarray(lane_match, dtype=int), np.asarray(traffic_match, dtype=int)
+    for kind, match, gts in (("lane", lane_match, scene.lanes), ("traffic", traffic_match, scene.traffic)):
+        bad = np.flatnonzero((match < -1) | (match >= len(gts)))
+        if bad.size:
+            raise IndexError(f"{kind} match ({bad[0]} -> {match[bad[0]]}) outside [-1, {len(gts)})")
+    lane_at = {lane.id: g for g, lane in enumerate(scene.lanes)}  # GT id -> position
+    traffic_at = {te.id: g for g, te in enumerate(scene.traffic)}
+    lane_owner = invert_match(lane_match, len(scene.lanes)).tolist()  # GT position -> prediction
+    traffic_owner = invert_match(traffic_match, len(scene.traffic)).tolist()
+    ll = np.zeros((len(lane_match),) * 2, dtype=bool)
+    lt = np.zeros((len(lane_match), len(traffic_match)), dtype=bool)
+    for out, edges, at, owner in ((ll, scene.topo_ll, lane_at, lane_owner), (lt, scene.topo_lt, traffic_at, traffic_owner)):
         for a, b in edges:
-            if a in lane_pred and b in right:
-                out[lane_pred[a], right[b]] = True
+            i, j = lane_owner[lane_at[a]], owner[at[b]]
+            if i >= 0 and j >= 0:
+                out[i, j] = True
     return ll, lt
 
 

@@ -186,6 +186,32 @@ def run_evaluate(opts: dict) -> int:
     return 0
 
 
+def _levels(spec) -> list:
+    """The sweep's noise levels from a non-empty list of objects (or its
+    JSON text), each built through the ``NoiseModel`` rules; an error names
+    the level and the key."""
+    if isinstance(spec, str):
+        try:
+            spec = json.loads(spec)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{_flag('levels')} must be JSON: {exc}") from exc
+    if not isinstance(spec, (list, tuple)) or not spec:
+        raise ValueError(f"{_flag('levels')} must be a non-empty list of objects, got {spec!r}")
+    levels = []
+    for idx, level in enumerate(spec):
+        where = f"{_flag('levels')} level {idx}"
+        if not isinstance(level, dict):
+            raise ValueError(f"{where} must be an object, got {level!r}")
+        unknown = sorted(set(level) - set(NOISE_KEYS))
+        if unknown:
+            raise ValueError(f"{where}: unknown key {unknown[0]!r}, expected one of {list(NOISE_KEYS)}")
+        try:
+            levels.append(_config(synthgen.NoiseModel, level))
+        except ValueError as exc:
+            raise ValueError(f"{where}: {exc}") from exc
+    return levels
+
+
 def run_sweep(opts: dict) -> int:
     _require(opts, "params", "scenes_file", "out")
     params = topoheads.load_params(opts["params"])
@@ -195,18 +221,13 @@ def run_sweep(opts: dict) -> int:
     cfg = _config(metrics.DetMatchConfig, opts)
     seeds = _at_least(opts, "seeds", 1)
     seed = _at_least(opts, "seed", 0)
-    levels_spec = opts.get("levels")
-    if isinstance(levels_spec, str):
-        levels_spec = json.loads(levels_spec)
-    if levels_spec is None:
-        levels_spec = [dict(l) for l in DEFAULT_SWEEP_LEVELS]
+    levels = _levels(opts.get("levels", DEFAULT_SWEEP_LEVELS))
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
     rows = []
     detail = []
-    for level_idx, level in enumerate(levels_spec):
-        noise = synthgen.NoiseModel(**level)
+    for level_idx, noise in enumerate(levels):
         per_seed = []
         for rep in range(seeds):
             preds_in = [

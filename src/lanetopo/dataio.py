@@ -214,10 +214,7 @@ def validate_scene(scene: SceneRecord, control_points: int | None = None) -> Non
 
 
 def validate_detection(
-    record: DetectionRecord,
-    control_points: int | None = None,
-    max_lanes: int = DEFAULT_QUERY_BUDGET,
-    feature_width: int | None = None,
+    record: DetectionRecord, control_points: int | None = None, max_lanes: int = DEFAULT_QUERY_BUDGET
 ) -> None:
     if len(record.lanes) > max_lanes:
         raise ValidationError(
@@ -234,12 +231,6 @@ def validate_detection(
         if not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(
                 record.scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]"
-            )
-        if lane.feature is not None and feature_width is not None and lane.feature.shape != (feature_width,):
-            raise ValidationError(
-                record.scene_id,
-                "lanes.feature",
-                f"feature width {lane.feature.shape} != configured {feature_width}",
             )
     _check_traffic(record.scene_id, record.traffic, require_ids=False)
     if isinstance(record, PredictionRecord):
@@ -375,7 +366,9 @@ def detection_from_obj(obj: dict) -> DetectionRecord:
 # file I/O
 
 
-def _load_lines(path, parse_obj, validate):
+def _load_lines(path, parse_obj, validate, control_points: int | None):
+    """Parse and validate every non-blank line; a ``control_points`` of
+    None is set from the first lane of the file."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -383,7 +376,10 @@ def _load_lines(path, parse_obj, validate):
                 continue
             try:
                 record = parse_obj(json.loads(line))
-                validate(record)
+                # a first lane with no point list infers nothing; its validation names it
+                if control_points is None and record.lanes and np.ndim(record.lanes[0].ctrl):
+                    control_points = np.shape(record.lanes[0].ctrl)[0]
+                validate(record, control_points)
             except ValidationError as exc:
                 raise ValidationError(exc.scene_id, exc.field, exc.message, f"{path}:{line_no}") from exc
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
@@ -398,29 +394,12 @@ def load_scenes(path, control_points: int | None = None) -> list[SceneRecord]:
     When ``control_points`` is None, the count is inferred from the first
     lane and then enforced across the file.
     """
-    inferred = [control_points]
-
-    def validate(scene):
-        if inferred[0] is None and scene.lanes:
-            inferred[0] = np.asarray(scene.lanes[0].ctrl).shape[0]
-        validate_scene(scene, control_points=inferred[0])
-
-    return _load_lines(path, scene_from_obj, validate)
+    return _load_lines(path, scene_from_obj, validate_scene, control_points)
 
 
-def load_detections(
-    path,
-    control_points: int | None = None,
-    max_lanes: int = DEFAULT_QUERY_BUDGET,
-) -> list[DetectionRecord]:
-    inferred = [control_points]
-
-    def validate(rec):
-        if inferred[0] is None and rec.lanes:
-            inferred[0] = np.asarray(rec.lanes[0].ctrl).shape[0]
-        validate_detection(rec, control_points=inferred[0], max_lanes=max_lanes)
-
-    return _load_lines(path, detection_from_obj, validate)
+def load_detections(path, control_points: int | None = None) -> list[DetectionRecord]:
+    """:func:`load_scenes` for a detections or predictions file."""
+    return _load_lines(path, detection_from_obj, validate_detection, control_points)
 
 
 def save_scenes(scenes: Iterable[SceneRecord], path) -> None:

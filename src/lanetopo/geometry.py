@@ -59,9 +59,10 @@ def as_box(box, batch: bool = False) -> np.ndarray:
         raise ValueError(f"box must have 4 coordinates, got {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("box coordinates must be finite")
-    for x1, y1, x2, y2 in b.reshape(-1, 4).tolist():
-        if not (x1 < x2 and y1 < y2):
-            raise ValueError(f"degenerate box {[x1, y1, x2, y2]}: need x1 < x2 and y1 < y2")
+    flat = b.reshape(-1, 4)
+    bad = flat[:, :2] >= flat[:, 2:]  # all finite here, so >= is "not <"
+    if bad.any():
+        raise ValueError(f"degenerate box {flat[bad.any(axis=1)][0].tolist()}: need x1 < x2 and y1 < y2")
     return b
 
 

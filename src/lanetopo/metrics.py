@@ -117,18 +117,10 @@ def _padded_stack(flat: np.ndarray, group: np.ndarray, rank: np.ndarray, shape) 
     return out
 
 
-def _matched_pairs(match, group, rank, p_scene, p_idx, gt_idx_at, scene_ids):
-    """Per-scene (pred index, GT index) pairs of a greedy ``match`` stack,
-    in group order then rank order; prediction k sits at (group[k],
-    rank[k]) and ``gt_idx_at[g, col]`` is the GT index of column ``col``."""
-    pred_at = np.zeros(match.shape, dtype=int)
-    pred_at[group, rank] = np.arange(len(group))
-    g, r = np.nonzero(match >= 0)
-    k = pred_at[g, r]
-    pairs = {sid: [] for sid in scene_ids}
-    for s, p, q in zip(p_scene[k].tolist(), p_idx[k].tolist(), gt_idx_at[g, match[g, r]].tolist()):
-        pairs[scene_ids[s]].append((p, q))
-    return pairs
+def _by_scene(aligned, flat_match: np.ndarray, counts: np.ndarray) -> dict:
+    """``{scene_id: match}`` from the concatenated per-scene matches of
+    the aligned scenes, whose lengths are ``counts``."""
+    return dict(zip((gt.scene_id for gt, _ in aligned), np.split(flat_match, np.cumsum(counts)[:-1])))
 
 
 def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
@@ -141,8 +133,9 @@ def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
     any other pair exceeds every threshold, see ``frechet_lower_bound``),
     and one greedy pass over the +inf-padded (threshold, scene) stack.
 
-    Returns (score, per-threshold breakdown, per-scene matched pairs at
-    the loosest threshold).
+    Returns (score, per-threshold breakdown, ``{scene_id: match}`` at the
+    loosest threshold, each match the GT index of every predicted lane in
+    input order, -1 for a false positive).
     """
     cfg = cfg or DetMatchConfig()
     aligned = _align(predictions, gts)
@@ -171,10 +164,7 @@ def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
         tau: _pooled_ap(f[p_scene, rank], conf, p_scene, p_idx, num_gt) for tau, f in zip(thresholds, flags)
     }
     score = float(np.mean(list(breakdown.values())))
-    scene_ids = [gt.scene_id for gt, _ in aligned]
-    gt_idx_at = np.broadcast_to(np.arange(shape[2]), shape[::2])
-    loose_pairs = _matched_pairs(match[-1], p_scene, rank, p_scene, p_idx, gt_idx_at, scene_ids)
-    return score, breakdown, loose_pairs
+    return score, breakdown, _by_scene(aligned, match[-1][p_scene, rank], n)
 
 
 def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
@@ -186,7 +176,9 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     matrix (IoU is a similarity: negating it and its threshold is exact),
     stacked with +inf padding.
 
-    Returns (score, per-attribute breakdown, per-scene matched pairs).
+    Returns (score, per-attribute breakdown, ``{scene_id: match}``, each
+    match the GT index of every predicted element in input order, -1 for a
+    false positive).
     """
     cfg = cfg or DetMatchConfig()
     aligned = _align(predictions, gts)
@@ -223,11 +215,10 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
         sel = p_cat == cat
         breakdown[cat] = _pooled_ap(p_flags[sel], conf[sel], p_scene[sel], p_idx[sel], gt_count_by_cat[cat])
     score = float(np.mean(list(breakdown.values()))) if breakdown else 1.0
-    gt_idx_at = np.zeros(shape[::2], dtype=int)
+    # each group column's GT index, and -1 in a last column for a miss to index
+    gt_idx_at = np.full((shape[0], shape[2] + 1), -1)
     gt_idx_at[g_group, g_col] = g_idx
-    scene_ids = [gt.scene_id for gt, _ in aligned]
-    pairs_by_scene = _matched_pairs(match, p_group, p_rank, p_scene, p_idx, gt_idx_at, scene_ids)
-    return score, breakdown, pairs_by_scene
+    return score, breakdown, _by_scene(aligned, gt_idx_at[p_group, match[p_group, p_rank]], n)
 
 
 # ---------------------------------------------------------------------------
@@ -240,21 +231,22 @@ def _ranked_ap(prob: np.ndarray, hits: np.ndarray, num_gt: int) -> float:
     return average_precision(hits[np.argsort(-prob, kind="stable")].tolist(), num_gt)
 
 
-def _vertex_aps(prediction, gt: SceneRecord, lane_pairs: dict[int, int], traffic_pairs: dict[int, int]):
+def _vertex_aps(prediction, gt: SceneRecord, lane_match: np.ndarray, traffic_match: np.ndarray):
     """Per-GT-vertex topology APs of one scene: (lane-lane, lane-traffic).
 
-    ``lane_pairs``/``traffic_pairs`` map prediction to GT index, from the
-    detection-level greedy match at the loosest threshold. Every GT vertex
-    with incident edges is scored on its matched prediction's probability
-    row (a traffic vertex: its column of the lane-traffic matrix) against
-    the same slice of the GT edges projected through the matchings; a lane
-    vertex ranks its outgoing row, diagonal dropped, before its incoming
-    column, so ties go outgoing first, then to the lowest prediction
-    index. A vertex whose entity went undetected scores 0. Lane-traffic
-    lists the lane vertices, then the traffic vertices.
+    ``lane_match``/``traffic_match`` hold each prediction's GT index (-1
+    for none), from the detection-level greedy match at the loosest
+    threshold. Every GT vertex with incident edges is scored on its
+    matched prediction's probability row (a traffic vertex: its column of
+    the lane-traffic matrix) against the same slice of the GT edges
+    projected through the matchings; a lane vertex ranks its outgoing row,
+    diagonal dropped, before its incoming column, so ties go outgoing
+    first, then to the lowest prediction index. A vertex whose entity went
+    undetected scores 0. Lane-traffic lists the lane vertices, then the
+    traffic vertices.
     """
-    n, t = len(prediction.lanes), len(prediction.traffic)
-    ll_hits, lt_hits = assoc.project_edges(lane_pairs, traffic_pairs, gt, n, t)
+    n = len(prediction.lanes)
+    ll_hits, lt_hits = assoc.project_edges(lane_match, traffic_match, gt)
     ll_prob, lt_prob = prediction.topo_ll_prob, prediction.topo_lt_prob
 
     def lane_lane(i):
@@ -264,19 +256,21 @@ def _vertex_aps(prediction, gt: SceneRecord, lane_pairs: dict[int, int], traffic
             np.concatenate([ll_hits[i, others], ll_hits[others, i]]),
         )
 
-    def aps(entities, pairs, degree, candidates):
-        detected = {g: p for p, g in pairs.items()}
+    def aps(entities, owner, degree, candidates):
         return [
-            _ranked_ap(*candidates(detected[pos]), degree[e.id]) if pos in detected else 0.0
+            _ranked_ap(*candidates(owner[pos]), degree[e.id]) if owner[pos] >= 0 else 0.0
             for pos, e in enumerate(entities)
             if degree[e.id]
         ]
 
+    # each GT entity's prediction index, -1 when none took it
+    lane_owner = assoc.invert_match(lane_match, len(gt.lanes)).tolist()
+    traffic_owner = assoc.invert_match(traffic_match, len(gt.traffic)).tolist()
     ll_degree = Counter(v for edge in gt.topo_ll for v in edge)
     lane_degree, traffic_degree = Counter(a for a, _ in gt.topo_lt), Counter(k for _, k in gt.topo_lt)
-    ll_aps = aps(gt.lanes, lane_pairs, ll_degree, lane_lane)
-    lt_aps = aps(gt.lanes, lane_pairs, lane_degree, lambda i: (lt_prob[i], lt_hits[i]))
-    lt_aps += aps(gt.traffic, traffic_pairs, traffic_degree, lambda k: (lt_prob[:, k], lt_hits[:, k]))
+    ll_aps = aps(gt.lanes, lane_owner, ll_degree, lane_lane)
+    lt_aps = aps(gt.lanes, lane_owner, lane_degree, lambda i: (lt_prob[i], lt_hits[i]))
+    lt_aps += aps(gt.traffic, traffic_owner, traffic_degree, lambda k: (lt_prob[:, k], lt_hits[:, k]))
     return ll_aps, lt_aps
 
 
@@ -293,12 +287,12 @@ def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricRepor
     if not gts:
         raise ValueError("no scenes to evaluate")
     cfg = cfg or DetMatchConfig()
-    detl, lane_breakdown, lane_pairs = det_l(predictions, gts, cfg)
-    dett, traffic_breakdown, traffic_pairs = det_t(predictions, gts, cfg)
+    detl, lane_breakdown, lane_match = det_l(predictions, gts, cfg)
+    dett, traffic_breakdown, traffic_match = det_t(predictions, gts, cfg)
     ll_aps: list[float] = []
     lt_aps: list[float] = []
     for gt, pred in _align(predictions, gts):
-        ll, lt = _vertex_aps(pred, gt, dict(lane_pairs[gt.scene_id]), dict(traffic_pairs[gt.scene_id]))
+        ll, lt = _vertex_aps(pred, gt, lane_match[gt.scene_id], traffic_match[gt.scene_id])
         ll_aps += ll
         lt_aps += lt
     top_ll = float(np.mean(ll_aps)) if ll_aps else 1.0

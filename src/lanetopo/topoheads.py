@@ -409,9 +409,9 @@ def scene_loss_and_grads(
     ll_z, ll_cache = ll_logits(lane_feats, params)
     lt_z, lt_cache = lt_logits(lane_feats, traffic_feats, params)
 
-    lane_assign = assoc.match_for_training(detection.lanes, scene.lanes, cost_cfg)
-    traffic_assign = assoc.match_traffic_for_training(detection.traffic, scene.traffic, cost_cfg)
-    ll_labels, lt_labels = assoc.project_edges(lane_assign.pairs, traffic_assign.pairs, scene, n, t)
+    lane_match = assoc.match_for_training(detection.lanes, scene.lanes, cost_cfg)
+    traffic_match = assoc.match_traffic_for_training(detection.traffic, scene.traffic, cost_cfg)
+    ll_labels, lt_labels = assoc.project_edges(lane_match, traffic_match, scene)
 
     off_diag = ~np.eye(n, dtype=bool) if n else np.zeros((0, 0), dtype=bool)
     n_ll = int(off_diag.sum())

@@ -144,8 +144,8 @@ def test_criterion_2_oracle_equivalence():
     for _ in range(200):
         r, c = rng.integers(1, 7, size=2)
         cost = rng.uniform(-10, 10, size=(int(r), int(c)))
-        assignment = hungarian_solve(cost)
-        total = sum(cost[i, j] for i, j in assignment.pairs.items())
+        match = hungarian_solve(cost)
+        total = sum(cost[i, j] for i, j in enumerate(match.tolist()) if j >= 0)
         assert abs(total - brute_assignment_cost(cost)) <= 1e-9
 
     for pattern in range(2**12):

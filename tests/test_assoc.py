@@ -13,13 +13,20 @@ import pytest
 import lanetopo
 from lanetopo import assoc
 from lanetopo.assoc import (
-    Assignment,
     greedy_metric_match,
     hungarian_solve,
+    invert_match,
     match_for_training,
 )
 from lanetopo.dataio import GtLane, PredLane
 from lanetopo.geometry import box_iou, frechet_distance
+
+
+def test_every_public_name_resolves():
+    for module in (lanetopo, lanetopo.geometry, lanetopo.metrics):
+        missing = [name for name in module.__all__ if not hasattr(module, name)]
+        assert missing == [] and len(set(module.__all__)) == len(module.__all__), module.__name__
+    assert "Assignment" not in lanetopo.__all__  # a matching is a per-prediction int array
 
 
 def brute_min_cost(cost):
@@ -36,27 +43,24 @@ def brute_min_cost(cost):
     return best
 
 
-def total_cost(cost, assignment: Assignment):
-    return sum(cost[r][c] for r, c in assignment.pairs.items())
+def total_cost(cost, match):
+    return sum(cost[r][c] for r, c in enumerate(match.tolist()) if c >= 0)
 
 
 def test_hungarian_singleton():
     a = hungarian_solve([[7.0]])
-    assert a.pairs == {0: 0}
-    assert a.unmatched_preds == [] and a.unmatched_gts == []
+    assert a.dtype.kind == "i" and a.tolist() == [0]
 
 
 def test_hungarian_hand_case():
     # identity total 5 vs crossed total 4
-    a = hungarian_solve([[1.0, 2.0], [2.0, 4.0]])
-    assert a.pairs == {0: 1, 1: 0}
+    assert hungarian_solve([[1.0, 2.0], [2.0, 4.0]]).tolist() == [1, 0]
 
 
 def test_hungarian_prefers_zero_diagonal():
     cost = np.ones((4, 4))
     np.fill_diagonal(cost, 0.0)
-    a = hungarian_solve(cost)
-    assert a.pairs == {i: i for i in range(4)}
+    assert hungarian_solve(cost).tolist() == [0, 1, 2, 3]
 
 
 def test_hungarian_rejects_nan_and_inf():
@@ -68,9 +72,13 @@ def test_hungarian_rejects_nan_and_inf():
 
 def test_hungarian_empty_sides():
     a = hungarian_solve(np.zeros((0, 3)))
-    assert a.pairs == {} and a.unmatched_gts == [0, 1, 2]
-    b = hungarian_solve(np.zeros((2, 0)))
-    assert b.pairs == {} and b.unmatched_preds == [0, 1]
+    assert a.shape == (0,) and invert_match(a, 3).tolist() == [-1, -1, -1]
+    assert hungarian_solve(np.zeros((2, 0))).tolist() == [-1, -1]
+
+
+def test_invert_match_gives_each_gt_its_prediction():
+    assert invert_match(np.array([2, -1, 0]), 4).tolist() == [2, -1, 0, -1]
+    assert invert_match(np.array([-1, -1]), 0).tolist() == []
 
 
 def test_hungarian_matches_bruteforce_square_and_rect():
@@ -80,8 +88,8 @@ def test_hungarian_matches_bruteforce_square_and_rect():
         c = int(rng.integers(1, 7))
         cost = rng.uniform(-10, 10, size=(r, c))
         a = hungarian_solve(cost)
-        assert len(a.pairs) == min(r, c)
-        cols = list(a.pairs.values())
+        assert a.shape == (r,) and (a >= 0).sum() == min(r, c)
+        cols = a[a >= 0].tolist()
         assert len(set(cols)) == len(cols)  # injective
         assert total_cost(cost, a) == pytest.approx(brute_min_cost(cost), abs=1e-9)
 
@@ -90,7 +98,7 @@ def test_hungarian_scale_invariance_of_assignment():
     rng = np.random.default_rng(29)
     for _ in range(30):
         cost = rng.uniform(0, 5, size=(5, 5))
-        assert hungarian_solve(cost).pairs == hungarian_solve(3.7 * cost).pairs
+        assert np.array_equal(hungarian_solve(cost), hungarian_solve(3.7 * cost))
 
 
 def test_hungarian_deterministic():
@@ -98,10 +106,7 @@ def test_hungarian_deterministic():
     cost = rng.uniform(size=(6, 4))
     first = hungarian_solve(cost)
     for _ in range(5):
-        again = hungarian_solve(cost)
-        assert again.pairs == first.pairs
-        assert again.unmatched_preds == first.unmatched_preds
-        assert again.unmatched_gts == first.unmatched_gts
+        assert np.array_equal(hungarian_solve(cost), first)
 
 
 def test_hungarian_terminates_on_huge_finite_costs():
@@ -111,7 +116,7 @@ def test_hungarian_terminates_on_huge_finite_costs():
         "import numpy as np\n"
         "from lanetopo.assoc import hungarian_solve\n"
         "for shape in ((6, 3), (3, 6)):\n"
-        "    assert len(hungarian_solve(np.full(shape, 1e307)).pairs) == 3\n"
+        "    assert (hungarian_solve(np.full(shape, 1e307)) >= 0).sum() == 3\n"
     )
     src = str(Path(lanetopo.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
@@ -121,10 +126,9 @@ def test_hungarian_terminates_on_huge_finite_costs():
 def test_hungarian_tie_rule_when_rows_exceed_cols():
     # the smaller side (columns here) is processed in ascending order and
     # each tie goes to the lowest row index
-    assert hungarian_solve([[1.0], [1.0]]).pairs == {0: 0}
-    assert hungarian_solve(np.zeros((3, 2))).pairs == {0: 0, 1: 1}
-    a = hungarian_solve([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]])
-    assert a.pairs == {0: 1, 1: 0} and a.unmatched_preds == [2]
+    assert hungarian_solve([[1.0], [1.0]]).tolist() == [0, -1]
+    assert hungarian_solve(np.zeros((3, 2))).tolist() == [0, 1, -1]
+    assert hungarian_solve([[2.0, 0.0], [0.0, 2.0], [0.0, 0.0]]).tolist() == [1, 0, -1]
 
 
 def test_hungarian_potentials_stay_finite_near_float_max():
@@ -136,8 +140,8 @@ def test_hungarian_potentials_stay_finite_near_float_max():
         cost = rng.choice([-1.7e308, -1e308, 1e308, 1.7e308], size=(r, c))
         with np.errstate(over="raise", invalid="raise"):
             a = hungarian_solve(cost)
-        assert len(a.pairs) == min(r, c)
-        assert len(set(a.pairs.values())) == min(r, c)
+        assert (a >= 0).sum() == min(r, c)
+        assert len(set(a[a >= 0].tolist())) == min(r, c)
         if r * c <= 16:
             scaled = np.ldexp(cost, -1024)
             assert total_cost(scaled, a) == pytest.approx(brute_min_cost(scaled), rel=1e-12)
@@ -150,7 +154,7 @@ def test_hungarian_matches_scipy(shape):
     cost = rng.uniform(-5.0, 5.0, size=shape)
     a = hungarian_solve(cost)
     rows, cols = optimize.linear_sum_assignment(cost)
-    assert len(a.pairs) == min(shape)
+    assert (a >= 0).sum() == min(shape)
     assert total_cost(cost, a) == pytest.approx(cost[rows, cols].sum(), abs=1e-9)
 
 
@@ -230,16 +234,14 @@ def test_match_for_training_identity_on_copies(monkeypatch):
     gts = [GtLane(id=i, ctrl=rng.normal(scale=10, size=(4, 3))) for i in range(4)]
     preds = [make_lane(g.ctrl, 1.0) for g in gts]
     a = match_for_training(preds, gts)
-    assert a.pairs == {i: i for i in range(4)}
+    assert a.tolist() == [0, 1, 2, 3]
     cost = training_cost(monkeypatch, preds, gts)
-    total = sum(cost[i, j] for i, j in a.pairs.items())
-    assert total == pytest.approx(0.0, abs=1e-12)
+    assert total_cost(cost, a) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_match_for_training_no_gts():
     preds = [make_lane(np.zeros((4, 3)))] * 3
-    a = match_for_training(preds, [])
-    assert a.pairs == {} and a.unmatched_preds == [0, 1, 2]
+    assert match_for_training(preds, []).tolist() == [-1, -1, -1]
 
 
 def test_match_for_training_crossed():
@@ -247,7 +249,7 @@ def test_match_for_training_crossed():
     gt1 = GtLane(id=1, ctrl=np.full((4, 3), 10.0))
     # pred0 sits near gt1, pred1 near gt0
     a = match_for_training([make_lane(gt1.ctrl + 0.1), make_lane(gt0.ctrl + 0.1)], [gt0, gt1])
-    assert a.pairs == {0: 1, 1: 0}
+    assert a.tolist() == [1, 0]
 
 
 def frechet_matrix(preds, gts):

@@ -381,6 +381,33 @@ def test_sweep_high_noise_degrades_detection(dataset, trained, tmp_path, capsys)
     assert levels[0]["mean"]["det_t"] >= levels[1]["mean"]["det_t"]
 
 
+@pytest.mark.parametrize(
+    "levels, code, named",
+    [
+        pytest.param('[{"ctrl_sigma": 0.1}, {"bogus": 1}]', 2, ["level 1", "'bogus'"], id="unknown-key"),
+        pytest.param('{"ctrl_sigma": 1}', 2, ["--levels", "non-empty list of objects"], id="object-not-list"),
+        pytest.param('["x"]', 2, ["level 0", "'x'"], id="entry-not-object"),
+        pytest.param("[]", 2, ["--levels", "non-empty list of objects"], id="empty-list"),
+        pytest.param('[{"ctrl_sigma": 1', 2, ["--levels", "must be JSON"], id="not-json"),
+        pytest.param('[{"ctrl_sigma": "0.5"}]', 0, [], id="numeric-string"),
+    ],
+)
+def test_sweep_levels_go_through_the_noise_rules(dataset, tmp_path, capsys, levels, code, named):
+    params = tmp_path / "params.json"
+    topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3)), params)
+    out = tmp_path / "sw"
+    argv = ["sweep", "--params", str(params), "--scenes-file", str(dataset / "test_scenes.jsonl")]
+    got = run([*argv, "--out", str(out), "--seeds", "1", "--levels", levels])
+    err = capsys.readouterr().err
+    assert got == code, err
+    assert all(part in err for part in named), err
+    if code:
+        assert not out.exists()
+    else:
+        (level,) = json.loads((out / "sweep.json").read_text())["levels"]
+        assert level["noise"]["ctrl_sigma"] == 0.5
+
+
 def test_stats_and_resample_commands(dataset, tmp_path, capsys):
     hist_path = tmp_path / "hist.json"
     assert run(["stats", "--scenes-file", str(dataset / "train_scenes.jsonl"), "--out", str(hist_path)]) == 0

@@ -159,6 +159,31 @@ def test_mixed_control_point_counts_rejected(tmp_path):
         dataio.load_scenes(p)
 
 
+@pytest.mark.parametrize("kind", ["scene", "det"])
+def test_loaders_infer_the_control_point_count_from_the_first_lane(tmp_path, kind):
+    save, load, make, to_obj = {
+        "scene": (dataio.save_scenes, dataio.load_scenes, make_scene, dataio.scene_to_obj),
+        "det": (dataio.save_detections, dataio.load_detections, make_detection, dataio.detection_to_obj),
+    }[kind]
+    first, later = make("s-1"), make()
+    first.lanes = []  # a record without lanes infers nothing
+    if kind == "scene":
+        first.topo_ll, first.topo_lt = set(), set()
+    later.lanes[1].ctrl = np.zeros((5, 3))
+    p = tmp_path / "records.jsonl"
+    save([first, make("s-2"), later], p)
+    with pytest.raises(ValidationError, match=":3: .*field 'lanes.ctrl'.* 5 control points, expected 4"):
+        load(p)
+    with pytest.raises(ValidationError, match=":2: .*4 control points, expected 5"):
+        load(p, control_points=5)
+    # a first lane without a point list is a field error, not a crash
+    obj = to_obj(make())
+    obj["lanes"][0]["ctrl"] = 5
+    p.write_text(json.dumps(obj) + "\n")
+    with pytest.raises(ValidationError, match=":1: .*field 'lanes.ctrl'"):
+        load(p)
+
+
 def _set_scene(path, value):
     def mutate(obj):
         target = obj

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -200,8 +202,12 @@ def test_box_iou_symmetric_and_bounded():
 
 
 def test_box_rejects_degenerate():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=re.escape("degenerate box [0.0, 0.0, 0.0, 1.0]")):
         box_iou((0, 0, 0, 1), (0, 0, 1, 1))
+    # in a batch the message names the first degenerate box, wherever it sits
+    batch = np.array([(0.0, 0.0, 1.0, 1.0), (0.0, 0.0, 2.0, 2.0), (3.0, 1.0, 4.0, 1.0), (5.0, 0.0, 4.0, 1.0)])
+    with pytest.raises(ValueError, match=re.escape("degenerate box [3.0, 1.0, 4.0, 1.0]: need x1 < x2")):
+        box_iou(batch[:1], batch)
 
 
 def test_control_point_l1_cases():

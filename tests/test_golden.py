@@ -84,14 +84,19 @@ def report_values():
     return out
 
 
+def _matched(match):
+    """(pred index, GT index) of every matched prediction, the recorded form."""
+    return [(p, g) for p, g in enumerate(match.tolist()) if g >= 0]
+
+
 def training_pairs():
     out = {}
     for cfg_name, cfg in COST_CONFIGS.items():
         for group, (scenes, records) in fixture().items():
             out[f"{cfg_name}/{group}"] = [
                 [
-                    sorted(assoc.match_for_training(rec.lanes, scene.lanes, cfg).pairs.items()),
-                    sorted(assoc.match_traffic_for_training(rec.traffic, scene.traffic, cfg).pairs.items()),
+                    _matched(assoc.match_for_training(rec.lanes, scene.lanes, cfg)),
+                    _matched(assoc.match_traffic_for_training(rec.traffic, scene.traffic, cfg)),
                 ]
                 for scene, rec in zip(scenes, records)
             ]

@@ -129,10 +129,10 @@ def test_ols_rejects_out_of_range():
 def test_det_l_perfect_and_empty():
     scene = SceneRecord("s0", [straight_lane(0, 0), straight_lane(5, 1)], [], set(), set())
     pred = perfect_prediction(scene)
-    score, breakdown, pairs = metrics.det_l([pred], [scene])
+    score, breakdown, match = metrics.det_l([pred], [scene])
     assert score == 1.0
     assert set(breakdown) == {1.0, 2.0, 3.0}
-    assert sorted(pairs["s0"]) == [(0, 0), (1, 1)]
+    assert match["s0"].tolist() == [0, 1]
 
     empty = PredictionRecord("s0", [], [], np.zeros((0, 0)), np.zeros((0, 0)))
     score, _, _ = metrics.det_l([empty], [scene])
@@ -166,10 +166,10 @@ def box_element(x, cat, conf=1.0, te_id=0):
 def test_det_t_exact_predictions():
     scene = SceneRecord("s0", [], [box_element(0, 1, te_id=0), box_element(100, 2, te_id=1)], set(), set())
     pred = perfect_prediction(scene)
-    score, breakdown, pairs = metrics.det_t([pred], [scene])
+    score, breakdown, match = metrics.det_t([pred], [scene])
     assert score == 1.0
     assert breakdown == {1: 1.0, 2: 1.0}
-    assert sorted(pairs["s0"]) == [(0, 0), (1, 1)]
+    assert match["s0"].tolist() == [0, 1]
 
 
 def test_det_t_wrong_categories_score_zero():
@@ -205,6 +205,9 @@ def test_det_t_absent_categories_excluded():
 # topology score
 
 
+NO_TRAFFIC = np.array([], dtype=int)  # the match of a scene without traffic predictions
+
+
 def chain_scene(n=3):
     lanes = [straight_lane(6.0 * i, i) for i in range(n)]
     edges = {(i, i + 1) for i in range(n - 1)}
@@ -214,8 +217,7 @@ def chain_scene(n=3):
 def test_top_perfect_probabilities():
     scene = chain_scene(3)
     pred = perfect_prediction(scene)
-    pairs = {i: i for i in range(3)}
-    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    ll, _ = metrics._vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
     assert np.mean(ll) == 1.0
 
 
@@ -225,8 +227,7 @@ def test_top_all_zero_probabilities_tie_order():
     scene = chain_scene(2)
     pred = perfect_prediction(scene)
     pred.topo_ll_prob = np.zeros((2, 2))
-    pairs = {0: 0, 1: 1}
-    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    ll, _ = metrics._vertex_aps(pred, scene, np.arange(2), NO_TRAFFIC)
     assert np.mean(ll) == pytest.approx(0.75)
     assert ll == [1.0, 0.5]  # the mean alone is the same with incoming first
 
@@ -238,8 +239,7 @@ def test_top_three_lane_chain_false_edge_below_true():
     pred.topo_ll_prob[0, 1] = 0.9
     pred.topo_ll_prob[1, 2] = 0.9
     pred.topo_ll_prob[0, 2] = 0.8  # false edge, still below the true ones
-    pairs = {i: i for i in range(3)}
-    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    ll, _ = metrics._vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
     assert np.mean(ll) == pytest.approx(1.0)
 
 
@@ -251,8 +251,7 @@ def test_top_three_lane_chain_false_edge_above_true():
     pred.topo_ll_prob[0, 1] = 0.9
     pred.topo_ll_prob[1, 2] = 0.9
     pred.topo_ll_prob[0, 2] = 0.95
-    pairs = {i: i for i in range(3)}
-    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    ll, _ = metrics._vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
     assert np.mean(ll) == pytest.approx(2.0 / 3.0)
 
 
@@ -260,8 +259,7 @@ def test_top_undetected_vertex_scores_zero():
     scene = chain_scene(2)
     pred = perfect_prediction(scene)
     # lane 1 undetected: only lane 0 matched
-    pairs = {0: 0}
-    ll, _ = metrics._vertex_aps(pred, scene, pairs, {})
+    ll, _ = metrics._vertex_aps(pred, scene, np.array([0, -1]), NO_TRAFFIC)
     # vertex 0 detected: its only candidate set has no matched endpoint -> AP 0;
     # vertex 1 undetected -> 0
     assert np.mean(ll) == 0.0
@@ -272,10 +270,10 @@ def test_top_lt_covers_both_sides():
     te = box_element(0, 1, te_id=0)
     scene = SceneRecord("s0", [lane], [te], set(), {(0, 0)})
     pred = perfect_prediction(scene)
-    _, lt = metrics._vertex_aps(pred, scene, {0: 0}, {0: 0})
+    _, lt = metrics._vertex_aps(pred, scene, np.array([0]), np.array([0]))
     assert np.mean(lt) == 1.0
     # drop the traffic match: lane vertex candidates all unmatched -> 0, traffic vertex undetected -> 0
-    _, lt = metrics._vertex_aps(pred, scene, {0: 0}, {})
+    _, lt = metrics._vertex_aps(pred, scene, np.array([0]), np.array([-1]))
     assert np.mean(lt) == 0.0
 
 
@@ -283,7 +281,7 @@ def test_top_vacuous_scene():
     scene = SceneRecord("s0", [straight_lane(0, 0)], [], set(), set())
     pred = perfect_prediction(scene)
     # no vertex has an edge: nothing to average, and the report scores it vacuously
-    assert metrics._vertex_aps(pred, scene, {0: 0}, {}) == ([], [])
+    assert metrics._vertex_aps(pred, scene, np.array([0]), NO_TRAFFIC) == ([], [])
     report = evaluate([pred], [scene])
     assert report.top_ll == report.top_lt == 1.0
 
@@ -383,6 +381,12 @@ def test_detection_channel_monotone_in_noise():
 # the batched DET_l / DET_t against the per-scene loop
 
 
+def matched_items(match_by_scene):
+    """{scene_id: (pred index, GT index) pairs} of per-scene match arrays,
+    the form of the loop oracles' matched pairs."""
+    return {sid: [(p, g) for p, g in enumerate(m.tolist()) if g >= 0] for sid, m in match_by_scene.items()}
+
+
 def edge_case_inputs(thresholds):
     """Seeded multi-scene records plus hand-made scenes at the edges of the
     batch: empty sides, pairs exactly on every threshold (end points
@@ -436,12 +440,16 @@ def test_batched_detection_equals_the_per_scene_loop(thresholds, iou):
     cfg = DetMatchConfig(lane_frechet_thresholds=thresholds, traffic_iou_threshold=iou)
     for batched, loop in ((metrics.det_l, reference_metrics.det_l), (metrics.det_t, reference_metrics.det_t)):
         got, want = batched(records, scenes, cfg), loop(records, scenes, cfg)
-        assert got == want
-        # a different scene order gives the same scores and pairs
-        assert batched(records[::-1], scenes[::-1], cfg) == want
+        assert got[:2] == want[:2]
+        assert matched_items(got[2]) == {sid: sorted(pairs) for sid, pairs in want[2].items()}
+        # a different scene order gives the same scores and matches
+        again = batched(records[::-1], scenes[::-1], cfg)
+        assert again[:2] == want[:2] and matched_items(again[2]) == matched_items(got[2])
+    # one entry per predicted lane, in input order
+    _, _, lane_match = metrics.det_l(records, scenes, cfg)
+    assert {sid: len(m) for sid, m in lane_match.items()} == {r.scene_id: len(r.lanes) for r in records}
     # at the loosest threshold every exact-threshold lane is a true positive
-    _, _, lane_pairs = metrics.det_l(records, scenes, cfg)
-    assert lane_pairs["zz-exact"] == [(k, k) for k in range(len(thresholds))]
+    assert lane_match["zz-exact"].tolist() == list(range(len(thresholds)))
 
 
 def test_evaluate_rejects_zero_scenes():
@@ -473,15 +481,16 @@ def topology_edge_case_inputs():
 def test_whole_matrix_top_equals_the_per_vertex_loop():
     scenes, records = topology_edge_case_inputs()
     assert len(records[3].lanes) > 250  # the query-budget scene
-    _, _, lane_pairs = metrics.det_l(records, scenes)
-    _, _, traffic_pairs = metrics.det_t(records, scenes)
+    _, _, lane_match = metrics.det_l(records, scenes)
+    _, _, traffic_match = metrics.det_t(records, scenes)
+    lane_items, traffic_items = matched_items(lane_match), matched_items(traffic_match)
     undetected_lanes = undetected_traffic = 0
     want_ll, want_lt = [], []
     for gt, pred in metrics._align(records, scenes):
-        lp, tp = dict(lane_pairs[gt.scene_id]), dict(traffic_pairs[gt.scene_id])
+        lp, tp = dict(lane_items[gt.scene_id]), dict(traffic_items[gt.scene_id])
         ll = reference_metrics.vertex_aps_ll(pred, gt, lp.items())
         lt = reference_metrics.vertex_aps_lt(pred, gt, lp.items(), tp.items())
-        assert metrics._vertex_aps(pred, gt, lp, tp) == (ll, lt)
+        assert metrics._vertex_aps(pred, gt, lane_match[gt.scene_id], traffic_match[gt.scene_id]) == (ll, lt)
         want_ll += ll
         want_lt += lt
         lane_ends = {v for edge in gt.topo_ll for v in edge} | {a for a, _ in gt.topo_lt}

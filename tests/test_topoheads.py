@@ -406,7 +406,7 @@ def test_project_labels_identity_assignment():
     rng = np.random.default_rng(11)
     scene, det = random_scene_pair(rng)
     n, t = len(det.lanes), len(det.traffic)
-    ll, lt = project_edges({i: i for i in range(n)}, {k: k for k in range(t)}, scene, n, t)
+    ll, lt = project_edges(np.arange(n), np.arange(t), scene)
     for i, j in scene.topo_ll:
         assert ll[i, j]
     assert ll.sum() == len(scene.topo_ll)
@@ -416,7 +416,7 @@ def test_project_labels_identity_assignment():
 def test_project_labels_empty_assignment():
     rng = np.random.default_rng(12)
     scene, det = random_scene_pair(rng)
-    ll, lt = project_edges({}, {}, scene, 3, 2)
+    ll, lt = project_edges(np.full(3, -1), np.full(2, -1), scene)
     assert ll.shape == (3, 3) and lt.shape == (3, 2)
     assert not ll.any() and not lt.any()
 
@@ -424,15 +424,23 @@ def test_project_labels_empty_assignment():
 def test_project_labels_crossed_assignment_permutes():
     lanes = [GtLane(id=0, ctrl=np.zeros((3, 3))), GtLane(id=1, ctrl=np.ones((3, 3)))]
     scene = SceneRecord("s", lanes, [], topo_ll={(0, 1)}, topo_lt=set())
-    ll, _ = project_edges({0: 1, 1: 0}, {}, scene, 2, 0)
+    ll, _ = project_edges(np.array([1, 0]), np.array([], dtype=int), scene)
     # prediction 1 plays GT lane 0, prediction 0 plays GT lane 1
     assert ll[1, 0] and ll.sum() == 1
 
 
 def test_project_labels_out_of_range():
-    scene = SceneRecord("s", [GtLane(id=0, ctrl=np.zeros((3, 3)))], [], set(), set())
-    with pytest.raises(IndexError):
-        project_edges({5: 0}, {}, scene, 2, 0)
+    # a match entry must lie in [-1, len(GT)): 5, len(GT) = 1 and -2 (which
+    # would index from the end without the check) are all rejected
+    lanes = SceneRecord("s", [GtLane(id=0, ctrl=np.zeros((3, 3)))], [], set(), set())
+    traffic = SceneRecord("s", [], [TrafficElement(0, np.array([0.0, 0.0, 1.0, 1.0]), 1)], set(), set())
+    none = np.array([], dtype=int)
+    for entry in (5, 1, -2):
+        match = np.array([0, entry])
+        with pytest.raises(IndexError, match=f"lane match \\(1 -> {entry}\\)"):
+            project_edges(match, none, lanes)
+        with pytest.raises(IndexError, match=f"traffic match \\(1 -> {entry}\\)"):
+            project_edges(none, match, traffic)
 
 
 # ---------------------------------------------------------------------------
