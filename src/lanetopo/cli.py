@@ -46,27 +46,27 @@ def _flag(key: str, field: str = "") -> str:
     return f"option {key!r} (--{key.replace('_', '-')}{', ' + field if field else ''})"
 
 
-def _int(value, key: str, field: str = "") -> int:
+def _int(value, name: str) -> int:
     """An integer option: an int or an integral string; anything else is an error naming it."""
     try:
         if type(value) is int or isinstance(value, str):  # a bool is an int subclass
             return int(value)
     except ValueError:
         pass
-    raise ValueError(f"{_flag(key, field)} must be an integer, got {value!r}")
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
-def _real(value, key: str, field: str = "") -> float:
+def _real(value, name: str) -> float:
     """A real option: a number or a numeric string, not a bool; anything else is an error naming it."""
     try:
         if isinstance(value, (int, float, str)) and not isinstance(value, bool):
             return float(value)
     except (ValueError, OverflowError):
         pass
-    raise ValueError(f"{_flag(key, field)} must be a number, got {value!r}")
+    raise ValueError(f"{name} must be a number, got {value!r}")
 
 
-def _items(value, key: str, convert, size=None, field: str = "") -> tuple:
+def _items(value, name: str, convert, size=None) -> tuple:
     """A tuple option: 'a,b' as text or a JSON list, each entry converted;
     ``size`` is None or ``...`` for any length, or n for exactly n entries;
     one value as text stands for both ends of a pair (``size=2``)."""
@@ -76,30 +76,31 @@ def _items(value, key: str, convert, size=None, field: str = "") -> tuple:
             value *= 2
     if not isinstance(value, (list, tuple)) or size not in (None, ..., len(value)):
         form = "'lo,hi' or a list [lo, hi] of two" if size == 2 else "'a,b,...' or a list of"
-        raise ValueError(f"{_flag(key, field)} must be {form} numbers, got {value!r}")
-    return tuple(convert(v, key, field) for v in value)
+        raise ValueError(f"{name} must be {form} numbers, got {value!r}")
+    return tuple(convert(v, name) for v in value)
 
 
-def _config(cls, opts: dict):
+def _config(cls, opts: dict, label=_flag):
     """A ``cls`` from the options that set its fields, each converted as its
-    declared rule says; a field with no option keeps its dataclass default."""
+    declared rule says; a field with no option keeps its dataclass default.
+    An error calls an option ``label(key, "Class.field")``."""
     rules = {f.name: f.metadata["rule"] for f in fields(cls)}
     kwargs = {}
     for key, value in opts.items():
         name = FLAG_FIELDS.get(key, key)
         if name not in rules:
             continue
-        rule, field = rules[name], f"{cls.__name__}.{name}"
+        rule, what = rules[name], label(key, f"{cls.__name__}.{name}")
         convert = _int if rule.kind is int else _real
         if value is not None:  # None goes to the rule, which allows it only for an optional field
-            value = convert(value, key, field) if rule.items is None else _items(value, key, convert, rule.items, field)
+            value = convert(value, what) if rule.items is None else _items(value, what, convert, rule.items)
         kwargs[name] = value
     return cls(**kwargs)
 
 
 def _at_least(opts: dict, key: str, lo: int) -> int:
     """An integer option that is not a config field, checked against its lower bound."""
-    value = _int(opts[key], key)
+    value = _int(opts[key], _flag(key))
     if value < lo:
         raise ValueError(f"{_flag(key)} must be >= {lo}, got {value}")
     return value
@@ -119,7 +120,7 @@ def run_generate(opts: dict) -> int:
     _require(opts, "seed", "out")
     cfg = _config(synthgen.GeneratorConfig, opts)
     noise = _config(synthgen.NoiseModel, opts)
-    fractions = _items(opts["split"], "split", _real)
+    fractions = _items(opts["split"], _flag("split"), _real)
     paths = synthgen.generate_dataset(cfg, noise, fractions, opts["out"])
     for split in ("train", "val", "test"):
         print(f"{split}: {paths[split]['count']} scenes -> {paths[split]['scenes']}")
@@ -147,11 +148,8 @@ def run_train(opts: dict) -> int:
         _require(opts, "val_detections")
         val_scenes = dataio.load_scenes(opts["val_scenes"], control_points=cfg.control_points)
         val_dets = dataio.load_detections(opts["val_detections"], control_points=cfg.control_points)
-    params, stats = topoheads.train(train_scenes, train_dets, val_scenes, val_dets, cfg)
-    out = Path(opts["out"])
-    topoheads.save_params(params, out / "params.json")
-    topoheads.save_stats(stats, out / "stats.json")
-    for e in range(len(stats.epoch_loss_total)):
+
+    def print_epoch(e: int, stats: topoheads.TrainStats) -> None:
         line = (
             f"epoch {e + 1}/{cfg.epochs} "
             f"loss_ll={stats.epoch_loss_ll[e]:.6f} "
@@ -160,7 +158,12 @@ def run_train(opts: dict) -> int:
         )
         if stats.val_loss_total:
             line += f" val={stats.val_loss_total[e]:.6f}"
-        print(line)
+        print(line, flush=True)
+
+    params, stats = topoheads.train(train_scenes, train_dets, val_scenes, val_dets, cfg, on_epoch=print_epoch)
+    out = Path(opts["out"])
+    topoheads.save_params(params, out / "params.json")
+    topoheads.save_stats(stats, out / "stats.json")
     print(f"params -> {out / 'params.json'}")
     return 0
 
@@ -206,7 +209,8 @@ def _levels(spec) -> list:
         if unknown:
             raise ValueError(f"{where}: unknown key {unknown[0]!r}, expected one of {list(NOISE_KEYS)}")
         try:
-            levels.append(_config(synthgen.NoiseModel, level))
+            # a level's keys are no flags of their own
+            levels.append(_config(synthgen.NoiseModel, level, lambda key, field: f"key {key!r} ({field})"))
         except ValueError as exc:
             raise ValueError(f"{where}: {exc}") from exc
     return levels

@@ -166,14 +166,30 @@ def _geometry(check, value, scene_id: str, fieldname: str) -> np.ndarray:
         raise ValidationError(scene_id, fieldname, str(exc)) from exc
 
 
+def _check_boxes(scene_id: str, elements: Sequence[TrafficElement]) -> None:
+    """Every box of a record in one batch check; boxes that do not stack into
+    an (n, 4) matrix are checked one at a time, so the message names the
+    shape of the first wrong one."""
+    try:
+        boxes = np.array([te.box for te in elements], dtype=float).reshape(len(elements), -1)
+    except (TypeError, ValueError):  # ragged or not numeric
+        boxes = None
+    if boxes is not None and boxes.shape[1] == 4:
+        _geometry(lambda b: as_box(b, batch=True), boxes, scene_id, "traffic.box")
+    else:
+        for te in elements:
+            _geometry(as_box, te.box, scene_id, "traffic.box")
+
+
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
+    if elements:
+        _check_boxes(scene_id, elements)
     seen = set()
     for te in elements:
         if require_ids:
             if te.id in seen:
                 raise ValidationError(scene_id, "traffic.id", f"duplicate id {te.id}")
             seen.add(te.id)
-        _geometry(as_box, te.box, scene_id, "traffic.box")
         if not (0 <= te.category < NUM_CATEGORIES):
             raise ValidationError(
                 scene_id, "traffic.category", f"category {te.category} outside [0, {NUM_CATEGORIES - 1}]"

@@ -9,8 +9,11 @@ lane-traffic features are the elementwise sum of a lane and a traffic
 feature. Because a head's first layer is linear, both are evaluated
 factorized: each side is projected once and the projections are
 broadcast-added, so no per-pair input is ever built. Supervision is focal
-loss over all pairs; gradients are hand-derived and parameters, held in
-one flat vector, update with a from-scratch AdamW.
+loss over all pairs, with labels projected from the GT through optimal
+matching. The detector is frozen, so a scene's matches, labels and
+embedder inputs (its ``SceneTargets``) are built once per training run.
+Gradients are hand-derived and parameters, held in one flat vector,
+update with a from-scratch AdamW.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -227,46 +230,49 @@ def init_params(cfg: HeadConfig) -> TopoHeadParams:
 # embeddings and pairwise logits
 
 
-def _lane_inputs(lanes: Sequence[PredLane], cfg: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
-    coords = np.stack([np.asarray(l.ctrl, dtype=float).reshape(-1) for l in lanes])
-    coords = coords / cfg.coord_scale
+_IMAGE_EXTENT = np.array([IMAGE_WIDTH, IMAGE_HEIGHT, IMAGE_WIDTH, IMAGE_HEIGHT], dtype=float)
+
+
+def lane_inputs(lanes: Sequence[PredLane], cfg: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The two lane embedders' inputs: control points over ``coord_scale``,
+    (n, 3M), and the detector features or, without them, the surrogate of
+    coordinates plus class score."""
+    n = len(lanes)
+    coords = np.array([l.ctrl for l in lanes], dtype=float).reshape(n, 3 * cfg.control_points) / cfg.coord_scale
     if cfg.detector_feature_width:
         for i, l in enumerate(lanes):
-            if l.feature is None or np.asarray(l.feature).shape != (cfg.detector_feature_width,):
+            if l.feature is None or np.shape(l.feature) != (cfg.detector_feature_width,):
                 raise ValueError(f"lane {i}: detector feature of width {cfg.detector_feature_width} required")
-        feats = np.stack([np.asarray(l.feature, dtype=float) for l in lanes])
+        feats = np.array([l.feature for l in lanes], dtype=float).reshape(n, cfg.detector_feature_width)
     else:
-        scores = np.array([[l.class_score] for l in lanes], dtype=float)
-        feats = np.hstack([coords, scores])
+        feats = np.hstack([coords, np.array([l.class_score for l in lanes], dtype=float)[:, None]])
     return coords, feats
 
 
-def traffic_input(te: TrafficElement) -> np.ndarray:
-    """Concatenated box (normalized by image extent), one-hot category, confidence."""
-    box = np.asarray(te.box, dtype=float)
-    norm = box / np.array([IMAGE_WIDTH, IMAGE_HEIGHT, IMAGE_WIDTH, IMAGE_HEIGHT], dtype=float)
-    onehot = np.zeros(NUM_CATEGORIES)
-    onehot[te.category] = 1.0
-    return np.concatenate([norm, onehot, [te.confidence]])
+def traffic_inputs(elements: Sequence[TrafficElement]) -> np.ndarray:
+    """The traffic embedder's input, one row per element: the box over the
+    image extent, the one-hot category and the confidence."""
+    t = len(elements)
+    x = np.zeros((t, 4 + NUM_CATEGORIES + 1))
+    x[:, :4] = np.array([te.box for te in elements], dtype=float).reshape(t, 4) / _IMAGE_EXTENT
+    x[:, 4:-1][np.arange(t), np.array([te.category for te in elements], dtype=int)] = 1.0
+    x[:, -1] = [te.confidence for te in elements]
+    return x
 
 
-def embed_lanes(lanes: Sequence[PredLane], params: TopoHeadParams):
+def embed_lanes(inputs: tuple[np.ndarray, np.ndarray], params: TopoHeadParams):
     """Per-lane sum of the coordinate embedding and the (detector or
-    surrogate) feature embedding, shape (n, C), plus the backward cache."""
-    cfg = params.config
-    if not lanes:
-        return np.zeros((0, cfg.feature_dim)), None
-    coord_in, feat_in = _lane_inputs(lanes, cfg)
+    surrogate) feature embedding of ``lane_inputs``, shape (n, C), plus the
+    backward cache."""
+    coord_in, feat_in = inputs
     coord_out, coord_cache = mlp_forward(params.coord_embedder, coord_in)
     feat_out, feat_cache = mlp_forward(params.feat_embedder, feat_in)
     return coord_out + feat_out, (coord_cache, feat_cache)
 
 
-def embed_traffic_batch(elements: Sequence[TrafficElement], params: TopoHeadParams):
-    if not elements:
-        return np.zeros((0, params.config.feature_dim)), None
-    x = np.stack([traffic_input(te) for te in elements])
-    return mlp_forward(params.traffic_embedder, x)
+def embed_traffic_batch(inputs: np.ndarray, params: TopoHeadParams):
+    """Traffic embedding of ``traffic_inputs``, shape (t, C), plus the backward cache."""
+    return mlp_forward(params.traffic_embedder, inputs)
 
 
 # hidden entries per block of pair rows (256 KiB of float64, cache-resident):
@@ -389,54 +395,82 @@ def adamw_step(
 # full-scene loss, training and inference
 
 
-def scene_loss_and_grads(
+@dataclass(frozen=True, eq=False)
+class SceneTargets:
+    """Everything in a scene's objective that no parameter enters. The
+    detector is frozen, so a scene's targets hold for every training step."""
+
+    lane_in: tuple[np.ndarray, np.ndarray]  # lane_inputs
+    traffic_in: np.ndarray  # traffic_inputs
+    ll_labels: np.ndarray  # bool (n, n): GT edges projected through the training matches
+    lt_labels: np.ndarray  # bool (n, t)
+    off_diag: np.ndarray  # bool (n, n): the lane-lane pairs the loss averages over
+
+
+def scene_targets(
     detection: DetectionRecord,
     scene: SceneRecord,
-    params: TopoHeadParams,
+    cfg: HeadConfig,
     cost_cfg: assoc.CostConfig | None = None,
+) -> SceneTargets:
+    """The embedder inputs of ``detection`` and the labels that its optimal
+    matching against ``scene`` projects from the GT edges."""
+    lane_match = assoc.match_for_training(detection.lanes, scene.lanes, cost_cfg)
+    traffic_match = assoc.match_traffic_for_training(detection.traffic, scene.traffic, cost_cfg)
+    ll_labels, lt_labels = assoc.project_edges(lane_match, traffic_match, scene)
+    return SceneTargets(
+        lane_inputs(detection.lanes, cfg),
+        traffic_inputs(detection.traffic),
+        ll_labels,
+        lt_labels,
+        ~np.eye(len(detection.lanes), dtype=bool),
+    )
+
+
+def scene_loss_and_grads(
+    targets: SceneTargets,
+    params: TopoHeadParams,
     compute_grads: bool = True,
+    grads: TopoHeadParams | None = None,
 ):
     """Focal-loss objective of one scene and its parameter gradients.
 
     The loss is the mean focal loss over all off-diagonal lane-lane pairs
-    plus the mean over all lane-traffic pairs, with labels projected from
-    the GT through optimal matching.
+    plus the mean over all lane-traffic pairs. The gradients go into
+    ``grads``, zeroed here (new when None).
     """
     cfg = params.config
-    n, t = len(detection.lanes), len(detection.traffic)
-    lane_feats, lane_cache = embed_lanes(detection.lanes, params)
-    traffic_feats, traffic_cache = embed_traffic_batch(detection.traffic, params)
+    n, t = targets.lt_labels.shape
+    lane_feats, lane_cache = embed_lanes(targets.lane_in, params)
+    traffic_feats, traffic_cache = embed_traffic_batch(targets.traffic_in, params)
     ll_z, ll_cache = ll_logits(lane_feats, params)
     lt_z, lt_cache = lt_logits(lane_feats, traffic_feats, params)
 
-    lane_match = assoc.match_for_training(detection.lanes, scene.lanes, cost_cfg)
-    traffic_match = assoc.match_traffic_for_training(detection.traffic, scene.traffic, cost_cfg)
-    ll_labels, lt_labels = assoc.project_edges(lane_match, traffic_match, scene)
-
-    off_diag = ~np.eye(n, dtype=bool) if n else np.zeros((0, 0), dtype=bool)
+    off_diag = targets.off_diag
     n_ll = int(off_diag.sum())
     n_lt = n * t
 
-    ll_loss_terms, ll_grad_terms = focal_loss(stable_sigmoid(ll_z), ll_labels, cfg.focal_alpha, cfg.focal_gamma)
-    lt_loss_terms, lt_grad_terms = focal_loss(stable_sigmoid(lt_z), lt_labels, cfg.focal_alpha, cfg.focal_gamma)
+    ll_loss_terms, ll_grad_terms = focal_loss(stable_sigmoid(ll_z), targets.ll_labels, cfg.focal_alpha, cfg.focal_gamma)
+    lt_loss_terms, lt_grad_terms = focal_loss(stable_sigmoid(lt_z), targets.lt_labels, cfg.focal_alpha, cfg.focal_gamma)
     loss_ll = float(ll_loss_terms[off_diag].mean()) if n_ll else 0.0
     loss_lt = float(lt_loss_terms.mean()) if n_lt else 0.0
 
     if not compute_grads:
         return loss_ll, loss_lt, None
 
+    if grads is None:
+        grads = TopoHeadParams(cfg)
+    else:
+        grads.flat.fill(0.0)  # _pair_backward adds into it
     # an edge space without pairs contributes zero gradient
-    grads = TopoHeadParams(cfg)
     dll = np.where(off_diag, ll_grad_terms, 0.0) / max(n_ll, 1)
     g_left, g_right = _pair_backward(params.ll_head, grads.ll_head, ll_cache, dll)
     g_lanes, dfeat_traffic = _pair_backward(params.lt_head, grads.lt_head, lt_cache, lt_grad_terms / max(n_lt, 1))
     dfeat_lanes = g_left + g_right + g_lanes
-    if n:
-        coord_cache, feat_cache = lane_cache
-        mlp_backward(params.coord_embedder, coord_cache, dfeat_lanes, grads.coord_embedder)
-        mlp_backward(params.feat_embedder, feat_cache, dfeat_lanes, grads.feat_embedder)
-    if t:
-        mlp_backward(params.traffic_embedder, traffic_cache, dfeat_traffic, grads.traffic_embedder)
+    coord_cache, feat_cache = lane_cache
+    mlp_backward(params.coord_embedder, coord_cache, dfeat_lanes, grads.coord_embedder)
+    mlp_backward(params.feat_embedder, feat_cache, dfeat_lanes, grads.feat_embedder)
+    mlp_backward(params.traffic_embedder, traffic_cache, dfeat_traffic, grads.traffic_embedder)
     return loss_ll, loss_lt, grads
 
 
@@ -458,11 +492,14 @@ def train(
     val_detections: Sequence[DetectionRecord] = (),
     cfg: HeadConfig | None = None,
     cost_cfg: assoc.CostConfig | None = None,
+    on_epoch: Callable[[int, TrainStats], None] | None = None,
 ) -> tuple[TopoHeadParams, TrainStats]:
     """Train both heads with one AdamW step per scene.
 
     Deterministic given ``cfg.seed``: seeded init, one seeded scene
-    permutation reused by every epoch.
+    permutation reused by every epoch. Every scene's targets are built once,
+    before the first epoch. ``on_epoch(epoch, stats)`` runs as each epoch
+    ends (``epoch`` counts from 0), after its entries are in ``stats``.
     """
     cfg = cfg or HeadConfig()
     cost_cfg = cost_cfg or assoc.CostConfig()  # built once, not per scene
@@ -473,18 +510,20 @@ def train(
 
     params = init_params(cfg)
     state = AdamState.zeros(params)
+    grads = TopoHeadParams(cfg)
     order = np.random.default_rng(cfg.seed).permutation(len(pairs))
     stats = TrainStats()
     t_start = time.perf_counter()
+    targets = [scene_targets(d, s, cfg, cost_cfg) for s, d in pairs]
+    val_targets = [scene_targets(d, s, cfg, cost_cfg) for s, d in val_pairs]
     step = 0
     for epoch in range(cfg.epochs):
         losses_ll, losses_lt, norms = [], [], []
         for idx in order:
-            scene, det = pairs[idx]
-            loss_ll, loss_lt, grads = scene_loss_and_grads(det, scene, params, cost_cfg)
+            loss_ll, loss_lt, _ = scene_loss_and_grads(targets[idx], params, grads=grads)
             total = loss_ll + loss_lt
             if not np.isfinite(total):
-                raise TrainingError(f"non-finite loss at epoch {epoch}, scene {scene.scene_id!r}")
+                raise TrainingError(f"non-finite loss at epoch {epoch}, scene {pairs[idx][0].scene_id!r}")
             step += 1
             norms.append(float(np.sqrt(grads.flat @ grads.flat)))
             adamw_step(params, grads, state, step, cfg)
@@ -494,12 +533,11 @@ def train(
         stats.epoch_loss_lt.append(float(np.mean(losses_lt)))
         stats.epoch_loss_total.append(float(np.mean(losses_ll) + np.mean(losses_lt)))
         stats.epoch_grad_norm.append(float(np.mean(norms)))
-        if val_pairs:
-            vals = [
-                sum(scene_loss_and_grads(d, s, params, cost_cfg, compute_grads=False)[:2])
-                for s, d in val_pairs
-            ]
+        if val_targets:
+            vals = [sum(scene_loss_and_grads(v, params, compute_grads=False)[:2]) for v in val_targets]
             stats.val_loss_total.append(float(np.mean(vals)))
+        if on_epoch is not None:
+            on_epoch(epoch, stats)
     stats.wall_clock_sec = time.perf_counter() - t_start
     return params, stats
 
@@ -507,8 +545,8 @@ def train(
 def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid probabilities for both edge spaces; the lane-lane diagonal
     (self-loops) is forced to zero."""
-    lane_feats, _ = embed_lanes(detection.lanes, params)
-    traffic_feats, _ = embed_traffic_batch(detection.traffic, params)
+    lane_feats, _ = embed_lanes(lane_inputs(detection.lanes, params.config), params)
+    traffic_feats, _ = embed_traffic_batch(traffic_inputs(detection.traffic), params)
     ll_z, _ = ll_logits(lane_feats, params)
     lt_z, _ = lt_logits(lane_feats, traffic_feats, params)
     ll_p = stable_sigmoid(ll_z)

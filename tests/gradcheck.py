@@ -71,14 +71,14 @@ def random_scene_pair(rng, n_lanes=3, n_traffic=2, m=3):
     return scene, det
 
 
-def min_abs_preactivation(det, params):
+def min_abs_preactivation(targets, params):
     """Smallest |pre-activation| across every rectifier in the scene forward.
 
     Finite differences are only trustworthy away from the ReLU kink, so
     gradient checks resample configurations that land too close to it.
     """
-    lane_feats, lane_cache = th.embed_lanes(det.lanes, params)
-    traffic_feats, traffic_cache = th.embed_traffic_batch(det.traffic, params)
+    lane_feats, lane_cache = th.embed_lanes(targets.lane_in, params)
+    traffic_feats, traffic_cache = th.embed_traffic_batch(targets.traffic_in, params)
     _, ll_cache = th.ll_logits(lane_feats, params)
     _, lt_cache = th.lt_logits(lane_feats, traffic_feats, params)
     # the pair heads keep only their per-side projections: rebuild the
@@ -87,9 +87,8 @@ def min_abs_preactivation(det, params):
     for head, cache in ((params.ll_head, ll_cache), (params.lt_head, lt_cache)):
         proj_l, proj_r = cache["proj"]
         pres.append(proj_l[:, None, :] + (proj_r + head.biases[0]))
-    for cache in (*(lane_cache or ()), traffic_cache):
-        if cache is not None:
-            pres.extend(cache["pre"][:-1])  # last layer is identity, no kink
+    for cache in (*lane_cache, traffic_cache):
+        pres.extend(cache["pre"][:-1])  # last layer is identity, no kink
     smallest = np.inf
     for pre in pres:
         if pre.size:
@@ -108,16 +107,17 @@ def full_gradient_check(cfg, rng, rel_tol=1e-4):
             m=cfg.control_points,
         )
         params = th.init_params(cfg)
-        if min_abs_preactivation(det, params) > 1e-3:
+        targets = th.scene_targets(det, scene, cfg)
+        if min_abs_preactivation(targets, params) > 1e-3:
             break
     else:
         raise AssertionError("could not sample a kink-free configuration")
 
     def objective():
-        l1, l2, _ = th.scene_loss_and_grads(det, scene, params, compute_grads=False)
+        l1, l2, _ = th.scene_loss_and_grads(targets, params, compute_grads=False)
         return l1 + l2
 
-    _, _, grads = th.scene_loss_and_grads(det, scene, params)
+    _, _, grads = th.scene_loss_and_grads(targets, params)
     h = 1e-5
     checked = 0
     for idx in range(params.flat.size):

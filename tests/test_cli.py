@@ -408,6 +408,45 @@ def test_sweep_levels_go_through_the_noise_rules(dataset, tmp_path, capsys, leve
         assert level["noise"]["ctrl_sigma"] == 0.5
 
 
+def test_sweep_level_value_error_names_the_level_key_and_field(dataset, tmp_path, capsys):
+    # a level's keys are no flags of sweep: the error names no --ctrl-sigma
+    params = tmp_path / "params.json"
+    topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=4, mlp_hidden=3)), params)
+    argv = ["sweep", "--params", str(params), "--scenes-file", str(dataset / "test_scenes.jsonl")]
+    out = tmp_path / "sw"
+    assert run([*argv, "--out", str(out), "--levels", '[{"drop_prob": 0}, {"ctrl_sigma": "abc"}]']) == 2
+    err = capsys.readouterr().err
+    assert "level 1: key 'ctrl_sigma' (NoiseModel.ctrl_sigma) must be a number, got 'abc'" in err, err
+    assert "--ctrl-sigma" not in err and not out.exists()
+
+
+def test_train_prints_each_epoch_as_it_ends(dataset, tmp_path, capsys, monkeypatch):
+    # the output so far, taken at every optimizer step: an epoch's line is
+    # out before the next epoch's first step
+    out = tmp_path / "run"
+    val = ("--val-scenes", str(dataset / "val_scenes.jsonl"), "--val-detections", str(dataset / "val_detections.jsonl"))
+    steps_per_epoch = len(dataio.load_scenes(dataset / "train_scenes.jsonl"))
+    printed = []
+    adamw_step = topoheads.adamw_step
+
+    def spying_step(*args):
+        printed.append(capsys.readouterr().out)
+        return adamw_step(*args)
+
+    monkeypatch.setattr(topoheads, "adamw_step", spying_step)
+    assert run(small_train_args(dataset, out, ("--epochs", "3", *val))) == 0
+    printed.append(capsys.readouterr().out)
+    so_far = np.cumsum([text.count("epoch ") for text in printed])
+    assert so_far.tolist() == [step // steps_per_epoch for step in range(3 * steps_per_epoch)] + [3]
+    stats = json.loads((out / "stats.json").read_text())
+    lines = [
+        f"epoch {e + 1}/3 loss_ll={stats['epoch_loss_ll'][e]:.6f} loss_lt={stats['epoch_loss_lt'][e]:.6f} "
+        f"total={stats['epoch_loss_total'][e]:.6f} val={stats['val_loss_total'][e]:.6f}"
+        for e in range(3)
+    ]
+    assert "".join(printed) == "".join(line + "\n" for line in lines) + f"params -> {out / 'params.json'}\n"
+
+
 def test_stats_and_resample_commands(dataset, tmp_path, capsys):
     hist_path = tmp_path / "hist.json"
     assert run(["stats", "--scenes-file", str(dataset / "train_scenes.jsonl"), "--out", str(hist_path)]) == 0

@@ -299,6 +299,27 @@ def test_loader_geometry_errors_name_path_line_and_field(tmp_path, capsys, mutat
     assert where in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize(
+    "box, message",
+    [
+        pytest.param([5.0, 5.0, 9.0], "box must have 4 coordinates, got (3,)", id="wrong-shape"),
+        pytest.param([5.0, float("inf"), 9.0, 9.0], "box coordinates must be finite", id="non-finite"),
+        pytest.param([5.0, 5.0, 5.0, 9.0], "degenerate box [5.0, 5.0, 5.0, 9.0]: need x1 < x2", id="degenerate"),
+    ],
+)
+def test_traffic_box_errors_name_the_field(box, message, count):
+    # the bad box comes last, after count - 1 good ones
+    good = [TrafficElement(id=k, box=np.array([1.0, 2.0, 3.0 + k, 4.0]), category=k) for k in range(count - 1)]
+    bad = TrafficElement(id=count - 1, box=np.array(box), category=0)
+    scene = SceneRecord("s0", [], [*good, bad], set(), set())
+    det = DetectionRecord("s0", [], [*good, bad])
+    for check, record in ((dataio.validate_scene, scene), (dataio.validate_detection, det)):
+        with pytest.raises(ValidationError) as info:
+            check(record)
+        assert info.value.field == "traffic.box" and info.value.message.startswith(message)
+
+
 @pytest.mark.parametrize(
     "fieldname, value, message",
     [

@@ -7,7 +7,11 @@ import numpy as np
 import pytest
 
 from lanetopo import topoheads as th
+from lanetopo import assoc
 from lanetopo.dataio import (
+    IMAGE_HEIGHT,
+    IMAGE_WIDTH,
+    NUM_CATEGORIES,
     DetectionRecord,
     GtLane,
     PredLane,
@@ -182,13 +186,23 @@ def test_focal_positive_and_zero_iff_pt_one():
 
 
 def embed_one_lane(lane, params):
-    feats, _ = th.embed_lanes([lane], params)
+    feats, _ = th.embed_lanes(th.lane_inputs([lane], params.config), params)
     return feats[0]
 
 
 def embed_one_traffic(te, params):
-    feats, _ = th.embed_traffic_batch([te], params)
+    feats, _ = th.embed_traffic_batch(th.traffic_inputs([te]), params)
     return feats[0]
+
+
+def traffic_input(te):
+    """Oracle of one ``traffic_inputs`` row: box over the image extent,
+    one-hot category, confidence, built element by element."""
+    box = np.asarray(te.box, dtype=float)
+    norm = box / np.array([IMAGE_WIDTH, IMAGE_HEIGHT, IMAGE_WIDTH, IMAGE_HEIGHT], dtype=float)
+    onehot = np.zeros(NUM_CATEGORIES)
+    onehot[te.category] = 1.0
+    return np.concatenate([norm, onehot, [te.confidence]])
 
 
 def test_embed_lane_zero_params_gives_zero():
@@ -246,7 +260,7 @@ def test_embed_traffic_zero_params_and_onehot_block():
     te = TrafficElement(id=0, box=np.array([10.0, 10.0, 50.0, 60.0]), category=4, confidence=0.9)
     assert embed_one_traffic(te, zero) == pytest.approx(np.zeros(cfg.feature_dim))
     other = TrafficElement(id=1, box=te.box.copy(), category=7, confidence=0.9)
-    xa, xb = th.traffic_input(te), th.traffic_input(other)
+    xa, xb = th.traffic_inputs([te, other])
     differing = np.nonzero(xa != xb)[0]
     assert set(differing) == {4 + 4, 4 + 7}
     assert len(xa) == 18
@@ -256,10 +270,34 @@ def test_embed_traffic_matches_oracle():
     cfg = small_config(seed=21)
     params = th.init_params(cfg)
     te = TrafficElement(id=0, box=np.array([100.0, 200.0, 300.0, 400.0]), category=2, confidence=0.65)
-    x = th.traffic_input(te)
+    x = traffic_input(te)
     a = np.maximum(params.traffic_embedder.weights[0] @ x + params.traffic_embedder.biases[0], 0.0)
     expected = params.traffic_embedder.weights[1] @ a + params.traffic_embedder.biases[1]
     assert embed_one_traffic(te, params) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "categories",
+    [
+        pytest.param([], id="empty"),
+        pytest.param([NUM_CATEGORIES - 1], id="single"),
+        pytest.param([0, 5, NUM_CATEGORIES - 1, 0, 7], id="multi"),
+    ],
+)
+def test_traffic_inputs_equal_the_per_element_oracle(categories):
+    rng = np.random.default_rng(len(categories))
+    elements = [
+        TrafficElement(
+            id=k,
+            box=np.sort(rng.uniform(0, 2000, size=4)),
+            category=c,
+            confidence=float(rng.uniform()),
+        )
+        for k, c in enumerate(categories)
+    ]
+    x = th.traffic_inputs(elements)
+    assert x.shape == (len(elements), 4 + NUM_CATEGORIES + 1)
+    assert np.array_equal(x, np.array([traffic_input(te) for te in elements]).reshape(x.shape))
 
 
 def test_ll_logits_shapes_and_oracle():
@@ -376,7 +414,10 @@ def test_pair_heads_allocate_no_pair_sized_hidden_tensor():
     det = corrupt_scene(scene, NoiseModel(ctrl_sigma=0.3, drop_prob=0.1, spurious_rate=280.0), [0, 1])
     assert len(det.lanes) >= 250 and len(det.traffic) >= 250
     params = th.init_params(th.HeadConfig())
-    for run in (lambda: th.scene_loss_and_grads(det, scene, params), lambda: th.predict(det, params)):
+    for run in (
+        lambda: th.scene_loss_and_grads(th.scene_targets(det, scene, params.config), params),
+        lambda: th.predict(det, params),
+    ):
         tracemalloc.start()
         try:
             run()
@@ -540,6 +581,78 @@ def test_train_deterministic():
     assert np.array_equal(p1.flat, p2.flat)
     assert s1.epoch_loss_total == s2.epoch_loss_total
     assert s1.epoch_grad_norm == s2.epoch_grad_norm
+
+
+def reference_train(scenes, dets, val_scenes, val_dets, cfg):
+    """``train`` with no target cache: every step and every validation pass
+    rebuilds its scene's targets."""
+    params = th.init_params(cfg)
+    state = th.AdamState.zeros(params)
+    order = np.random.default_rng(cfg.seed).permutation(len(scenes))
+    stats = th.TrainStats()
+    step = 0
+    for _ in range(cfg.epochs):
+        losses_ll, losses_lt, norms = [], [], []
+        for idx in order:
+            targets = th.scene_targets(dets[idx], scenes[idx], cfg)
+            loss_ll, loss_lt, grads = th.scene_loss_and_grads(targets, params)
+            step += 1
+            norms.append(float(np.sqrt(grads.flat @ grads.flat)))
+            th.adamw_step(params, grads, state, step, cfg)
+            losses_ll.append(loss_ll)
+            losses_lt.append(loss_lt)
+        stats.epoch_loss_ll.append(float(np.mean(losses_ll)))
+        stats.epoch_loss_lt.append(float(np.mean(losses_lt)))
+        stats.epoch_loss_total.append(float(np.mean(losses_ll) + np.mean(losses_lt)))
+        stats.epoch_grad_norm.append(float(np.mean(norms)))
+        vals = [
+            sum(th.scene_loss_and_grads(th.scene_targets(d, s, cfg), params, compute_grads=False)[:2])
+            for s, d in zip(val_scenes, val_dets)
+        ]
+        stats.val_loss_total.append(float(np.mean(vals)))
+    return params, stats
+
+
+def test_train_matches_each_scene_once_and_equals_per_step_targets(monkeypatch):
+    rng = np.random.default_rng(22)
+    scenes, dets = make_training_set(rng, 5, n_lanes=4, n_traffic=3)
+    val_scenes, val_dets = make_training_set(rng, 2, n_lanes=3, n_traffic=2)
+    cfg = small_config(epochs=3, lr=5e-3, seed=7)
+    want_params, want_stats = reference_train(scenes, dets, val_scenes, val_dets, cfg)
+
+    def counted(original, seen):
+        def wrapper(preds, gts, cost_cfg=None):
+            seen.append(id(gts))
+            return original(preds, gts, cost_cfg)
+
+        return wrapper
+
+    calls = {"match_for_training": [], "match_traffic_for_training": []}
+    for name, seen in calls.items():
+        monkeypatch.setattr(assoc, name, counted(getattr(assoc, name), seen))
+    params, stats = th.train(scenes, dets, val_scenes, val_dets, cfg)
+    every_scene = scenes + val_scenes
+    assert sorted(calls["match_for_training"]) == sorted(id(s.lanes) for s in every_scene)
+    assert sorted(calls["match_traffic_for_training"]) == sorted(id(s.traffic) for s in every_scene)
+
+    assert np.array_equal(params.flat, want_params.flat)
+    stats.wall_clock_sec = want_stats.wall_clock_sec
+    assert stats == want_stats
+    assert len(stats.val_loss_total) == cfg.epochs
+
+
+def test_train_reports_each_epoch_as_it_ends():
+    rng = np.random.default_rng(23)
+    scenes, dets = make_training_set(rng, 3)
+    val_scenes, val_dets = make_training_set(rng, 1)
+    seen = []
+
+    def on_epoch(epoch, stats):
+        seen.append((epoch, stats, len(stats.epoch_loss_total), len(stats.val_loss_total)))
+
+    _, stats = th.train(scenes, dets, val_scenes, val_dets, small_config(epochs=3), on_epoch=on_epoch)
+    assert [(e, n, v) for e, _, n, v in seen] == [(0, 1, 1), (1, 2, 2), (2, 3, 3)]
+    assert all(s is stats for _, s, _, _ in seen)
 
 
 def test_train_loss_decreases_on_clean_data():
