@@ -4,15 +4,15 @@ Detector-side data strategies
 
 The traffic-attribute distribution is heavily skewed (unknown lights
 near half of all annotations, yellow rare, the nine signs sharing about
-a fifth). Two pure data operations address it: frame resampling and
-multi-scale TTA fusion.
+a fifth). Two pure data operations serve a detector trained on it: the
+category histogram that measures the skew, and multi-scale TTA fusion.
 """
 
 import numpy as np
 
 from lanetopo import GeneratorConfig, TrafficElement, generate_scene
 from lanetopo.dataio import CATEGORY_NAMES
-from lanetopo.detstrat import category_histogram, resample_plan, tta_merge
+from lanetopo.detstrat import category_histogram, tta_merge
 
 gen = GeneratorConfig(scenes=60, seed=12)
 frames = [generate_scene(gen, i) for i in range(60)]
@@ -22,11 +22,6 @@ print("category distribution over the generated training frames:")
 for name, count, freq in zip(CATEGORY_NAMES, stats.counts, stats.frequencies):
     bar = "#" * int(60 * freq)
     print(f"  {name:>13} {count:5d} {100 * freq:5.1f}% {bar}")
-
-plan = resample_plan(frames, stats)
-print(f"\nresampling: {len(frames)} frames -> {len(plan)} after duplicating rare-category frames")
-dup = {i: plan.count(i) for i in range(len(frames)) if plan.count(i) > 1}
-print(f"  {len(dup)} frames duplicated, factors seen: {sorted(set(dup.values()))}")
 
 # the same physical box seen at two test scales merges back to one
 base = TrafficElement(0, np.array([100.0, 100.0, 180.0, 160.0]), 2, 0.9)

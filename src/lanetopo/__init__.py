@@ -8,7 +8,7 @@ The package splits into:
 * :mod:`lanetopo.synthgen` - scene generator and detector-corruption channel
 * :mod:`lanetopo.assoc` - focal matching cost, Hungarian/greedy matching, GT-edge projection
 * :mod:`lanetopo.topoheads` - MLP topology heads, AdamW training
-* :mod:`lanetopo.detstrat` - category statistics, frame resampling, TTA fusion
+* :mod:`lanetopo.detstrat` - category statistics, TTA fusion
 * :mod:`lanetopo.metrics` - DET/TOP scores and the aggregate OLS
 * :mod:`lanetopo.settings` - the declared rule of every config field
 * :mod:`lanetopo.cli` - reproducible batch commands over all of the above

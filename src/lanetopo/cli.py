@@ -1,6 +1,6 @@
 """Batch command-line front end wiring the library into reproducible
 experiments: data generation, corruption, training, prediction,
-evaluation, the noise-sweep study, and the data-strategy utilities.
+evaluation, the noise-sweep study, the category histogram and TTA fusion.
 
 Flags can also come from a JSON config file (--config); explicit flags
 override file entries. Exit codes: 0 success, 2 config or validation
@@ -229,7 +229,8 @@ def run_sweep(opts: dict) -> int:
     out_dir = Path(opts["out"])
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    rows = []
+    header = f"{'level':>5} {'ctrl_sigma':>10} {'drop_prob':>9} {'DET_l':>8} {'DET_t':>8} {'TOP_ll':>8} {'TOP_lt':>8} {'OLS':>8}"
+    print(header, flush=True)
     detail = []
     for level_idx, noise in enumerate(levels):
         per_seed = []
@@ -242,7 +243,11 @@ def run_sweep(opts: dict) -> int:
             report = metrics.evaluate(records, scenes, cfg)
             per_seed.append(list(report.scores()))
         mean = np.mean(np.asarray(per_seed), axis=0)
-        rows.append((level_idx, noise, mean))
+        print(
+            f"{level_idx:>5} {noise.ctrl_sigma:>10.3f} {noise.drop_prob:>9.3f} "
+            + " ".join(f"{100 * v:8.2f}" for v in mean),
+            flush=True,
+        )
         detail.append(
             {
                 "level": level_idx,
@@ -252,21 +257,11 @@ def run_sweep(opts: dict) -> int:
             }
         )
 
-    header = f"{'level':>5} {'ctrl_sigma':>10} {'drop_prob':>9} {'DET_l':>8} {'DET_t':>8} {'TOP_ll':>8} {'TOP_lt':>8} {'OLS':>8}"
-    print(header)
-    for level_idx, noise, mean in rows:
-        print(
-            f"{level_idx:>5} {noise.ctrl_sigma:>10.3f} {noise.drop_prob:>9.3f} "
-            + " ".join(f"{100 * v:8.2f}" for v in mean)
-        )
-
     with open(out_dir / "sweep.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["level", *NOISE_KEYS, "det_l", "det_t", "top_ll", "top_lt", "ols"])
-        for level_idx, noise, mean in rows:
-            writer.writerow(
-                [level_idx, *(getattr(noise, k) for k in NOISE_KEYS), *(float(v) for v in mean)]
-            )
+        for level in detail:
+            writer.writerow([level["level"], *level["noise"].values(), *level["mean"].values()])
     (out_dir / "sweep.json").write_text(
         json.dumps({"seeds": seeds, "levels": detail}, indent=2) + "\n", encoding="utf-8"
     )
@@ -289,17 +284,6 @@ def run_stats(opts: dict) -> int:
     if opts.get("out"):
         Path(opts["out"]).write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
         print(f"histogram -> {opts['out']}")
-    return 0
-
-
-def run_resample(opts: dict) -> int:
-    _require(opts, "scenes_file", "out")
-    scenes = dataio.load_scenes(opts["scenes_file"])
-    stats = detstrat.category_histogram(scenes)
-    cfg = _config(detstrat.ResampleConfig, opts)
-    plan = detstrat.resample_plan(scenes, stats, cfg)
-    Path(opts["out"]).write_text(json.dumps(plan) + "\n", encoding="utf-8")
-    print(f"{len(scenes)} frames -> {len(plan)} after resampling; plan -> {opts['out']}")
     return 0
 
 
@@ -330,7 +314,6 @@ COMMANDS = {
     "evaluate": run_evaluate,
     "sweep": run_sweep,
     "stats": run_stats,
-    "resample": run_resample,
     "tta-merge": run_tta_merge,
 }
 
@@ -351,7 +334,6 @@ COMMAND_OPTIONS = {
     "evaluate": ("predictions", "scenes_file", "out", "lane_thresholds", "iou_threshold", "sample_points"),
     "sweep": ("params", "scenes_file", "out", "seed", "seeds", "levels", "lane_thresholds", "iou_threshold", "sample_points"),
     "stats": ("scenes_file", "out"),
-    "resample": ("scenes_file", "out", "freq_threshold", "min_factor", "max_factor"),
     "tta-merge": ("input", "out", "merge_iou"),
 }
 # defaults of the options that set no config field

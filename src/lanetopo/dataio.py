@@ -105,7 +105,6 @@ class TrafficElement(_Record):
 class GtLane(_Record):
     id: int
     ctrl: np.ndarray  # (M, 3) meters
-    category: int = 0  # single "centerline" class
 
 
 @dataclass(eq=False)
@@ -229,12 +228,10 @@ def validate_scene(scene: SceneRecord, control_points: int | None = None) -> Non
             raise ValidationError(scene.scene_id, "topo_lt", f"unknown traffic id {k}")
 
 
-def validate_detection(
-    record: DetectionRecord, control_points: int | None = None, max_lanes: int = DEFAULT_QUERY_BUDGET
-) -> None:
-    if len(record.lanes) > max_lanes:
+def validate_detection(record: DetectionRecord, control_points: int | None = None) -> None:
+    if len(record.lanes) > DEFAULT_QUERY_BUDGET:
         raise ValidationError(
-            record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {max_lanes}"
+            record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {DEFAULT_QUERY_BUDGET}"
         )
     for idx, lane in enumerate(record.lanes):
         pts = _geometry(as_control_points, lane.ctrl, record.scene_id, "lanes.ctrl")
@@ -278,21 +275,31 @@ def traffic_to_obj(te: TrafficElement) -> dict:
     }
 
 
-def _integer(value, fieldname: str) -> int:
+def _field(obj: dict, name: str, convert=lambda v: np.asarray(v, dtype=float)):
+    """``convert`` of the entry of the JSON object ``obj`` that the last part
+    of the dotted ``name`` keys; a missing or malformed entry is an error
+    naming the field (Python's and numpy's own text names none)."""
+    try:
+        return convert(obj[name.rpartition(".")[2]])
+    except (KeyError, TypeError, ValueError) as exc:  # TypeError too when ``obj`` is no object
+        raise ValueError(f"field {name!r}: {'missing' if isinstance(exc, KeyError) else exc}") from exc
+
+
+def _integer(value) -> int:
     """A JSON integer; bools and non-integral numbers are rejected."""
     if type(value) is int:  # exact type: a bool is an int subclass
         return value
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    raise ValueError(f"field {fieldname!r}: expected an integer, got {value!r}")
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def traffic_from_obj(obj: dict) -> TrafficElement:
     return TrafficElement(
-        id=_integer(obj["id"], "traffic.id"),
-        box=np.asarray(obj["box"], dtype=float),
-        category=_integer(obj["category"], "traffic.category"),
-        confidence=float(obj["confidence"]),
+        id=_field(obj, "traffic.id", _integer),
+        box=_field(obj, "traffic.box"),
+        category=_field(obj, "traffic.category", _integer),
+        confidence=_field(obj, "traffic.confidence", float),
     )
 
 
@@ -309,13 +316,13 @@ def scene_to_obj(scene: SceneRecord) -> dict:
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
-    lanes = [
-        GtLane(id=_integer(l["id"], "lanes.id"), ctrl=np.asarray(l["ctrl"], dtype=float)) for l in obj["lanes"]
-    ]
-    traffic = [traffic_from_obj(te) for te in obj["traffic"]]
-    topo_ll = {(_integer(i, "topo_ll"), _integer(j, "topo_ll")) for i, j in obj.get("topo_ll", [])}
-    topo_lt = {(_integer(i, "topo_lt"), _integer(k, "topo_lt")) for i, k in obj.get("topo_lt", [])}
-    return SceneRecord(str(obj["scene_id"]), lanes, traffic, topo_ll, topo_lt)
+    lanes = [GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl")) for l in _field(obj, "lanes", list)]
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    topo_ll, topo_lt = (
+        _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in pairs}) if name in obj else set()
+        for name in ("topo_ll", "topo_lt")
+    )
+    return SceneRecord(_field(obj, "scene_id", str), lanes, traffic, topo_ll, topo_lt)
 
 
 def detection_to_obj(record: DetectionRecord) -> dict:
@@ -339,43 +346,44 @@ def detection_to_obj(record: DetectionRecord) -> dict:
     return obj
 
 
-def _matrix(text, shape: tuple[int, int], fieldname: str) -> np.ndarray:
+def _matrix(text, shape: tuple[int, int]) -> np.ndarray:
     """A base64 float64 matrix of ``shape`` as a writable native array."""
     if not isinstance(text, str):
         hint = " (the old list form: re-run `lanetopo predict`)" if isinstance(text, list) else ""
-        raise ValueError(f"field {fieldname!r}: expected a base64 string, got {type(text).__name__}{hint}")
+        raise ValueError(f"expected a base64 string, got {type(text).__name__}{hint}")
     try:
         raw = base64.b64decode(text, validate=True)
     except ValueError as exc:  # binascii.Error
-        raise ValueError(f"field {fieldname!r}: invalid base64: {exc}") from exc
+        raise ValueError(f"invalid base64: {exc}") from exc
     if len(raw) != 8 * shape[0] * shape[1]:
-        raise ValueError(f"field {fieldname!r}: {len(raw)} bytes, expected 8 * {shape[0]} * {shape[1]}")
+        raise ValueError(f"{len(raw)} bytes, expected 8 * {shape[0]} * {shape[1]}")
     return np.frombuffer(raw, "<f8").reshape(shape).astype(float)
 
 
 def _feature(values) -> np.ndarray:
     feat = np.asarray(values, dtype=float)
     if feat.ndim != 1 or not np.all(np.isfinite(feat)):
-        raise ValueError("field 'lanes.feature': expected a list of finite numbers")
+        raise ValueError("expected a list of finite numbers")
     return feat
 
 
 def detection_from_obj(obj: dict) -> DetectionRecord:
     lanes = [
         PredLane(
-            ctrl=np.asarray(l["ctrl"], dtype=float),
-            class_score=float(l["class_score"]),
-            feature=_feature(l["feature"]) if "feature" in l else None,
+            ctrl=_field(l, "lanes.ctrl"),  # first: a lane that is no object fails here, named
+            class_score=_field(l, "lanes.class_score", float),
+            feature=_field(l, "lanes.feature", _feature) if "feature" in l else None,
         )
-        for l in obj["lanes"]
+        for l in _field(obj, "lanes", list)
     ]
-    traffic = [traffic_from_obj(te) for te in obj["traffic"]]
-    if "topo_ll_prob" in obj:
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    scene_id = _field(obj, "scene_id", str)
+    if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
         n, t = len(lanes), len(traffic)
-        ll = _matrix(obj["topo_ll_prob"], (n, n), "topo_ll_prob")
-        lt = _matrix(obj["topo_lt_prob"], (n, t), "topo_lt_prob")
-        return PredictionRecord(str(obj["scene_id"]), lanes, traffic, topo_ll_prob=ll, topo_lt_prob=lt)
-    return DetectionRecord(str(obj["scene_id"]), lanes, traffic)
+        ll = _field(obj, "topo_ll_prob", lambda text: _matrix(text, (n, n)))
+        lt = _field(obj, "topo_lt_prob", lambda text: _matrix(text, (n, t)))
+        return PredictionRecord(scene_id, lanes, traffic, topo_ll_prob=ll, topo_lt_prob=lt)
+    return DetectionRecord(scene_id, lanes, traffic)
 
 
 # ---------------------------------------------------------------------------

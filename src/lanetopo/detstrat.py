@@ -1,10 +1,8 @@
 """Detector-side data strategies as pure, detector-agnostic operations:
-category statistics, CBGS-style frame resampling, and multi-scale TTA
-box fusion.
+traffic-category statistics and multi-scale TTA box fusion.
 
-Nothing here trains a detector; these transform data for whatever
-trainer consumes them. A demonstration harness in the CLI applies the
-resampling plan to the synthetic training split.
+Nothing here trains a detector: the heads train on frozen detector
+outputs, which the corruption channel stands in for.
 """
 
 from __future__ import annotations
@@ -27,18 +25,6 @@ class CategoryStats:
 
 
 @dataclass
-class ResampleConfig(Settings):
-    freq_threshold: float = setting(0.10, float, "(0, 1]")  # categories rarer than this trigger duplication
-    min_factor: int = setting(5, int, "[1, inf)")
-    max_factor: int = setting(20, int, "[1, inf)")
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.max_factor < self.min_factor:
-            raise ValueError(f"ResampleConfig.max_factor must be >= min_factor={self.min_factor}, got {self.max_factor}")
-
-
-@dataclass
 class TtaConfig(Settings):
     merge_iou: float = setting(0.6, float, "(0, 1]")
 
@@ -52,33 +38,6 @@ def category_histogram(frames: Sequence[SceneRecord]) -> CategoryStats:
     total = int(counts.sum())
     freqs = counts / total if total > 0 else np.zeros(NUM_CATEGORIES)
     return CategoryStats(counts=counts, total=total, frequencies=freqs)
-
-
-def duplication_factor(freq: float, cfg: ResampleConfig) -> int:
-    """Inverse-frequency duplication, clamped to [min_factor, max_factor]."""
-    raw = int(np.round(cfg.freq_threshold / freq))
-    return int(np.clip(raw, cfg.min_factor, cfg.max_factor))
-
-
-def resample_plan(
-    frames: Sequence[SceneRecord], stats: CategoryStats, cfg: ResampleConfig | None = None
-) -> list[int]:
-    """Frame-index multiset: frames containing rare categories repeat.
-
-    A frame repeats by the max factor over its rare categories (several
-    rare categories in one frame do not stack); frames without rare
-    categories appear once. Deterministic, grouped by ascending index.
-    """
-    cfg = cfg or ResampleConfig()
-    plan: list[int] = []
-    for idx, frame in enumerate(frames):
-        factor = 1
-        for cat in {te.category for te in frame.traffic}:
-            freq = stats.frequencies[cat]
-            if 0.0 < freq < cfg.freq_threshold:
-                factor = max(factor, duplication_factor(freq, cfg))
-        plan.extend([idx] * factor)
-    return plan
 
 
 def tta_merge(

@@ -251,11 +251,16 @@ def lane_inputs(lanes: Sequence[PredLane], cfg: HeadConfig) -> tuple[np.ndarray,
 
 def traffic_inputs(elements: Sequence[TrafficElement]) -> np.ndarray:
     """The traffic embedder's input, one row per element: the box over the
-    image extent, the one-hot category and the confidence."""
+    image extent, the one-hot category and the confidence. A category
+    outside [0, NUM_CATEGORIES) is an error, not a wrapped index."""
     t = len(elements)
+    categories = np.array([te.category for te in elements], dtype=int)
+    bad = np.flatnonzero((categories < 0) | (categories >= NUM_CATEGORIES))
+    if bad.size:
+        raise ValueError(f"traffic element {bad[0]}: category {categories[bad[0]]} outside [0, {NUM_CATEGORIES - 1}]")
     x = np.zeros((t, 4 + NUM_CATEGORIES + 1))
     x[:, :4] = np.array([te.box for te in elements], dtype=float).reshape(t, 4) / _IMAGE_EXTENT
-    x[:, 4:-1][np.arange(t), np.array([te.category for te in elements], dtype=int)] = 1.0
+    x[:, 4:-1][np.arange(t), categories] = 1.0
     x[:, -1] = [te.confidence for te in elements]
     return x
 
@@ -407,16 +412,12 @@ class SceneTargets:
     off_diag: np.ndarray  # bool (n, n): the lane-lane pairs the loss averages over
 
 
-def scene_targets(
-    detection: DetectionRecord,
-    scene: SceneRecord,
-    cfg: HeadConfig,
-    cost_cfg: assoc.CostConfig | None = None,
-) -> SceneTargets:
+def scene_targets(detection: DetectionRecord, scene: SceneRecord, cfg: HeadConfig) -> SceneTargets:
     """The embedder inputs of ``detection`` and the labels that its optimal
-    matching against ``scene`` projects from the GT edges."""
-    lane_match = assoc.match_for_training(detection.lanes, scene.lanes, cost_cfg)
-    traffic_match = assoc.match_traffic_for_training(detection.traffic, scene.traffic, cost_cfg)
+    matching against ``scene`` (at the default ``CostConfig``) projects
+    from the GT edges."""
+    lane_match = assoc.match_for_training(detection.lanes, scene.lanes)
+    traffic_match = assoc.match_traffic_for_training(detection.traffic, scene.traffic)
     ll_labels, lt_labels = assoc.project_edges(lane_match, traffic_match, scene)
     return SceneTargets(
         lane_inputs(detection.lanes, cfg),
@@ -491,7 +492,6 @@ def train(
     val_scenes: Sequence[SceneRecord] = (),
     val_detections: Sequence[DetectionRecord] = (),
     cfg: HeadConfig | None = None,
-    cost_cfg: assoc.CostConfig | None = None,
     on_epoch: Callable[[int, TrainStats], None] | None = None,
 ) -> tuple[TopoHeadParams, TrainStats]:
     """Train both heads with one AdamW step per scene.
@@ -502,7 +502,6 @@ def train(
     ends (``epoch`` counts from 0), after its entries are in ``stats``.
     """
     cfg = cfg or HeadConfig()
-    cost_cfg = cost_cfg or assoc.CostConfig()  # built once, not per scene
     if not train_scenes:
         raise ValueError("training set is empty")
     pairs = _pair_by_scene_id(train_scenes, train_detections, "train")
@@ -514,8 +513,8 @@ def train(
     order = np.random.default_rng(cfg.seed).permutation(len(pairs))
     stats = TrainStats()
     t_start = time.perf_counter()
-    targets = [scene_targets(d, s, cfg, cost_cfg) for s, d in pairs]
-    val_targets = [scene_targets(d, s, cfg, cost_cfg) for s, d in val_pairs]
+    targets = [scene_targets(d, s, cfg) for s, d in pairs]
+    val_targets = [scene_targets(d, s, cfg) for s, d in val_pairs]
     step = 0
     for epoch in range(cfg.epochs):
         losses_ll, losses_lt, norms = [], [], []

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lanetopo import dataio, detstrat, metrics, synthgen, topoheads
-from lanetopo.cli import main
+from lanetopo.cli import COMMANDS, main
 
 
 def run(argv):
@@ -420,6 +420,36 @@ def test_sweep_level_value_error_names_the_level_key_and_field(dataset, tmp_path
     assert "--ctrl-sigma" not in err and not out.exists()
 
 
+def test_sweep_prints_each_level_as_it_finishes(dataset, trained, tmp_path, capsys, monkeypatch):
+    # the output so far, taken at every evaluation: the header is out before
+    # the first one, and a level's row before the next level's first one
+    out = tmp_path / "sweep"
+    levels = [{"ctrl_sigma": 0.0, "drop_prob": 0.0}, {"ctrl_sigma": 0.5, "drop_prob": 0.2}, {"ctrl_sigma": 1.0}]
+    seeds = 2
+    printed = []
+    evaluate = metrics.evaluate
+
+    def spying_evaluate(*args):
+        printed.append(capsys.readouterr().out)
+        return evaluate(*args)
+
+    monkeypatch.setattr(metrics, "evaluate", spying_evaluate)
+    argv = ["sweep", "--params", str(trained / "params.json"), "--scenes-file", str(dataset / "test_scenes.jsonl")]
+    assert run([*argv, "--out", str(out), "--seeds", str(seeds), "--levels", json.dumps(levels)]) == 0
+    printed.append(capsys.readouterr().out)
+    lines = np.cumsum([text.count("\n") for text in printed])
+    # the header, then one row per finished level; the last entry adds the final row and the path line
+    assert lines.tolist() == [1 + call // seeds for call in range(len(levels) * seeds)] + [len(levels) + 2]
+    sweep = json.loads((out / "sweep.json").read_text())
+    rows = [
+        f"{lv['level']:>5} {lv['noise']['ctrl_sigma']:>10.3f} {lv['noise']['drop_prob']:>9.3f} "
+        + " ".join(f"{100 * v:8.2f}" for v in lv["mean"].values())
+        for lv in sweep["levels"]
+    ]
+    header = f"{'level':>5} {'ctrl_sigma':>10} {'drop_prob':>9} {'DET_l':>8} {'DET_t':>8} {'TOP_ll':>8} {'TOP_lt':>8} {'OLS':>8}"
+    assert "".join(printed) == "".join(line + "\n" for line in [header, *rows, f"sweep -> {out / 'sweep.csv'}"])
+
+
 def test_train_prints_each_epoch_as_it_ends(dataset, tmp_path, capsys, monkeypatch):
     # the output so far, taken at every optimizer step: an epoch's line is
     # out before the next epoch's first step
@@ -455,11 +485,20 @@ def test_stats_and_resample_commands(dataset, tmp_path, capsys):
     assert hist["total"] == sum(len(s.traffic) for s in scenes)
     assert sum(hist["counts"]) == hist["total"]
 
-    plan_path = tmp_path / "plan.json"
-    assert run(["resample", "--scenes-file", str(dataset / "train_scenes.jsonl"), "--out", str(plan_path)]) == 0
-    plan = json.loads(plan_path.read_text())
-    assert len(plan) >= len(scenes)
-    assert set(plan) == set(range(len(scenes)))
+    # the frame-resampling plan fed no command: `resample` is no longer one
+    with pytest.raises(SystemExit) as exc:
+        run(["resample", "--scenes-file", str(dataset / "train_scenes.jsonl"), "--out", str(tmp_path / "plan.json")])
+    assert exc.value.code == 2
+    assert "invalid choice: 'resample'" in capsys.readouterr().err
+
+
+def test_readme_cli_section_names_every_command():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"lanetopo ([a-z-]+)", section)) | set(re.findall(r"`([a-z-]+)`", section))
+    assert set(COMMANDS) <= named, sorted(set(COMMANDS) - named)
+    other = re.search(r"Other commands:(.*?)\.\s", section, re.S).group(1)
+    assert set(re.findall(r"`([a-z-]+)`", other)) <= set(COMMANDS)
 
 
 def test_stats_empty_file(tmp_path, capsys):
@@ -561,12 +600,6 @@ def test_generate_rejects_non_finite_and_non_integral_settings(tmp_path, capsys,
             (metrics.DetMatchConfig, {"lane_frechet_thresholds": (True,)}),
             "DetMatchConfig.lane_frechet_thresholds",
             id="lib-thresholds-true",
-        ),
-        pytest.param((detstrat.ResampleConfig, {"min_factor": 2.5}), "ResampleConfig.min_factor", id="lib-min_factor-2.5"),
-        pytest.param(
-            (detstrat.ResampleConfig, {"min_factor": True, "max_factor": True}),
-            "ResampleConfig.min_factor",
-            id="lib-factors-true",
         ),
         pytest.param((detstrat.TtaConfig, {"merge_iou": True}), "TtaConfig.merge_iou", id="lib-merge_iou-true"),
     ],

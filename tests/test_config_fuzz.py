@@ -19,7 +19,6 @@ CONFIGS = [
     metrics.DetMatchConfig,
     synthgen.GeneratorConfig,
     synthgen.NoiseModel,
-    detstrat.ResampleConfig,
     detstrat.TtaConfig,
 ]
 

@@ -137,8 +137,11 @@ def test_class_score_out_of_range():
 
 def test_query_budget_enforced():
     det = make_detection()
-    with pytest.raises(ValidationError, match="query budget"):
-        dataio.validate_detection(det, max_lanes=2)
+    det.lanes = [det.lanes[0]] * dataio.DEFAULT_QUERY_BUDGET
+    dataio.validate_detection(det)
+    det.lanes.append(det.lanes[0])
+    with pytest.raises(ValidationError, match=f"{dataio.DEFAULT_QUERY_BUDGET + 1} lanes exceed query budget"):
+        dataio.validate_detection(det)
 
 
 def test_parse_failure_names_line(tmp_path):

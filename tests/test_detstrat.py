@@ -5,13 +5,7 @@ import pytest
 
 from lanetopo import detstrat
 from lanetopo.dataio import SceneRecord, TrafficElement
-from lanetopo.detstrat import (
-    ResampleConfig,
-    TtaConfig,
-    category_histogram,
-    resample_plan,
-    tta_merge,
-)
+from lanetopo.detstrat import TtaConfig, category_histogram, tta_merge
 
 
 def frame(categories, scene_id="f"):
@@ -46,67 +40,6 @@ def test_histogram_skewed_mix():
     stats = category_histogram([frame(cats)])
     assert stats.frequencies[:4] == pytest.approx([0.5, 0.2, 0.2, 0.1])
     assert stats.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
-
-
-def test_resample_plan_no_rare_categories():
-    frames = [frame([0, 1]), frame([1, 0])]
-    stats = category_histogram(frames)
-    assert resample_plan(frames, stats) == [0, 1]
-
-
-def test_resample_plan_clamps_to_max():
-    # one frame holds the rare category at frequency 1/200 = 0.005
-    frames = [frame([0] * 10) for _ in range(19)] + [frame([0] * 9 + [3])]
-    stats = category_histogram(frames)
-    assert stats.frequencies[3] == pytest.approx(0.005)
-    plan = resample_plan(frames, stats)
-    assert plan.count(19) == 20  # round(0.10 / 0.005) = 20, at the cap
-    assert all(plan.count(i) == 1 for i in range(19))
-
-
-def test_resample_plan_clamps_to_min():
-    # rare category at frequency 1/20 = 0.05: round(2) lifts to min_factor 5
-    frames = [frame([0] * 10), frame([0] * 9 + [3])]
-    stats = category_histogram(frames)
-    assert stats.frequencies[3] == pytest.approx(0.05)
-    plan = resample_plan(frames, stats)
-    assert plan.count(1) == 5
-    assert plan.count(0) == 1
-
-
-def test_resample_plan_takes_max_over_rare_categories():
-    # categories 3 (freq 0.02 -> factor 5) and 4 (freq 0.01 -> factor 10)
-    fillers = [frame([0]) for _ in range(97)]
-    special = frame([3, 3, 4])
-    frames = fillers + [special]
-    stats = category_histogram(frames)
-    assert stats.frequencies[3] == pytest.approx(0.02)
-    assert stats.frequencies[4] == pytest.approx(0.01)
-    plan = resample_plan(frames, stats)
-    assert plan.count(len(frames) - 1) == 10  # the larger factor wins
-
-
-def test_resample_plan_bounds_and_coverage():
-    rng = np.random.default_rng(7)
-    frames = [frame(list(rng.integers(0, 13, size=rng.integers(1, 6)))) for _ in range(30)]
-    stats = category_histogram(frames)
-    plan = resample_plan(frames, stats)
-    assert len(plan) >= len(frames)
-    counts = {i: plan.count(i) for i in range(len(frames))}
-    assert all(c >= 1 for c in counts.values())
-    assert all(c == 1 or 5 <= c <= 20 for c in counts.values())
-
-
-def test_resample_plan_reorder_equivariance():
-    rng = np.random.default_rng(9)
-    frames = [frame(list(rng.integers(0, 13, size=4)), scene_id=f"f{i}") for i in range(12)]
-    stats = category_histogram(frames)
-    base = resample_plan(frames, stats)
-    perm = list(rng.permutation(len(frames)))
-    permuted = resample_plan([frames[i] for i in perm], category_histogram([frames[i] for i in perm]))
-    base_counts = {frames[i].scene_id: base.count(i) for i in range(len(frames))}
-    perm_counts = {frames[perm[i]].scene_id: permuted.count(i) for i in range(len(frames))}
-    assert base_counts == perm_counts
 
 
 def test_tta_single_scale_passthrough():
@@ -171,5 +104,5 @@ def test_tta_idempotent_and_no_high_iou_survivors():
 def test_tta_rejects_bad_scale_and_config():
     with pytest.raises(ValueError):
         tta_merge([(0.0, [element()])])
-    with pytest.raises(ValueError):
-        ResampleConfig(min_factor=10, max_factor=5)
+    with pytest.raises(ValueError, match="TtaConfig.merge_iou"):
+        TtaConfig(merge_iou=0.0)

@@ -300,6 +300,18 @@ def test_traffic_inputs_equal_the_per_element_oracle(categories):
     assert np.array_equal(x, np.array([traffic_input(te) for te in elements]).reshape(x.shape))
 
 
+@pytest.mark.parametrize("category", [-1, NUM_CATEGORIES])
+def test_out_of_range_category_is_rejected_by_train_and_predict(category):
+    rng = np.random.default_rng(24)
+    scenes, dets = make_training_set(rng, 2)
+    dets[1].traffic[1].category = category
+    message = f"traffic element 1: category {category} outside"
+    with pytest.raises(ValueError, match=message):
+        th.train(scenes, dets, cfg=small_config(epochs=1))
+    with pytest.raises(ValueError, match=message):
+        th.predict(dets[1], th.init_params(small_config()))
+
+
 def test_ll_logits_shapes_and_oracle():
     cfg = small_config(seed=5)
     params = th.init_params(cfg)
