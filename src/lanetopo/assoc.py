@@ -14,7 +14,7 @@ takes a stack of them and walks rank r of every matrix at once. Both
 return a matching in one form: an int array over the predictions whose
 entry i is the GT index that prediction i took, or -1 when it took none.
 Either matching projects the GT topology onto prediction indices
-(:func:`project_edges`): the training labels and the TOP hits.
+(:func:`project_edges`): the training labels.
 """
 
 from __future__ import annotations

@@ -290,10 +290,14 @@ def run_stats(opts: dict) -> int:
 def run_tta_merge(opts: dict) -> int:
     _require(opts, "input", "out")
     payload = json.loads(Path(opts["input"]).read_text(encoding="utf-8"))
-    per_scale = [
-        (float(entry["scale"]), [dataio.traffic_from_obj(te) for te in entry["traffic"]])
-        for entry in payload
-    ]
+    if not isinstance(payload, list):
+        raise ValueError(f"{opts['input']}: expected a list of {{'scale', 'traffic'}} objects")
+    per_scale = []
+    for index, entry in enumerate(payload):
+        try:
+            per_scale.append(dataio.tta_entry_from_obj(entry))
+        except ValueError as exc:
+            raise ValueError(f"{opts['input']}: entry {index}: {exc}") from exc
     cfg = _config(detstrat.TtaConfig, opts)
     merged = detstrat.tta_merge(per_scale, cfg)
     Path(opts["out"]).write_text(

@@ -285,6 +285,23 @@ def _field(obj: dict, name: str, convert=lambda v: np.asarray(v, dtype=float)):
         raise ValueError(f"field {name!r}: {'missing' if isinstance(exc, KeyError) else exc}") from exc
 
 
+def _real(value) -> float:
+    """A JSON number as a float; bools, strings and null are rejected."""
+    if type(value) in (int, float):  # exact type: a bool is an int subclass
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"expected a number, got {value!r}")
+
+
+def _text(value) -> str:
+    """A JSON string; null and numbers are rejected."""
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
+
+
 def _integer(value) -> int:
     """A JSON integer; bools and non-integral numbers are rejected."""
     if type(value) is int:  # exact type: a bool is an int subclass
@@ -299,8 +316,21 @@ def traffic_from_obj(obj: dict) -> TrafficElement:
         id=_field(obj, "traffic.id", _integer),
         box=_field(obj, "traffic.box"),
         category=_field(obj, "traffic.category", _integer),
-        confidence=_field(obj, "traffic.confidence", float),
+        confidence=_field(obj, "traffic.confidence", _real),
     )
+
+
+def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
+    """One entry of a ``tta-merge`` input list: {"scale": num, "traffic": [element, ...]}."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
+    scale = _field(obj, "scale", _real)
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    try:
+        _check_traffic("", traffic, require_ids=False)
+    except ValidationError as exc:
+        raise ValueError(f"field {exc.field!r}: {exc.message}") from exc
+    return scale, traffic
 
 
 def scene_to_obj(scene: SceneRecord) -> dict:
@@ -322,7 +352,7 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in pairs}) if name in obj else set()
         for name in ("topo_ll", "topo_lt")
     )
-    return SceneRecord(_field(obj, "scene_id", str), lanes, traffic, topo_ll, topo_lt)
+    return SceneRecord(_field(obj, "scene_id", _text), lanes, traffic, topo_ll, topo_lt)
 
 
 def detection_to_obj(record: DetectionRecord) -> dict:
@@ -371,13 +401,13 @@ def detection_from_obj(obj: dict) -> DetectionRecord:
     lanes = [
         PredLane(
             ctrl=_field(l, "lanes.ctrl"),  # first: a lane that is no object fails here, named
-            class_score=_field(l, "lanes.class_score", float),
+            class_score=_field(l, "lanes.class_score", _real),
             feature=_field(l, "lanes.feature", _feature) if "feature" in l else None,
         )
         for l in _field(obj, "lanes", list)
     ]
     traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
-    scene_id = _field(obj, "scene_id", str)
+    scene_id = _field(obj, "scene_id", _text)
     if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
         n, t = len(lanes), len(traffic)
         ll = _field(obj, "topo_ll_prob", lambda text: _matrix(text, (n, n)))

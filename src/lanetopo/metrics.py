@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import assoc, dataio
-from .dataio import MetricReport, SceneRecord
+from .dataio import MetricReport
 from .geometry import box_iou, frechet_distance, frechet_lower_bound, sample_lane
 from .settings import Settings, setting
 
@@ -28,6 +28,7 @@ __all__ = [
     "det_l",
     "det_t",
     "ols",
+    "vertex_aps",
     "evaluate",
     "evaluate_files",
 ]
@@ -225,53 +226,119 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
 # topology score
 
 
-def _ranked_ap(prob: np.ndarray, hits: np.ndarray, num_gt: int) -> float:
-    """AP of ``hits`` ranked by probability descending; a stable sort keeps
-    ties in input order."""
-    return average_precision(hits[np.argsort(-prob, kind="stable")].tolist(), num_gt)
+def _lines(base: np.ndarray, own: np.ndarray, along, across, count, width: int) -> np.ndarray:
+    """Flat indices of the ``width`` candidates of each vertex: entry j of
+    line ``own`` of its scene's matrix, which starts at ``base`` in the flat
+    buffer and whose entries lie ``along`` apart along a line and
+    ``across`` apart between lines; -1 for j >= ``count`` or ``own`` < 0."""
+    j = np.arange(width)
+    real = (j < count[:, None]) & (own[:, None] >= 0)
+    return np.where(real, (base + own * across)[:, None] + np.multiply.outer(along, j), -1)
 
 
-def _vertex_aps(prediction, gt: SceneRecord, lane_match: np.ndarray, traffic_match: np.ndarray):
-    """Per-GT-vertex topology APs of one scene: (lane-lane, lane-traffic).
+def _ranked_aps(flat: np.ndarray, idx: np.ndarray, hit_rows, hit_cols, degree: np.ndarray) -> np.ndarray:
+    """AP of every row of candidates ``flat[idx]`` ranked by probability
+    descending against the hits at (``hit_rows``, ``hit_cols``), over
+    ``degree`` GT edges each.
 
-    ``lane_match``/``traffic_match`` hold each prediction's GT index (-1
-    for none), from the detection-level greedy match at the loosest
-    threshold. Every GT vertex with incident edges is scored on its
-    matched prediction's probability row (a traffic vertex: its column of
-    the lane-traffic matrix) against the same slice of the GT edges
-    projected through the matchings; a lane vertex ranks its outgoing row,
-    diagonal dropped, before its incoming column, so ties go outgoing
-    first, then to the lowest prediction index. A vertex whose entity went
-    undetected scores 0. Lane-traffic lists the lane vertices, then the
-    traffic vertices.
+    ``flat`` ends in -inf, which index -1 picks: such entries are no
+    candidates and sort last, so they move no tie of a stable sort. The
+    precision sum adds in rank order from 0.0, as ``average_precision``
+    does, so every AP is bit-identical to it.
     """
-    n = len(prediction.lanes)
-    ll_hits, lt_hits = assoc.project_edges(lane_match, traffic_match, gt)
-    ll_prob, lt_prob = prediction.topo_ll_prob, prediction.topo_lt_prob
+    hits = np.zeros(idx.shape, dtype=bool)
+    hits[hit_rows, hit_cols] = True
+    hits &= idx >= 0
+    hits = np.take_along_axis(hits, np.argsort(-flat[idx], axis=1, kind="stable"), axis=1)
+    gain = np.zeros((len(idx), idx.shape[1] + 1))  # column 0 is the 0.0 the sum starts from
+    np.divide(np.cumsum(hits, axis=1), np.arange(1, idx.shape[1] + 1), out=gain[:, 1:], where=hits)
+    return np.add.accumulate(gain, axis=1)[:, -1] / degree
 
-    def lane_lane(i):
-        others = np.delete(np.arange(n), i)
-        return (
-            np.concatenate([ll_prob[i, others], ll_prob[others, i]]),
-            np.concatenate([ll_hits[i, others], ll_hits[others, i]]),
-        )
 
-    def aps(entities, owner, degree, candidates):
-        return [
-            _ranked_ap(*candidates(owner[pos]), degree[e.id]) if owner[pos] >= 0 else 0.0
-            for pos, e in enumerate(entities)
-            if degree[e.id]
-        ]
+def vertex_aps(predictions, gts, lane_match: dict, traffic_match: dict):
+    """Per-GT-vertex topology APs of every scene, ranked in one batch per
+    edge space.
 
-    # each GT entity's prediction index, -1 when none took it
-    lane_owner = assoc.invert_match(lane_match, len(gt.lanes)).tolist()
-    traffic_owner = assoc.invert_match(traffic_match, len(gt.traffic)).tolist()
-    ll_degree = Counter(v for edge in gt.topo_ll for v in edge)
-    lane_degree, traffic_degree = Counter(a for a, _ in gt.topo_lt), Counter(k for _, k in gt.topo_lt)
-    ll_aps = aps(gt.lanes, lane_owner, ll_degree, lane_lane)
-    lt_aps = aps(gt.lanes, lane_owner, lane_degree, lambda i: (lt_prob[i], lt_hits[i]))
-    lt_aps += aps(gt.traffic, traffic_owner, traffic_degree, lambda k: (lt_prob[:, k], lt_hits[:, k]))
-    return ll_aps, lt_aps
+    ``lane_match`` / ``traffic_match`` map each scene_id to the GT index of
+    every predicted lane / traffic element (-1 for none), as ``det_l`` /
+    ``det_t`` return them. Every GT vertex with incident edges is scored on
+    its matched prediction's probabilities against the GT edges projected
+    through the matchings: a lane-lane vertex ranks its outgoing row,
+    diagonal dropped, then its incoming column, so ties go outgoing first,
+    then to the lowest prediction index; a lane-traffic lane vertex ranks
+    its row and a traffic vertex its column. A vertex whose entity went
+    undetected scores 0. Probabilities must be finite.
+
+    Vertices are in scene_id order; within a scene, lane-lane lists the
+    lane vertices, lane-traffic the lane vertices and then the traffic
+    vertices. Returns ((lane-lane APs, detected flags), (lane-traffic APs,
+    detected flags)).
+    """
+    aligned = _align(predictions, gts)
+    if not aligned:
+        raise ValueError("no scenes to score")
+    n, t, m, k = (
+        np.array(sizes, dtype=int)
+        for sizes in zip(*((len(p.lanes), len(p.traffic), len(g.lanes), len(g.traffic)) for g, p in aligned))
+    )
+    # one entity index per GT element: each scene a block of its lanes, then its traffic
+    start = np.cumsum(m + k) - (m + k)
+    entity_scene = np.repeat(np.arange(len(aligned)), m + k)
+    owner = np.full(len(entity_scene), -1)  # the matched prediction's index within its scene
+    for kind, matches, count, size, first in (
+        ("lane", lane_match, n, m, start),
+        ("traffic", traffic_match, t, k, start + m),
+    ):
+        scene, idx = _flat(count)
+        gt_idx = np.concatenate([matches[gt.scene_id] for gt, _ in aligned]).astype(int)
+        if len(gt_idx) != len(scene) or np.any((gt_idx < -1) | (gt_idx >= size[scene])):
+            raise IndexError(f"{kind} match is not one GT index in [-1, GT count) per prediction of every scene")
+        took = gt_idx >= 0
+        owner[first[scene[took]] + gt_idx[took]] = idx[took]
+    ll_edges, lt_edges = [], []
+    for (gt, _), first_lane, first_traffic in zip(aligned, start.tolist(), (start + m).tolist()):
+        lane_at = {lane.id: first_lane + g for g, lane in enumerate(gt.lanes)}
+        traffic_at = {te.id: first_traffic + g for g, te in enumerate(gt.traffic)}
+        ll_edges += [(lane_at[a], lane_at[b]) for a, b in gt.topo_ll]
+        lt_edges += [(lane_at[a], traffic_at[b]) for a, b in gt.topo_lt]
+
+    def space(edges, probs, candidates):
+        """APs and detected flags of one edge space's vertices. ``candidates``
+        gives their candidate indices into the flat probabilities, and the
+        column offset of an edge's hit in its head vertex's row."""
+        src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+        degree = np.bincount(np.concatenate([src, dst]), minlength=len(owner))
+        vertex = np.flatnonzero(degree)
+        row = np.zeros(len(owner), dtype=int)
+        row[vertex] = np.arange(len(vertex))
+        sizes = np.array([np.size(p) for p in probs], dtype=int)
+        flat = np.concatenate([*(np.ravel(p) for p in probs), [-np.inf]])
+        own = owner[vertex]
+        idx, offset = candidates(vertex, own, (np.cumsum(sizes) - sizes)[entity_scene[vertex]])
+        src, dst = (ends[(owner[src] >= 0) & (owner[dst] >= 0)] for ends in (src, dst))
+        hit_rows, hit_cols = np.concatenate([row[src], row[dst]]), np.concatenate([owner[dst], offset + owner[src]])
+        return _ranked_aps(flat, idx, hit_rows, hit_cols, degree[vertex]), own >= 0
+
+    def lane_lane(vertex, own, base):
+        # the outgoing row, then the incoming column, each without the diagonal
+        count = n[entity_scene[vertex]]
+        width = count.max(initial=0)
+        idx = np.hstack([_lines(base, own, 1, count, count, width), _lines(base, own, count, 1, count, width)])
+        took = np.flatnonzero(own >= 0)
+        idx[took, own[took]] = idx[took, width + own[took]] = -1
+        return idx, width
+
+    def lane_traffic(vertex, own, base):
+        # a lane vertex's row, a traffic vertex's column
+        scene = entity_scene[vertex]
+        lane = vertex - start[scene] < m[scene]
+        count = np.where(lane, t[scene], n[scene])
+        idx = _lines(base, own, np.where(lane, 1, t[scene]), np.where(lane, t[scene], 1), count, count.max(initial=0))
+        return idx, 0
+
+    ll = space(ll_edges, [pred.topo_ll_prob for _, pred in aligned], lane_lane)
+    lt = space(lt_edges, [pred.topo_lt_prob for _, pred in aligned], lane_traffic)
+    return ll, lt
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +356,9 @@ def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricRepor
     cfg = cfg or DetMatchConfig()
     detl, lane_breakdown, lane_match = det_l(predictions, gts, cfg)
     dett, traffic_breakdown, traffic_match = det_t(predictions, gts, cfg)
-    ll_aps: list[float] = []
-    lt_aps: list[float] = []
-    for gt, pred in _align(predictions, gts):
-        ll, lt = _vertex_aps(pred, gt, lane_match[gt.scene_id], traffic_match[gt.scene_id])
-        ll_aps += ll
-        lt_aps += lt
-    top_ll = float(np.mean(ll_aps)) if ll_aps else 1.0
-    top_lt = float(np.mean(lt_aps)) if lt_aps else 1.0
+    (ll_aps, _), (lt_aps, _) = vertex_aps(predictions, gts, lane_match, traffic_match)
+    top_ll = float(np.mean(ll_aps)) if ll_aps.size else 1.0
+    top_lt = float(np.mean(lt_aps)) if lt_aps.size else 1.0
     return MetricReport(
         det_l=detl,
         det_t=dett,

@@ -214,12 +214,9 @@ def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed) -> DetectionRecor
         if u_drop < noise.drop_prob:
             continue
         ctrl = lane.ctrl + noise.ctrl_sigma * jitter
-        score = float(np.clip(1.0 - noise.conf_noise * u_conf, 0.0, 1.0))
-        lanes.append(PredLane(ctrl=ctrl, class_score=score))
+        lanes.append(PredLane(ctrl=ctrl, class_score=min(max(1.0 - noise.conf_noise * u_conf, 0.0), 1.0)))
     m = scene.lanes[0].ctrl.shape[0] if scene.lanes else 4
-    extent = max(
-        (float(np.max(np.abs(l.ctrl[:, :2]))) for l in scene.lanes), default=50.0
-    )
+    extent = float(np.max(np.abs(np.concatenate([l.ctrl for l in scene.lanes])[:, :2]))) if scene.lanes else 50.0
     for _ in range(rng.poisson(noise.spurious_rate)):
         lanes.append(_spurious_lane(rng, extent, m))
     lanes = lanes[:DEFAULT_QUERY_BUDGET]
@@ -248,7 +245,7 @@ def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed) -> DetectionRecor
                 id=te.id,
                 box=np.array([x1, y1, x2, y2]),
                 category=category,
-                confidence=float(np.clip(1.0 - noise.conf_noise * u_conf, 0.0, 1.0)),
+                confidence=min(max(1.0 - noise.conf_noise * u_conf, 0.0), 1.0),
             )
         )
     next_id = max((te.id for te in scene.traffic), default=-1) + 1

@@ -522,6 +522,34 @@ def test_tta_merge_command(tmp_path):
     assert merged[0]["confidence"] == 0.9
 
 
+GOOD_BOX = {"id": 0, "box": [10.0, 10.0, 50.0, 50.0], "category": 2, "confidence": 0.9}
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        pytest.param([5], "entry 0: expected an object with 'scale' and 'traffic', got 5", id="entry-not-object"),
+        pytest.param([{"scale": 1.0, "traffic": []}, {"traffic": []}], "entry 1: field 'scale': missing", id="no-scale"),
+        pytest.param([{"scale": 1.0}], "entry 0: field 'traffic': missing", id="no-traffic"),
+        pytest.param([{"scale": True, "traffic": []}], "entry 0: field 'scale': expected a number", id="scale-true"),
+        pytest.param([{"scale": 1.0, "traffic": [5]}], "entry 0: field 'traffic.id'", id="element-not-object"),
+        pytest.param(
+            [{"scale": 1.0, "traffic": [{**GOOD_BOX, "box": [1.0, 2.0, 3.0]}]}],
+            "entry 0: field 'traffic.box': box must have 4 coordinates",
+            id="box-3-coordinates",
+        ),
+        pytest.param({"scale": 1.0, "traffic": []}, "expected a list of", id="payload-not-list"),
+    ],
+)
+def test_tta_merge_rejects_bad_entries_naming_index_and_field(tmp_path, capsys, payload, message):
+    inp = tmp_path / "tta.json"
+    inp.write_text(json.dumps(payload))
+    assert run(["tta-merge", "--input", str(inp), "--out", str(tmp_path / "merged.json")]) == 2
+    err = capsys.readouterr().err
+    assert f"{inp}: {message}" in err, err
+    assert not (tmp_path / "merged.json").exists()
+
+
 def test_config_file_provides_defaults_flags_override(tmp_path):
     cfg = {"scenes": 4, "seed": 9, "out": str(tmp_path / "from_config")}
     cfg_path = tmp_path / "cfg.json"

@@ -120,3 +120,32 @@ def test_mutated_line_is_rejected_naming_the_field_or_round_trips(tmp_path_facto
     again = path.with_name("again.jsonl")
     save(records, again)
     assert load(again) == records
+
+
+def _load(kind):
+    return dataio.load_scenes if kind == "scene" else dataio.load_detections
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        pytest.param("detection", ("traffic", 0, "confidence"), True, id="confidence-true"),
+        pytest.param("scene", ("traffic", 1, "confidence"), "1.0", id="confidence-string"),
+        pytest.param("prediction", ("traffic", 0, "confidence"), None, id="confidence-null"),
+        pytest.param("detection", ("lanes", 0, "class_score"), "0.5", id="class_score-string"),
+        pytest.param("prediction", ("lanes", 2, "class_score"), False, id="class_score-false"),
+        pytest.param("detection", ("scene_id",), None, id="scene_id-null"),
+        pytest.param("scene", ("scene_id",), 7, id="scene_id-number"),
+        pytest.param("prediction", ("scene_id",), True, id="scene_id-true"),
+    ],
+)
+def test_wrongly_typed_scalar_is_rejected_naming_the_field(tmp_path, kind, path, value):
+    # these round-trip once coerced (true -> 1.0, "0.5" -> 0.5, null -> 'None'), so the fuzz above cannot see them
+    obj = json.loads(json.dumps(LINES[kind]))
+    _parent(obj, path)[path[-1]] = value
+    file = tmp_path / "records.jsonl"
+    file.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    field = ".".join(p for p in path if isinstance(p, str))
+    with pytest.raises(FormatError) as info:
+        _load(kind)(file)
+    assert str(info.value).startswith(f"{file}:1: field {field!r}: expected a "), str(info.value)

@@ -208,6 +208,13 @@ def test_det_t_absent_categories_excluded():
 NO_TRAFFIC = np.array([], dtype=int)  # the match of a scene without traffic predictions
 
 
+def scene_vertex_aps(pred, scene, lane_match, traffic_match):
+    """The per-vertex (lane-lane, lane-traffic) APs of a one-scene batch, as lists."""
+    matches = ({scene.scene_id: lane_match}, {scene.scene_id: traffic_match})
+    (ll, _), (lt, _) = metrics.vertex_aps([pred], [scene], *matches)
+    return ll.tolist(), lt.tolist()
+
+
 def chain_scene(n=3):
     lanes = [straight_lane(6.0 * i, i) for i in range(n)]
     edges = {(i, i + 1) for i in range(n - 1)}
@@ -217,7 +224,7 @@ def chain_scene(n=3):
 def test_top_perfect_probabilities():
     scene = chain_scene(3)
     pred = perfect_prediction(scene)
-    ll, _ = metrics._vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
+    ll, _ = scene_vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
     assert np.mean(ll) == 1.0
 
 
@@ -227,7 +234,7 @@ def test_top_all_zero_probabilities_tie_order():
     scene = chain_scene(2)
     pred = perfect_prediction(scene)
     pred.topo_ll_prob = np.zeros((2, 2))
-    ll, _ = metrics._vertex_aps(pred, scene, np.arange(2), NO_TRAFFIC)
+    ll, _ = scene_vertex_aps(pred, scene, np.arange(2), NO_TRAFFIC)
     assert np.mean(ll) == pytest.approx(0.75)
     assert ll == [1.0, 0.5]  # the mean alone is the same with incoming first
 
@@ -239,7 +246,7 @@ def test_top_three_lane_chain_false_edge_below_true():
     pred.topo_ll_prob[0, 1] = 0.9
     pred.topo_ll_prob[1, 2] = 0.9
     pred.topo_ll_prob[0, 2] = 0.8  # false edge, still below the true ones
-    ll, _ = metrics._vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
+    ll, _ = scene_vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
     assert np.mean(ll) == pytest.approx(1.0)
 
 
@@ -251,7 +258,7 @@ def test_top_three_lane_chain_false_edge_above_true():
     pred.topo_ll_prob[0, 1] = 0.9
     pred.topo_ll_prob[1, 2] = 0.9
     pred.topo_ll_prob[0, 2] = 0.95
-    ll, _ = metrics._vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
+    ll, _ = scene_vertex_aps(pred, scene, np.arange(3), NO_TRAFFIC)
     assert np.mean(ll) == pytest.approx(2.0 / 3.0)
 
 
@@ -259,7 +266,7 @@ def test_top_undetected_vertex_scores_zero():
     scene = chain_scene(2)
     pred = perfect_prediction(scene)
     # lane 1 undetected: only lane 0 matched
-    ll, _ = metrics._vertex_aps(pred, scene, np.array([0, -1]), NO_TRAFFIC)
+    ll, _ = scene_vertex_aps(pred, scene, np.array([0, -1]), NO_TRAFFIC)
     # vertex 0 detected: its only candidate set has no matched endpoint -> AP 0;
     # vertex 1 undetected -> 0
     assert np.mean(ll) == 0.0
@@ -270,10 +277,10 @@ def test_top_lt_covers_both_sides():
     te = box_element(0, 1, te_id=0)
     scene = SceneRecord("s0", [lane], [te], set(), {(0, 0)})
     pred = perfect_prediction(scene)
-    _, lt = metrics._vertex_aps(pred, scene, np.array([0]), np.array([0]))
+    _, lt = scene_vertex_aps(pred, scene, np.array([0]), np.array([0]))
     assert np.mean(lt) == 1.0
     # drop the traffic match: lane vertex candidates all unmatched -> 0, traffic vertex undetected -> 0
-    _, lt = metrics._vertex_aps(pred, scene, np.array([0]), np.array([-1]))
+    _, lt = scene_vertex_aps(pred, scene, np.array([0]), np.array([-1]))
     assert np.mean(lt) == 0.0
 
 
@@ -281,9 +288,17 @@ def test_top_vacuous_scene():
     scene = SceneRecord("s0", [straight_lane(0, 0)], [], set(), set())
     pred = perfect_prediction(scene)
     # no vertex has an edge: nothing to average, and the report scores it vacuously
-    assert metrics._vertex_aps(pred, scene, np.array([0]), NO_TRAFFIC) == ([], [])
+    assert scene_vertex_aps(pred, scene, np.array([0]), NO_TRAFFIC) == ([], [])
     report = evaluate([pred], [scene])
     assert report.top_ll == report.top_lt == 1.0
+
+
+def test_vertex_aps_rejects_a_match_outside_the_scene():
+    scene = chain_scene(3)
+    pred = perfect_prediction(scene)
+    for lane_match in (np.array([0, 1, 3]), np.array([0, 1, -2]), np.array([0, 1])):
+        with pytest.raises(IndexError, match="lane match"):
+            scene_vertex_aps(pred, scene, lane_match, NO_TRAFFIC)
 
 
 # ---------------------------------------------------------------------------
@@ -460,43 +475,56 @@ def test_evaluate_rejects_zero_scenes():
 def topology_edge_case_inputs():
     """Seeded multi-scene predictions whose probabilities are rounded to one
     decimal (ties everywhere), with dropped lanes and traffic elements, a
-    scene with no traffic, one with no topology edges and one at the query
-    budget."""
+    scene with no traffic, one with no topology edges, one at the query
+    budget, one with no predicted lanes, one whose probabilities are all
+    equal and one whose traffic elements attach to every lane of their chain
+    (vertices with many hits, where the order of the precision sum shows)."""
     gen = GeneratorConfig(seed=41, lanes_per_scene=(3, 10), traffic_per_scene=(1, 8))
-    scenes = [generate_scene(gen, i) for i in range(8)]
+    dense = GeneratorConfig(seed=41, lanes_per_scene=(15, 18), traffic_per_scene=(20, 20), lt_assoc_prob=1.0)
+    scenes = [generate_scene(gen, i) for i in range(10)] + [generate_scene(dense, 10)]
     scenes[1] = SceneRecord(scenes[1].scene_id, scenes[1].lanes, [], scenes[1].topo_ll, set())
     scenes[2] = SceneRecord(scenes[2].scene_id, scenes[2].lanes, scenes[2].traffic, set(), set())
     noise = NoiseModel(ctrl_sigma=0.6, box_sigma=4.0, drop_prob=0.25, spurious_rate=1.5, confusion_prob=0.1)
     records = []
     for i, scene in enumerate(scenes):
         det = corrupt_scene(scene, NoiseModel(spurious_rate=280.0) if i == 3 else noise, [41, i])
+        lanes = [] if i == 4 else det.lanes
         rng = np.random.default_rng([41, i])
-        n, t = len(det.lanes), len(det.traffic)
+        n, t = len(lanes), len(det.traffic)
         ll, lt = np.round(rng.uniform(size=(n, n)), 1), np.round(rng.uniform(size=(n, t)), 1)
         np.fill_diagonal(ll, 0.0)
-        records.append(PredictionRecord(det.scene_id, det.lanes, det.traffic, topo_ll_prob=ll, topo_lt_prob=lt))
+        if i == 5:
+            ll, lt = np.full((n, n), 0.5), np.full((n, t), 0.5)
+        records.append(PredictionRecord(det.scene_id, lanes, det.traffic, topo_ll_prob=ll, topo_lt_prob=lt))
     return scenes, records
 
 
 def test_whole_matrix_top_equals_the_per_vertex_loop():
     scenes, records = topology_edge_case_inputs()
     assert len(records[3].lanes) > 250  # the query-budget scene
+    assert not records[4].lanes and scenes[4].topo_lt and records[4].traffic
     _, _, lane_match = metrics.det_l(records, scenes)
     _, _, traffic_match = metrics.det_t(records, scenes)
+    (ll, ll_detected), (lt, lt_detected) = metrics.vertex_aps(records, scenes, lane_match, traffic_match)
     lane_items, traffic_items = matched_items(lane_match), matched_items(traffic_match)
-    undetected_lanes = undetected_traffic = 0
     want_ll, want_lt = [], []
+    undetected_ll = undetected_lt = undetected_traffic = 0
     for gt, pred in metrics._align(records, scenes):
         lp, tp = dict(lane_items[gt.scene_id]), dict(traffic_items[gt.scene_id])
-        ll = reference_metrics.vertex_aps_ll(pred, gt, lp.items())
-        lt = reference_metrics.vertex_aps_lt(pred, gt, lp.items(), tp.items())
-        assert metrics._vertex_aps(pred, gt, lane_match[gt.scene_id], traffic_match[gt.scene_id]) == (ll, lt)
-        want_ll += ll
-        want_lt += lt
-        lane_ends = {v for edge in gt.topo_ll for v in edge} | {a for a, _ in gt.topo_lt}
-        traffic_ends = {k for _, k in gt.topo_lt}
-        undetected_lanes += sum(l.id in lane_ends for g, l in enumerate(gt.lanes) if g not in lp.values())
-        undetected_traffic += sum(te.id in traffic_ends for g, te in enumerate(gt.traffic) if g not in tp.values())
-    assert undetected_lanes and undetected_traffic
+        want_ll += reference_metrics.vertex_aps_ll(pred, gt, lp.items())
+        want_lt += reference_metrics.vertex_aps_lt(pred, gt, lp.items(), tp.items())
+        ll_ends, lt_lanes = {v for edge in gt.topo_ll for v in edge}, {a for a, _ in gt.topo_lt}
+        missed = [l.id for g, l in enumerate(gt.lanes) if g not in lp.values()]
+        undetected_traffic += sum(te.id in {k for _, k in gt.topo_lt} for g, te in enumerate(gt.traffic) if g not in tp.values())
+        undetected_ll += len(ll_ends.intersection(missed))
+        undetected_lt += len(lt_lanes.intersection(missed))
+    assert undetected_ll and undetected_lt and undetected_traffic
+    # one batch, in the per-scene loop's vertex order, AP for AP
+    assert ll.tolist() == want_ll and lt.tolist() == want_lt
+    assert (~ll_detected).sum() == undetected_ll and (~lt_detected).sum() == undetected_lt + undetected_traffic
+    assert not ll[~ll_detected].any() and not lt[~lt_detected].any()
     report = evaluate(records, scenes)
     assert (report.top_ll, report.top_lt) == (float(np.mean(want_ll)), float(np.mean(want_lt)))
+    # the input order of the scenes changes nothing
+    again = metrics.vertex_aps(records[::-1], scenes[::-1], lane_match, traffic_match)
+    assert [a.tolist() for pair in again for a in pair] == [ll.tolist(), ll_detected.tolist(), lt.tolist(), lt_detected.tolist()]

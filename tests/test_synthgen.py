@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
@@ -126,6 +127,40 @@ def test_corrupted_detections_validate():
     for i in range(5):
         det = corrupt_scene(generate_scene(cfg, i), noise, seed=i)
         dataio.validate_detection(det)
+
+
+# the README sweep levels, then one with every other channel on; conf_noise
+# above 1 drives some confidences to the clip at 0
+PINNED_LEVELS = (
+    {"ctrl_sigma": 0.0, "drop_prob": 0.0},
+    {"ctrl_sigma": 0.25, "drop_prob": 0.1},
+    {"ctrl_sigma": 0.5, "drop_prob": 0.3},
+    {"ctrl_sigma": 1.0, "drop_prob": 0.3},
+    {"ctrl_sigma": 0.5, "box_sigma": 6.0, "drop_prob": 0.2, "spurious_rate": 4.0, "confusion_prob": 0.3, "conf_noise": 1.5},
+)
+CORRUPT_DIGEST = "99c04f9002df4295172423fbdc3916909be9a75bf825c781d8514c709d4501df"
+
+
+def corrupt_digest() -> str:
+    """sha256 of every corrupted record's bytes and reprs over the pinned
+    levels: 6 generated scenes and one without lanes or traffic."""
+    cfg = GeneratorConfig(seed=29)
+    scenes = [generate_scene(cfg, i) for i in range(6)] + [dataio.SceneRecord("empty", [], [], set(), set())]
+    h = hashlib.sha256()
+    for level, noise in enumerate(PINNED_LEVELS):
+        for i, scene in enumerate(scenes):
+            det = corrupt_scene(scene, NoiseModel(**noise), [level, i])
+            h.update(repr((det.scene_id, len(det.lanes), len(det.traffic))).encode())
+            for lane in det.lanes:
+                h.update(np.asarray(lane.ctrl, dtype="<f8").tobytes() + repr(lane.class_score).encode())
+            for te in det.traffic:
+                h.update(np.asarray(te.box, dtype="<f8").tobytes() + repr((te.id, te.category, te.confidence)).encode())
+    return h.hexdigest()
+
+
+def test_corrupt_scene_output_is_pinned():
+    # the generator draws' order and the confidence clip: any change moves every generated file
+    assert corrupt_digest() == CORRUPT_DIGEST
 
 
 def test_split_counts_exact_and_validated():
