@@ -27,6 +27,7 @@ from __future__ import annotations
 import base64
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -275,7 +276,32 @@ def traffic_to_obj(te: TrafficElement) -> dict:
     }
 
 
-def _field(obj: dict, name: str, convert=lambda v: np.asarray(v, dtype=float)):
+_NUMBER_TYPES = {int, float}  # exact types: a bool is an int subclass
+
+
+def _reals(value) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array; bools,
+    strings and null entries are rejected, not coerced."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError("number outside the float range") from None
+    if not _NUMBER_TYPES.issuperset(map(type, _leaves(value, arr.ndim))):
+        bad = next(v for v in _leaves(value, arr.ndim) if type(v) not in _NUMBER_TYPES)
+        raise ValueError(f"expected numbers, got {bad!r}")
+    return arr
+
+
+def _leaves(value, ndim: int):
+    """The scalars of ``value``, nested lists ``ndim`` deep."""
+    if ndim == 0:
+        return (value,)
+    for _ in range(ndim - 1):
+        value = chain.from_iterable(value)
+    return value
+
+
+def _field(obj: dict, name: str, convert=_reals):
     """``convert`` of the entry of the JSON object ``obj`` that the last part
     of the dotted ``name`` keys; a missing or malformed entry is an error
     naming the field (Python's and numpy's own text names none)."""
@@ -391,7 +417,7 @@ def _matrix(text, shape: tuple[int, int]) -> np.ndarray:
 
 
 def _feature(values) -> np.ndarray:
-    feat = np.asarray(values, dtype=float)
+    feat = _reals(values)
     if feat.ndim != 1 or not np.all(np.isfinite(feat)):
         raise ValueError("expected a list of finite numbers")
     return feat

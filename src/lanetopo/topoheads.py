@@ -280,8 +280,9 @@ def embed_traffic_batch(inputs: np.ndarray, params: TopoHeadParams):
     return mlp_forward(params.traffic_embedder, inputs)
 
 
-# hidden entries per block of pair rows (256 KiB of float64, cache-resident):
-# a 16-lane scene is one block, a ~300 x 300 scene one left row per block
+# hidden (forward) or mask (backward) entries per block of pair rows (256 KiB
+# as float64, cache-resident): a 16-lane scene is one block, a ~300 x 300
+# scene one row per block
 _PAIR_BLOCK = 1 << 15
 
 
@@ -309,22 +310,35 @@ def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols
     return out, {"proj": (proj_l, proj_r), "sides": ((left, left_cols), (right, right_cols))}
 
 
+def _masked_sums(d: np.ndarray, near: np.ndarray, far: np.ndarray) -> np.ndarray:
+    """Row i is sum_j d[i, j] * [near[i] + far[j] > 0], shape (len(near), H).
+
+    A rounded sum of two doubles is 0 only when they cancel exactly, so
+    ``near[i] + far[j] > 0`` holds exactly when ``near[i] > -far[j]``: the
+    mask is the forward's rectifier mask bit for bit, built without the sum.
+    """
+    out = np.empty_like(near)
+    neg = -far
+    for rows in _pair_blocks(len(near), len(far), near.shape[1]):
+        out[rows] = np.matmul(d[rows, None, :], np.greater(near[rows, None], neg))[:, 0]
+    return out
+
+
 def _pair_backward(head: MlpParams, head_grads: MlpParams, cache: dict, dlogits: np.ndarray):
     """Backward of _pair_logits. Fills ``head_grads``, which must hold zeros,
-    and returns the gradients w.r.t. ``left`` and ``right``."""
+    and returns the gradients w.r.t. ``left`` and ``right``.
+
+    Only the rectifier mask of each pair enters, never its hidden value.
+    With G_l[i] = sum_j dlogits[i, j] * mask[i, j] and G_r[j] the same sum
+    over i (see _masked_sums), relu(a + b) = (a + b) * mask gives
+    dw2 = sum_i proj_l[i] * G_l[i] + sum_j shifted[j] * G_r[j].
+    """
     (proj_l, proj_r), ((left, left_cols), (right, right_cols)) = cache["proj"], cache["sides"]
     w1, w2 = head.weights[0], head.weights[1][0]
     shifted = proj_r + head.biases[0]
-    # masked dlogits summed over the other side; scaled by w2 at the end
-    g_left, g_right = np.empty_like(proj_l), np.zeros_like(proj_r)
-    for rows in _pair_blocks(*dlogits.shape, len(w2)):
-        d = dlogits[rows]
-        hidden = np.maximum(proj_l[rows, None] + shifted, 0.0)
-        head_grads.weights[1][0] += d.reshape(-1) @ hidden.reshape(-1, len(w2))
-        masked = np.greater(hidden, 0.0, out=hidden)
-        masked *= d[..., None]
-        g_left[rows] = masked.sum(axis=1)
-        g_right += masked.sum(axis=0)
+    g_left = _masked_sums(dlogits, proj_l, shifted)
+    g_right = _masked_sums(dlogits.T, shifted, proj_l)
+    head_grads.weights[1][0] += np.einsum("ih,ih->h", proj_l, g_left) + np.einsum("jh,jh->h", shifted, g_right)
     head_grads.biases[1][:] += dlogits.sum()
     g_left, g_right = g_left * w2, g_right * w2
     head_grads.biases[0][:] += g_left.sum(axis=0)

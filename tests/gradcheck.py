@@ -96,14 +96,16 @@ def min_abs_preactivation(targets, params):
     return smallest
 
 
-def full_gradient_check(cfg, rng, rel_tol=1e-4):
+def full_gradient_check(cfg, rng, rel_tol=1e-4, lanes=(1, 5), traffic=(0, 4)):
     """Check every parameter gradient of the scene objective against
-    central finite differences. Returns the number of parameters checked."""
+    central finite differences, on a scene whose lane and traffic counts
+    are drawn from the half-open ranges ``lanes`` and ``traffic``. Returns
+    the number of parameters checked."""
     for _ in range(20):
         scene, det = random_scene_pair(
             rng,
-            n_lanes=int(rng.integers(1, 5)),
-            n_traffic=int(rng.integers(0, 4)),
+            n_lanes=int(rng.integers(*lanes)),
+            n_traffic=int(rng.integers(*traffic)),
             m=cfg.control_points,
         )
         params = th.init_params(cfg)

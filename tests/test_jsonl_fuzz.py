@@ -149,3 +149,39 @@ def test_wrongly_typed_scalar_is_rejected_naming_the_field(tmp_path, kind, path,
     with pytest.raises(FormatError) as info:
         _load(kind)(file)
     assert str(info.value).startswith(f"{file}:1: field {field!r}: expected a "), str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kind, path, value",
+    [
+        pytest.param("detection", ("lanes", 0, "ctrl", 0, 1), True, id="ctrl-true"),
+        pytest.param("scene", ("lanes", 1, "ctrl", 2, 0), "0.5", id="ctrl-string"),
+        pytest.param("prediction", ("lanes", 2, "ctrl", 1, 2), None, id="ctrl-null"),
+        pytest.param("detection", ("traffic", 0, "box", 0), "12", id="box-string"),
+        pytest.param("scene", ("traffic", 1, "box", 3), False, id="box-false"),
+        pytest.param("detection", ("lanes", 0, "feature", 1), True, id="feature-true"),
+        pytest.param("prediction", ("lanes", 0, "feature", 2), "3.0", id="feature-string"),
+    ],
+)
+def test_wrongly_typed_array_entry_is_rejected_naming_the_field(tmp_path, kind, path, value):
+    # a coerced entry (true -> 1.0, "12" -> 12.0) round-trips, so the fuzz above cannot see it
+    obj = json.loads(json.dumps(LINES[kind]))
+    _parent(obj, path)[path[-1]] = value
+    file = tmp_path / "records.jsonl"
+    file.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    field = ".".join(p for p in path if isinstance(p, str))
+    with pytest.raises(FormatError) as info:
+        _load(kind)(file)
+    assert str(info.value) == f"{file}:1: field {field!r}: expected numbers, got {value!r}"
+
+
+@pytest.mark.parametrize("kind, path", [("scene", ("lanes", 0, "ctrl", 0, 0)), ("detection", ("traffic", 1, "box", 2))])
+def test_integer_beyond_the_float_range_is_rejected_naming_the_field(tmp_path, kind, path):
+    obj = json.loads(json.dumps(LINES[kind]))
+    _parent(obj, path)[path[-1]] = 10**400  # a JSON integer literal; float() of it overflows
+    file = tmp_path / "records.jsonl"
+    file.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    field = ".".join(p for p in path if isinstance(p, str))
+    with pytest.raises(FormatError) as info:
+        _load(kind)(file)
+    assert str(info.value) == f"{file}:1: field {field!r}: number outside the float range"

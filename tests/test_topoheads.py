@@ -401,6 +401,54 @@ def test_pair_kernel_across_blocks_matches_dense_heads():
             np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n, m", [(8, 300), (300, 8), (1, 1), (1, 7), (7, 1), (0, 5), (5, 0), (0, 0)])
+@pytest.mark.parametrize("name", ["ll_head", "lt_head"])
+def test_pair_backward_matches_dense_head_at_kinks_ragged_blocks_and_empty_sides(name, n, m):
+    # default width: at 8 x 300 the 8-row side takes one-row blocks and the
+    # 300-row side (the transposed sum) blocks of 32 rows, the last ragged
+    cfg = th.HeadConfig(seed=18)
+    params = th.init_params(cfg)
+    rng = np.random.default_rng(18)
+    c, head = cfg.feature_dim, getattr(params, name)
+    cols = (slice(0, c), slice(c, 2 * c)) if name == "ll_head" else (slice(None), slice(None))
+    left, right = rng.normal(size=(n, c)), rng.normal(size=(m, c))
+    _, cache = th._pair_logits(head, left, right, *cols)
+    proj_l, proj_r = cache["proj"]
+    shifted = proj_r + head.biases[0]
+    # exact-zero pre-activations: unit h of pair (i, partner[i]) for about half the units
+    planted = np.zeros(proj_l.shape, dtype=bool)
+    if m:
+        planted = rng.random(size=proj_l.shape) < 0.5
+        proj_l[planted] = -shifted[rng.integers(0, m, size=n)][planted]
+    pre = proj_l[:, None, :] + shifted  # the forward's hidden pre-activation, as it rounds it
+    assert (pre == 0).sum() >= planted.sum()
+    # dense reference: the head's own backward on every pair input, with the
+    # pre-activations taken from the planted projections
+    x = np.zeros((n, m, head.in_dim))
+    x[:, :, cols[0]] += left[:, None]
+    x[:, :, cols[1]] += right[None]
+    pre = pre.reshape(n * m, cfg.mlp_hidden)
+    hidden = np.maximum(pre, 0.0)
+    ref_cache = {
+        "inputs": [x.reshape(n * m, head.in_dim), hidden],
+        "pre": [pre, hidden @ head.weights[1].T + head.biases[1]],
+    }
+    dlogits = rng.normal(size=(n, m))
+    ref_grads, dx = th.mlp_backward(head, ref_cache, dlogits.reshape(-1, 1))
+    dx = dx.reshape(n, m, head.in_dim)
+    grads = th.TopoHeadParams(cfg)
+    g_left, g_right = th._pair_backward(head, getattr(grads, name), cache, dlogits)
+    assert g_left.shape == (n, c) and g_right.shape == (m, c)
+    np.testing.assert_allclose(g_left, dx[..., cols[0]].sum(axis=1), rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(g_right, dx[..., cols[1]].sum(axis=0), rtol=1e-12, atol=1e-12)
+    got = getattr(grads, name)
+    for a, b in zip(got.weights + got.biases, ref_grads.weights + ref_grads.biases):
+        assert a.shape == b.shape
+        np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
+    if n * m == 0:
+        assert not grads.flat.any()
+
+
 @pytest.mark.parametrize("n, t", [(40, 200), (37, 203)])
 def test_predict_permutation_equivariance_exact_across_blocks(n, t):
     # lanes and traffic both permuted; 37 x 203 puts pairs in the tail
@@ -563,6 +611,16 @@ def test_scene_gradients_match_finite_differences():
             seed=int(rng.integers(0, 1000)),
         )
         assert full_gradient_check(cfg, rng) > 0
+
+
+def test_scene_gradients_match_finite_differences_across_pair_blocks(monkeypatch):
+    # 80 hidden entries per block: at 7 lanes, 3 traffic elements and H = 5
+    # every masked sum of both heads spans several blocks, the last ragged
+    monkeypatch.setattr(th, "_PAIR_BLOCK", 80)
+    rows = lambda n, m: [len(range(n)[s]) for s in th._pair_blocks(n, m, 5)]
+    assert rows(7, 7) == [2, 2, 2, 1] and rows(7, 3) == [5, 2] and rows(3, 7) == [2, 1]
+    cfg = small_config(mlp_hidden=5, seed=21)
+    assert full_gradient_check(cfg, np.random.default_rng(78), lanes=(7, 8), traffic=(3, 4)) > 0
 
 
 def make_training_set(rng, count, n_lanes=3, n_traffic=2, m=3):
