@@ -313,7 +313,7 @@ def _field(obj: dict, name: str, convert=_reals):
 
 def _real(value) -> float:
     """A JSON number as a float; bools, strings and null are rejected."""
-    if type(value) in (int, float):  # exact type: a bool is an int subclass
+    if type(value) in _NUMBER_TYPES:
         try:
             return float(value)
         except OverflowError:
