@@ -213,8 +213,10 @@ def greedy_metric_match(dist, threshold) -> tuple[np.ndarray, np.ndarray]:
     Scanning in rank order, a prediction is a TP if some still-unmatched
     GT lies within the threshold (<=); it takes the nearest one, the
     lowest GT index on a tie. Each GT matches at most once per matrix.
-    Rank r of every matrix in the stack is matched in one step. Pad ragged
-    matrices with +inf, which never lies within a finite threshold.
+    Rank r of every matrix in the stack is matched in one step, and only
+    the ranks with a candidate in some matrix are visited: a rank with none
+    can take no GT. Pad ragged matrices with +inf, which never lies within
+    a finite threshold.
 
     Returns bool flags (..., N) in rank order and int ``match`` (..., N):
     the GT index each prediction took, -1 for a false positive.
@@ -230,7 +232,7 @@ def greedy_metric_match(dist, threshold) -> tuple[np.ndarray, np.ndarray]:
     if m:
         free = np.ones((k, m), dtype=bool)
         stack = np.arange(k)
-        for r in range(n):
+        for r in np.flatnonzero((d <= thr[:, :, None]).any(axis=(0, 2))).tolist():
             row = d[:, r]
             cand = free & (row <= thr)
             g = np.argmin(np.where(cand, row, np.inf), axis=1)

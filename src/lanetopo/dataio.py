@@ -200,20 +200,54 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             )
 
 
-def validate_scene(scene: SceneRecord, control_points: int | None = None) -> None:
-    """Check every SceneRecord invariant; raise ValidationError on the first hit."""
-    lane_ids = set()
-    for lane in scene.lanes:
-        if lane.id in lane_ids:
-            raise ValidationError(scene.scene_id, "lanes.id", f"duplicate id {lane.id}")
-        lane_ids.add(lane.id)
-        pts = _geometry(as_control_points, lane.ctrl, scene.scene_id, "lanes.ctrl")
+def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool) -> bool:
+    """True when every lane passes the per-lane checks of
+    :func:`_check_lanes`, found in one batch: the stacked control points,
+    their count, and the ids (GT) or the class scores (detection). False
+    also when the lanes do not stack or a check cannot run; the per-lane
+    loop then decides."""
+    try:
+        pts = as_control_points(np.array([lane.ctrl for lane in lanes], dtype=float), batch=True)
+        if control_points is not None and pts.shape[1] != control_points:
+            return False
+        if gt:
+            return len({lane.id for lane in lanes}) == len(lanes)
+        scores = np.array([lane.class_score for lane in lanes])
+        if scores.dtype.kind not in "biuf" or scores.shape != (len(lanes),):  # strings, objects, arrays
+            return False
+        return bool(np.all((scores >= 0.0) & (scores <= 1.0)))
+    except (TypeError, ValueError, OverflowError):
+        return False
+
+
+def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt: bool) -> None:
+    """Each lane's control points and their count, and each GT lane's id
+    (unique) or each detected lane's class score (in [0, 1]). A record that
+    fails the batch check is checked lane by lane, so the message names the
+    first bad entry."""
+    if _lanes_pass(lanes, control_points, gt):
+        return
+    seen = set()
+    for idx, lane in enumerate(lanes):
+        if gt:
+            if lane.id in seen:
+                raise ValidationError(scene_id, "lanes.id", f"duplicate id {lane.id}")
+            seen.add(lane.id)
+        pts = _geometry(as_control_points, lane.ctrl, scene_id, "lanes.ctrl")
         if control_points is not None and pts.shape[0] != control_points:
             raise ValidationError(
-                scene.scene_id,
+                scene_id,
                 "lanes.ctrl",
-                f"lane {lane.id} has {pts.shape[0]} control points, expected {control_points}",
+                f"lane {lane.id if gt else idx} has {pts.shape[0]} control points, expected {control_points}",
             )
+        if not gt and not (0.0 <= lane.class_score <= 1.0):
+            raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
+
+
+def validate_scene(scene: SceneRecord, control_points: int | None = None) -> None:
+    """Check every SceneRecord invariant; raise ValidationError on the first hit."""
+    _check_lanes(scene.scene_id, scene.lanes, control_points, gt=True)
+    lane_ids = {lane.id for lane in scene.lanes}
     _check_traffic(scene.scene_id, scene.traffic, require_ids=True)
     traffic_ids = {te.id for te in scene.traffic}
     for i, j in scene.topo_ll:
@@ -234,18 +268,7 @@ def validate_detection(record: DetectionRecord, control_points: int | None = Non
         raise ValidationError(
             record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {DEFAULT_QUERY_BUDGET}"
         )
-    for idx, lane in enumerate(record.lanes):
-        pts = _geometry(as_control_points, lane.ctrl, record.scene_id, "lanes.ctrl")
-        if control_points is not None and pts.shape[0] != control_points:
-            raise ValidationError(
-                record.scene_id,
-                "lanes.ctrl",
-                f"lane {idx} has {pts.shape[0]} control points, expected {control_points}",
-            )
-        if not (0.0 <= lane.class_score <= 1.0):
-            raise ValidationError(
-                record.scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]"
-            )
+    _check_lanes(record.scene_id, record.lanes, control_points, gt=False)
     _check_traffic(record.scene_id, record.traffic, require_ids=False)
     if isinstance(record, PredictionRecord):
         for name, mat in _prob_matrices(record):
@@ -267,13 +290,21 @@ def _prob_matrices(record: PredictionRecord):
 # (de)serialization helpers
 
 
-def traffic_to_obj(te: TrafficElement) -> dict:
-    return {
-        "id": int(te.id),
-        "box": np.asarray(te.box, dtype=float).tolist(),
-        "category": int(te.category),
-        "confidence": float(te.confidence),
-    }
+def _float_lists(arrays) -> list:
+    """``[np.asarray(a, dtype=float).tolist() for a in arrays]``, made with
+    one ``tolist()`` when the arrays stack."""
+    try:
+        return np.array(arrays, dtype=float).tolist()
+    except (TypeError, ValueError):
+        return [np.asarray(a, dtype=float).tolist() for a in arrays]
+
+
+def traffic_to_objs(elements: Sequence[TrafficElement]) -> list[dict]:
+    """The JSON objects of ``elements``, in order."""
+    return [
+        {"id": int(te.id), "box": box, "category": int(te.category), "confidence": float(te.confidence)}
+        for te, box in zip(elements, _float_lists([te.box for te in elements]))
+    ]
 
 
 _NUMBER_TYPES = {int, float}  # exact types: a bool is an int subclass
@@ -299,6 +330,23 @@ def _leaves(value, ndim: int):
     for _ in range(ndim - 1):
         value = chain.from_iterable(value)
     return value
+
+
+def _stacked(items: list, key: str) -> list[np.ndarray] | None:
+    """``_reals`` of every item's ``key`` entry, from one conversion of them
+    all; None when an item is no object or lacks the entry, or the entries
+    do not stack into one array of numbers. The caller then parses item by
+    item, so the error names the first bad entry.
+
+    Each item gets its own copy, as the per-item parse gives it, not a view
+    of the stack: loaded records whose lanes shared one buffer left the heap
+    to be trimmed and refilled on every later query-budget step (~2,000 more
+    page faults per step and per eval operation)."""
+    try:
+        arr = _reals([item[key] for item in items])
+    except (KeyError, TypeError, ValueError):
+        return None
+    return [a.copy() for a in arr]
 
 
 def _field(obj: dict, name: str, convert=_reals):
@@ -337,13 +385,17 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def traffic_from_obj(obj: dict) -> TrafficElement:
-    return TrafficElement(
-        id=_field(obj, "traffic.id", _integer),
-        box=_field(obj, "traffic.box"),
-        category=_field(obj, "traffic.category", _integer),
-        confidence=_field(obj, "traffic.confidence", _real),
-    )
+def _traffic_from_objs(items: list) -> list[TrafficElement]:
+    boxes = _stacked(items, "box")
+    return [
+        TrafficElement(
+            id=_field(te, "traffic.id", _integer),
+            box=_field(te, "traffic.box") if boxes is None else boxes[i],
+            category=_field(te, "traffic.category", _integer),
+            confidence=_field(te, "traffic.confidence", _real),
+        )
+        for i, te in enumerate(items)
+    ]
 
 
 def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
@@ -351,7 +403,7 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
     scale = _field(obj, "scale", _real)
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    traffic = _traffic_from_objs(_field(obj, "traffic", list))
     try:
         _check_traffic("", traffic, require_ids=False)
     except ValidationError as exc:
@@ -360,20 +412,24 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
 
 
 def scene_to_obj(scene: SceneRecord) -> dict:
+    ctrls = _float_lists([l.ctrl for l in scene.lanes])
     return {
         "scene_id": scene.scene_id,
-        "lanes": [
-            {"id": int(l.id), "ctrl": np.asarray(l.ctrl, dtype=float).tolist()} for l in scene.lanes
-        ],
-        "traffic": [traffic_to_obj(te) for te in scene.traffic],
+        "lanes": [{"id": int(l.id), "ctrl": ctrl} for l, ctrl in zip(scene.lanes, ctrls)],
+        "traffic": traffic_to_objs(scene.traffic),
         "topo_ll": [[int(i), int(j)] for i, j in sorted(scene.topo_ll)],
         "topo_lt": [[int(i), int(k)] for i, k in sorted(scene.topo_lt)],
     }
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
-    lanes = [GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl")) for l in _field(obj, "lanes", list)]
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    items = _field(obj, "lanes", list)
+    ctrls = _stacked(items, "ctrl")
+    lanes = [
+        GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl") if ctrls is None else ctrls[i])
+        for i, l in enumerate(items)
+    ]
+    traffic = _traffic_from_objs(_field(obj, "traffic", list))
     topo_ll, topo_lt = (
         _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in pairs}) if name in obj else set()
         for name in ("topo_ll", "topo_lt")
@@ -383,18 +439,15 @@ def scene_from_obj(obj: dict) -> SceneRecord:
 
 def detection_to_obj(record: DetectionRecord) -> dict:
     lanes = []
-    for lane in record.lanes:
-        entry = {
-            "ctrl": np.asarray(lane.ctrl, dtype=float).tolist(),
-            "class_score": float(lane.class_score),
-        }
+    for lane, ctrl in zip(record.lanes, _float_lists([lane.ctrl for lane in record.lanes])):
+        entry = {"ctrl": ctrl, "class_score": float(lane.class_score)}
         if lane.feature is not None:
             entry["feature"] = np.asarray(lane.feature, dtype=float).tolist()
         lanes.append(entry)
     obj = {
         "scene_id": record.scene_id,
         "lanes": lanes,
-        "traffic": [traffic_to_obj(te) for te in record.traffic],
+        "traffic": traffic_to_objs(record.traffic),
     }
     if isinstance(record, PredictionRecord):
         for name, mat in _prob_matrices(record):
@@ -424,15 +477,18 @@ def _feature(values) -> np.ndarray:
 
 
 def detection_from_obj(obj: dict) -> DetectionRecord:
+    items = _field(obj, "lanes", list)
+    ctrls = _stacked(items, "ctrl")
     lanes = [
         PredLane(
-            ctrl=_field(l, "lanes.ctrl"),  # first: a lane that is no object fails here, named
+            # first: a lane that is no object fails here, named
+            ctrl=_field(l, "lanes.ctrl") if ctrls is None else ctrls[i],
             class_score=_field(l, "lanes.class_score", _real),
             feature=_field(l, "lanes.feature", _feature) if "feature" in l else None,
         )
-        for l in _field(obj, "lanes", list)
+        for i, l in enumerate(items)
     ]
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    traffic = _traffic_from_objs(_field(obj, "traffic", list))
     scene_id = _field(obj, "scene_id", _text)
     if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
         n, t = len(lanes), len(traffic)

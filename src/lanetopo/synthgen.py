@@ -77,27 +77,44 @@ class NoiseModel(Settings):
     conf_noise: float = setting(0.0, float, "[0, inf)")
 
 
-def _make_lane_ctrl(start: np.ndarray, heading: float, rng, m: int) -> np.ndarray:
-    """Control points from ``start`` along ``heading``; endpoints stay on the
-    segment so chained lanes share points exactly."""
-    length = rng.uniform(*LANE_LENGTH_RANGE)
-    direction = np.array([np.cos(heading), np.sin(heading), 0.0])
-    normal = np.array([-np.sin(heading), np.cos(heading), 0.0])
-    fractions = np.linspace(0.0, 1.0, m)
-    ctrl = start[None, :] + fractions[:, None] * (length * direction)[None, :]
-    for k in range(1, m - 1):
-        ctrl[k] += rng.uniform(-LATERAL_CURVATURE, LATERAL_CURVATURE) * length * normal
+# Generator.choice(NUM_CATEGORIES, p=CATEGORY_WEIGHTS) draws one double and
+# looks it up in this normalised CDF; doing the same here gives its values
+# and leaves the generator in the same state.
+_CDF = CATEGORY_WEIGHTS.cumsum()
+_CDF /= _CDF[-1]
+
+# Every uniform draw below is Generator.random() mapped as
+# ``low + (high - low) * u``, which is Generator.uniform(low, high)'s own
+# arithmetic, so the values and the generator's state are those of
+# uniform() calls in the same order; consecutive draws share one call.
+
+
+def _uniform(u: float, low: float, high: float) -> float:
+    return low + (high - low) * u
+
+
+def _make_lane_ctrl(start: np.ndarray, heading: float, u: list[float], fractions: np.ndarray) -> np.ndarray:
+    """Control points from ``start`` along ``heading`` at the (M,)
+    ``fractions``; ``u`` holds the M - 1 draws (length, then each interior
+    point's lateral offset). Endpoints stay on the segment so chained lanes
+    share points exactly."""
+    length = _uniform(u[0], *LANE_LENGTH_RANGE)
+    cos, sin = np.cos(heading), np.sin(heading)
+    ctrl = start[None, :] + fractions[:, None] * np.array([length * cos, length * sin, 0.0])[None, :]
+    offsets = [_uniform(v, -LATERAL_CURVATURE, LATERAL_CURVATURE) * length for v in u[1:]]
+    ctrl[1:-1] += np.array(offsets).reshape(-1, 1) * np.array([-sin, cos, 0.0])
     return ctrl
 
 
 def _new_entry_point(rng, extent: float, existing: list[np.ndarray]) -> np.ndarray:
     """Entry points repel each other so chains stay distinguishable."""
     min_sep = 0.4 * extent
+    others = np.array(existing).reshape(-1, 2)
     best = None
     best_d = -1.0
     for _ in range(40):
-        candidate = rng.uniform(-0.6 * extent, 0.6 * extent, size=2)
-        d = min((float(np.hypot(*(candidate - p))) for p in existing), default=np.inf)
+        candidate = _uniform(rng.random(2), -0.6 * extent, 0.6 * extent)
+        d = float(np.hypot(*(candidate - others).T).min()) if len(others) else np.inf
         if d >= min_sep:
             return candidate
         if d > best_d:
@@ -109,6 +126,8 @@ def generate_scene(cfg: GeneratorConfig, scene_index: int) -> SceneRecord:
     """Deterministic scene for (cfg.seed, scene_index)."""
     rng = np.random.default_rng([cfg.seed, scene_index])
     target = int(rng.integers(cfg.lanes_per_scene[0], cfg.lanes_per_scene[1] + 1))
+    m = cfg.control_points
+    fractions = np.linspace(0.0, 1.0, m)
 
     lanes: list[GtLane] = []
     topo_ll: set[tuple[int, int]] = set()
@@ -128,74 +147,82 @@ def generate_scene(cfg: GeneratorConfig, scene_index: int) -> SceneRecord:
             entries.append(entry)
             chains.append([])
             start = np.array([entry[0], entry[1], 0.0])
-            frontier.append((start, float(rng.uniform(0, 2 * np.pi)), 1, None, len(chains) - 1))
+            frontier.append((start, _uniform(rng.random(), 0, 2 * np.pi), 1, None, len(chains) - 1))
         start, heading, depth, parent, chain_idx = frontier.pop(0)
         lane_id = len(lanes)
-        ctrl = _make_lane_ctrl(start, heading, rng, cfg.control_points)
+        grows = depth < CHAIN_DEPTH_LIMIT
+        u = rng.random(m - 1 + grows).tolist()  # the lane's draws, then its branch draw
+        ctrl = _make_lane_ctrl(start, heading, u[: m - 1], fractions)
         lanes.append(GtLane(id=lane_id, ctrl=ctrl))
         chains[chain_idx].append(lane_id)
         if parent is not None:
             topo_ll.add((parent, lane_id))
-        if depth < CHAIN_DEPTH_LIMIT:
+        if grows:
             end = ctrl[-1]
-            fork = rng.uniform() < cfg.branch_prob
+            fork = u[-1] < cfg.branch_prob
             free = target - committed()
             if fork and free >= 2:
-                half = rng.uniform(*FORK_ANGLE)
+                half = _uniform(rng.random(), *FORK_ANGLE)
                 for sign in (1.0, -1.0):
                     frontier.append((end, heading + sign * half, depth + 1, lane_id, chain_idx))
             elif not fork and free >= 1:
-                turn = rng.uniform(-HEADING_TURN, HEADING_TURN)
+                turn = _uniform(rng.random(), -HEADING_TURN, HEADING_TURN)
                 frontier.append((end, heading + turn, depth + 1, lane_id, chain_idx))
 
     traffic: list[TrafficElement] = []
     topo_lt: set[tuple[int, int]] = set()
     n_traffic = int(rng.integers(cfg.traffic_per_scene[0], cfg.traffic_per_scene[1] + 1))
     encode_extent = 2.0 * cfg.map_extent  # chains may wander past the entry box
+    centroids = (np.array([lane.ctrl for lane in lanes]).sum(axis=1) / m).tolist()
     for te_id in range(n_traffic):
         chain = chains[int(rng.integers(len(chains)))]
         anchor = int(chain[int(rng.integers(len(chain)))])
-        centroid = np.mean(lanes[anchor].ctrl, axis=0)
+        # box jitter x and y, width, height, category, then one per other chain lane
+        u = rng.random(len(chain) + 4).tolist()
+        ground_x, ground_y, _ = centroids[anchor]
         # box center encodes the anchor centroid: image x <- ground y, image y <- ground x
-        cx = (centroid[1] + encode_extent) / (2 * encode_extent) * IMAGE_WIDTH
-        cy = (centroid[0] + encode_extent) / (2 * encode_extent) * IMAGE_HEIGHT
-        cx += rng.uniform(-BOX_JITTER_FRAC, BOX_JITTER_FRAC) * IMAGE_WIDTH
-        cy += rng.uniform(-BOX_JITTER_FRAC, BOX_JITTER_FRAC) * IMAGE_HEIGHT
-        w = rng.uniform(*BOX_WIDTH_RANGE)
-        h = rng.uniform(*BOX_HEIGHT_RANGE)
-        cx = float(np.clip(cx, w / 2 + 1, IMAGE_WIDTH - w / 2 - 1))
-        cy = float(np.clip(cy, h / 2 + 1, IMAGE_HEIGHT - h / 2 - 1))
+        cx = (ground_y + encode_extent) / (2 * encode_extent) * IMAGE_WIDTH
+        cy = (ground_x + encode_extent) / (2 * encode_extent) * IMAGE_HEIGHT
+        cx += _uniform(u[0], -BOX_JITTER_FRAC, BOX_JITTER_FRAC) * IMAGE_WIDTH
+        cy += _uniform(u[1], -BOX_JITTER_FRAC, BOX_JITTER_FRAC) * IMAGE_HEIGHT
+        w = _uniform(u[2], *BOX_WIDTH_RANGE)
+        h = _uniform(u[3], *BOX_HEIGHT_RANGE)
+        cx = min(max(cx, w / 2 + 1), IMAGE_WIDTH - w / 2 - 1)
+        cy = min(max(cy, h / 2 + 1), IMAGE_HEIGHT - h / 2 - 1)
         box = np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2])
-        category = int(rng.choice(NUM_CATEGORIES, p=CATEGORY_WEIGHTS))
+        category = int(_CDF.searchsorted(u[4], side="right"))
         traffic.append(TrafficElement(id=te_id, box=box, category=category, confidence=1.0))
         topo_lt.add((anchor, te_id))
-        for lane_id in chain:
-            if lane_id != anchor and rng.uniform() < cfg.lt_assoc_prob:
-                topo_lt.add((lane_id, te_id))
+        others = (lane_id for lane_id in chain if lane_id != anchor)
+        topo_lt.update((lane_id, te_id) for lane_id, v in zip(others, u[5:]) if v < cfg.lt_assoc_prob)
 
     return SceneRecord(f"scene-{scene_index:05d}", lanes, traffic, topo_ll, topo_lt)
 
 
-def _spurious_lane(rng, extent: float, m: int) -> PredLane:
-    start = np.array([rng.uniform(-extent, extent), rng.uniform(-extent, extent), 0.0])
-    heading = rng.uniform(0, 2 * np.pi)
-    length = rng.uniform(4.0, 8.0)  # short false positives
-    direction = np.array([np.cos(heading), np.sin(heading), 0.0])
-    fractions = np.linspace(0.0, 1.0, m)
-    ctrl = start[None, :] + fractions[:, None] * (length * direction)[None, :]
-    return PredLane(ctrl=ctrl, class_score=float(rng.uniform(0.05, 0.35)))
+def _spurious_lanes(rng, count: int, extent: float, fractions: np.ndarray) -> list[PredLane]:
+    """``count`` short false positives, five draws each: start x and y,
+    heading, length, score."""
+    low = np.array([-extent, -extent, 0.0, 4.0, 0.05])
+    high = np.array([extent, extent, 2 * np.pi, 8.0, 0.35])
+    x, y, heading, length, score = (low + (high - low) * rng.random((count, 5))).T
+    zeros = np.zeros(count)
+    step = length[:, None] * np.stack([np.cos(heading), np.sin(heading), zeros], axis=1)
+    start = np.stack([x, y, zeros], axis=1)
+    ctrl = start[:, None, :] + fractions[None, :, None] * step[:, None, :]
+    return [PredLane(ctrl=c, class_score=v) for c, v in zip(ctrl, score.tolist())]
 
 
 def _spurious_box(rng, next_id: int) -> TrafficElement:
-    w = rng.uniform(*BOX_WIDTH_RANGE)
-    h = rng.uniform(*BOX_HEIGHT_RANGE)
-    cx = rng.uniform(w / 2 + 1, IMAGE_WIDTH - w / 2 - 1)
-    cy = rng.uniform(h / 2 + 1, IMAGE_HEIGHT - h / 2 - 1)
+    u = rng.random(4).tolist()  # width, height, center x, center y
+    w = _uniform(u[0], *BOX_WIDTH_RANGE)
+    h = _uniform(u[1], *BOX_HEIGHT_RANGE)
+    cx = _uniform(u[2], w / 2 + 1, IMAGE_WIDTH - w / 2 - 1)
+    cy = _uniform(u[3], h / 2 + 1, IMAGE_HEIGHT - h / 2 - 1)
     return TrafficElement(
         id=next_id,
         box=np.array([cx - w / 2, cy - h / 2, cx + w / 2, cy + h / 2]),
         category=int(rng.integers(NUM_CATEGORIES)),
-        confidence=float(rng.uniform(0.05, 0.35)),
+        confidence=_uniform(rng.random(), 0.05, 0.35),
     )
 
 
@@ -208,29 +235,27 @@ def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed) -> DetectionRecor
     rng = np.random.default_rng(seed)
     lanes: list[PredLane] = []
     for lane in scene.lanes:
-        u_drop = rng.uniform()
+        u_drop = rng.random()
         jitter = rng.normal(size=lane.ctrl.shape)
-        u_conf = rng.uniform()
+        u_conf = rng.random()
         if u_drop < noise.drop_prob:
             continue
         ctrl = lane.ctrl + noise.ctrl_sigma * jitter
         lanes.append(PredLane(ctrl=ctrl, class_score=min(max(1.0 - noise.conf_noise * u_conf, 0.0), 1.0)))
     m = scene.lanes[0].ctrl.shape[0] if scene.lanes else 4
     extent = float(np.max(np.abs(np.concatenate([l.ctrl for l in scene.lanes])[:, :2]))) if scene.lanes else 50.0
-    for _ in range(rng.poisson(noise.spurious_rate)):
-        lanes.append(_spurious_lane(rng, extent, m))
+    lanes += _spurious_lanes(rng, rng.poisson(noise.spurious_rate), extent, np.linspace(0.0, 1.0, m))
     lanes = lanes[:DEFAULT_QUERY_BUDGET]
 
     traffic: list[TrafficElement] = []
     for te in scene.traffic:
-        u_drop = rng.uniform()
+        u_drop = rng.random()
         jitter = rng.normal(size=4)
-        u_conf = rng.uniform()
-        u_confuse = rng.uniform()
+        u_conf, u_confuse = rng.random(2).tolist()
         shuffle = int(rng.integers(NUM_CATEGORIES - 1))
         if u_drop < noise.drop_prob:
             continue
-        box = te.box + noise.box_sigma * jitter
+        box = (te.box + noise.box_sigma * jitter).tolist()
         x1, x2 = sorted((box[0], box[2]))
         y1, y2 = sorted((box[1], box[3]))
         if x1 == x2:

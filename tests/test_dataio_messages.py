@@ -1,0 +1,217 @@
+"""Error-message parity for record checks, entry by entry.
+
+One bad entry is put at lane 0, 10 or 19 of a 20-lane scene or detection
+record, which is then checked two ways: in memory with
+``validate_scene`` / ``validate_detection`` (control_points=4), and
+through a JSONL file with ``load_scenes`` / ``load_detections``. The full
+text of each error, or null where the record is accepted, is compared
+with ``dataio_messages.json``; the file's path reads ``<path>`` there.
+
+Re-record (only when a change of messages is intended and explained):
+``PYTHONPATH=src python tests/test_dataio_messages.py --record``.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lanetopo import dataio
+from lanetopo.dataio import DetectionRecord, GtLane, PredLane, SceneRecord, TrafficElement
+from lanetopo.synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_scene
+
+RECORDED = Path(__file__).with_name("dataio_messages.json")
+LANES = 20
+POSITIONS = (0, 10, 19)
+CONTROL_POINTS = 4
+
+
+def _objs():
+    cfg = GeneratorConfig(lanes_per_scene=(LANES, LANES), seed=17)
+    scene = generate_scene(cfg, 0)
+    det = corrupt_scene(scene, NoiseModel(ctrl_sigma=0.2, conf_noise=0.5), seed=3)
+    return dataio.scene_to_obj(scene), dataio.detection_to_obj(det)
+
+
+def _set(key, value):
+    def mutate(obj, idx):
+        obj["lanes"][idx][key] = value
+
+    return mutate
+
+
+def _ctrl(edit):
+    def mutate(obj, idx):
+        edit(obj["lanes"][idx]["ctrl"])
+
+    return mutate
+
+
+def _ragged(ctrl):
+    ctrl[1] = ctrl[1][:2]
+
+
+def _nan(ctrl):
+    ctrl[1][2] = math.nan
+
+
+def _three_points(ctrl):
+    del ctrl[2]
+
+
+def _bool_coordinate(ctrl):
+    ctrl[2][0] = True
+
+
+def _null_coordinate(ctrl):
+    ctrl[0][1] = None
+
+
+def _flat(ctrl):
+    ctrl[:] = [v for point in ctrl for v in point]
+
+
+def _duplicate_id(obj, idx):
+    obj["lanes"][idx]["id"] = obj["lanes"][(idx + 1) % LANES]["id"]
+
+
+def _unknown_ll(obj, idx):
+    obj["topo_ll"].append([obj["lanes"][idx]["id"], 999])
+
+
+def _unknown_lt(obj, idx):
+    obj["topo_lt"].append([obj["lanes"][idx]["id"], 999])
+
+
+def _later_nan(obj, idx):
+    """A second fault: a NaN point five lanes on, so the first one must be named."""
+    _nan(obj["lanes"][(idx + 5) % LANES]["ctrl"])
+
+
+def _every_lane(edit):
+    """``edit`` on every lane's ctrl: the lanes still stack, so only the
+    batch check itself can find the fault."""
+
+    def mutate(obj, idx):
+        for lane in obj["lanes"]:
+            edit(lane["ctrl"])
+
+    return mutate
+
+
+def _two(*mutations):
+    def mutate(obj, idx):
+        for mutation in mutations:
+            mutation(obj, idx)
+
+    return mutate
+
+
+def _not_object(obj, idx):
+    obj["lanes"][idx] = 5
+
+
+def _no_ctrl(obj, idx):
+    del obj["lanes"][idx]["ctrl"]
+
+
+COMMON = {
+    "ragged_ctrl": _ctrl(_ragged),
+    "nan_point": _ctrl(_nan),
+    "wrong_m": _ctrl(_three_points),
+    "bool_coordinate": _ctrl(_bool_coordinate),
+    "null_coordinate": _ctrl(_null_coordinate),
+    "flat_ctrl": _ctrl(_flat),
+    "string_ctrl": _set("ctrl", "x"),
+    "not_object": _not_object,
+    "no_ctrl": _no_ctrl,
+    "wrong_m_everywhere": _every_lane(_three_points),
+    "nan_everywhere": _every_lane(_nan),
+}
+CASES = {
+    "scene": {
+        **COMMON,
+        "duplicate_id": _duplicate_id,
+        "duplicate_id_then_nan": _two(_duplicate_id, _later_nan),
+        "unknown_ll": _unknown_ll,
+        "unknown_lt": _unknown_lt,
+    },
+    "detection": {
+        **COMMON,
+        "score_nan": _set("class_score", math.nan),
+        "score_negative": _set("class_score", -0.1),
+        "score_above": _set("class_score", 1.5),
+        "score_true": _set("class_score", True),
+        "score_string": _set("class_score", "0.5"),
+        "score_then_nan": _two(_set("class_score", -0.1), _later_nan),
+        "wrong_m_then_nan": _two(_ctrl(_three_points), _later_nan),
+    },
+}
+
+
+def _traffic(obj) -> list[TrafficElement]:
+    return [TrafficElement(te["id"], np.array(te["box"]), te["category"], te["confidence"]) for te in obj["traffic"]]
+
+
+def _in_memory(kind: str, obj):
+    """The record as an in-memory object with each lane's entries as given,
+    unparsed; None when a lane is no object or lacks a field."""
+    try:
+        if kind == "scene":
+            lanes = [GtLane(l["id"], l["ctrl"]) for l in obj["lanes"]]
+            return SceneRecord(obj["scene_id"], lanes, _traffic(obj), set(map(tuple, obj["topo_ll"])), set(map(tuple, obj["topo_lt"])))
+        lanes = [PredLane(l["ctrl"], l["class_score"]) for l in obj["lanes"]]
+        return DetectionRecord(obj["scene_id"], lanes, _traffic(obj))
+    except (KeyError, TypeError):
+        return None
+
+
+def messages(kind: str, case: str, idx: int, tmp: Path) -> dict:
+    scene_obj, det_obj = _objs()
+    obj = scene_obj if kind == "scene" else det_obj
+    CASES[kind][case](obj, idx)
+    out = {}
+    record = _in_memory(kind, obj)
+    if record is not None:
+        validate = dataio.validate_scene if kind == "scene" else dataio.validate_detection
+        try:
+            validate(record, CONTROL_POINTS)
+            out["validate"] = None
+        except (ValueError, TypeError) as exc:
+            out["validate"] = f"{type(exc).__name__}: {exc}"
+    path = tmp / f"{kind}.jsonl"
+    path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
+    load = dataio.load_scenes if kind == "scene" else dataio.load_detections
+    try:
+        load(path)
+        out["load"] = None
+    except (ValueError, TypeError) as exc:
+        out["load"] = f"{type(exc).__name__}: {exc}".replace(str(path), "<path>")
+    return out
+
+
+def _key(kind, case, idx) -> str:
+    return f"{kind}/{case}/{idx}"
+
+
+PARAMS = [(kind, case, idx) for kind, cases in CASES.items() for case in cases for idx in POSITIONS]
+
+
+@pytest.mark.parametrize("kind,case,idx", PARAMS, ids=[_key(*p) for p in PARAMS])
+def test_error_message_matches_recorded(kind, case, idx, tmp_path):
+    recorded = json.loads(RECORDED.read_text(encoding="utf-8"))
+    assert messages(kind, case, idx, tmp_path) == recorded[_key(kind, case, idx)]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_dataio_messages.py --record")
+    with tempfile.TemporaryDirectory() as tmp:
+        table = {_key(*p): messages(*p, Path(tmp)) for p in PARAMS}
+    RECORDED.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

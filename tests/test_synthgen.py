@@ -1,7 +1,18 @@
+"""Tests of the scene generator and the detector-corruption channel.
+
+The generator's and the dataset writer's outputs are pinned by sha256
+digests. Re-record them (only when a change of generated data is intended
+and explained): ``PYTHONPATH=src python tests/test_synthgen.py --record``.
+"""
+
 from __future__ import annotations
 
 import hashlib
 import json
+import re
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -163,6 +174,56 @@ def test_corrupt_scene_output_is_pinned():
     assert corrupt_digest() == CORRUPT_DIGEST
 
 
+GENERATE_SEEDS = (0, 1, 2)
+GENERATE_SCENES = 50
+GENERATE_DIGEST = "98dc11076e1e02cb3d23b5d1fd1d4d497eaae06effa9cb2a9c5e5134d109c7c3"
+
+# the benchmark's train_default set-up: 128 scenes under sweep level 1 with
+# spurious entities, split 80 / 8 / 40
+DATASET_CONFIG = GeneratorConfig(scenes=128, seed=0)
+DATASET_NOISE = NoiseModel(ctrl_sigma=0.25, drop_prob=0.1, spurious_rate=1.5)
+DATASET_FRACTIONS = (0.625, 0.0625, 0.3125)
+DATASET_DIGEST = "a32cf55e41c73906df0144e276d2441047255ea3b38eeecb03dddd2ab48c8a6d"
+
+
+def generate_digest() -> str:
+    """sha256 of every generated scene's ids, lane bytes, boxes, categories
+    and topology over the pinned seeds and scene indices."""
+    h = hashlib.sha256()
+    for seed in GENERATE_SEEDS:
+        cfg = GeneratorConfig(seed=seed)
+        for i in range(GENERATE_SCENES):
+            scene = generate_scene(cfg, i)
+            h.update(repr((scene.scene_id, len(scene.lanes), len(scene.traffic))).encode())
+            for lane in scene.lanes:
+                h.update(repr(lane.id).encode() + np.asarray(lane.ctrl, dtype="<f8").tobytes())
+            for te in scene.traffic:
+                h.update(np.asarray(te.box, dtype="<f8").tobytes() + repr((te.id, te.category, te.confidence)).encode())
+            h.update(repr((sorted(scene.topo_ll), sorted(scene.topo_lt))).encode())
+    return h.hexdigest()
+
+
+def dataset_digest(out_dir) -> str:
+    """sha256 of the names and bytes of the six files ``generate_dataset``
+    writes for the pinned configuration."""
+    paths = synthgen.generate_dataset(DATASET_CONFIG, DATASET_NOISE, DATASET_FRACTIONS, out_dir)
+    h = hashlib.sha256()
+    for split in ("train", "val", "test"):
+        for kind in ("scenes", "detections"):
+            path = Path(paths[split][kind])
+            h.update(path.name.encode() + path.read_bytes())
+    return h.hexdigest()
+
+
+def test_generate_scene_output_is_pinned():
+    # every draw of the generator, in order: any change moves every generated file
+    assert generate_digest() == GENERATE_DIGEST
+
+
+def test_generate_dataset_files_are_pinned(tmp_path):
+    assert dataset_digest(tmp_path) == DATASET_DIGEST
+
+
 def test_split_counts_exact_and_validated():
     assert synthgen.split_counts(10, (0.8, 0.1, 0.1)) == [8, 1, 1]
     assert sum(synthgen.split_counts(7, (0.6, 0.2, 0.2))) == 7
@@ -206,3 +267,15 @@ def test_noise_model_validation():
         GeneratorConfig(lanes_per_scene=(3, 2))
     with pytest.raises(ValueError):
         GeneratorConfig(map_extent=0.0)
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        sys.exit("usage: python tests/test_synthgen.py --record")
+    with tempfile.TemporaryDirectory() as tmp:
+        pins = {"GENERATE_DIGEST": generate_digest(), "DATASET_DIGEST": dataset_digest(tmp)}
+    path = Path(__file__)
+    text = path.read_text(encoding="utf-8")
+    for name, value in pins.items():
+        text = re.sub(rf'^{name} = ".*"$', f'{name} = "{value}"', text, count=1, flags=re.M)
+    path.write_text(text, encoding="utf-8")

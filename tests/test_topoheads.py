@@ -17,6 +17,8 @@ from lanetopo.dataio import (
     PredLane,
     SceneRecord,
     TrafficElement,
+    ValidationError,
+    validate_detection,
 )
 from lanetopo.assoc import project_edges
 
@@ -798,6 +800,33 @@ def test_predict_zero_params_gives_half_probabilities():
     off = ll[~np.eye(3, dtype=bool)]
     assert off == pytest.approx(np.full(6, 0.5))
     assert lt == pytest.approx(np.full((3, 2), 0.5))
+
+
+def _nan_point(lane):
+    lane.ctrl[1, 2] = np.nan
+
+
+def _score(value):
+    def mutate(lane):
+        lane.class_score = value
+
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [_nan_point, _score(-0.1), _score(np.nan)])
+def test_predict_records_rejects_what_predict_accepts(mutate):
+    # predict_records keeps its own validate_detection call: predict scores
+    # these records without complaint
+    cfg = small_config()
+    params = th.init_params(cfg)
+    _, det = random_scene_pair(np.random.default_rng(20), n_lanes=4, n_traffic=2, m=cfg.control_points)
+    mutate(det.lanes[2])
+    th.predict(det, params)
+    with pytest.raises(ValidationError) as got:
+        th.predict_records([det], params)
+    with pytest.raises(ValidationError) as want:
+        validate_detection(det, control_points=cfg.control_points)
+    assert str(got.value) == str(want.value)
 
 
 def test_predict_empty_detection():
