@@ -301,7 +301,7 @@ def run_tta_merge(opts: dict) -> int:
     cfg = _config(detstrat.TtaConfig, opts)
     merged = detstrat.tta_merge(per_scale, cfg)
     Path(opts["out"]).write_text(
-        json.dumps(dataio.traffic_to_objs(merged)) + "\n", encoding="utf-8"
+        json.dumps([dataio.traffic_to_obj(te) for te in merged]) + "\n", encoding="utf-8"
     )
     print(f"merged {sum(len(b) for _, b in per_scale)} boxes -> {len(merged)}")
     return 0

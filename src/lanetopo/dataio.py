@@ -290,21 +290,13 @@ def _prob_matrices(record: PredictionRecord):
 # (de)serialization helpers
 
 
-def _float_lists(arrays) -> list:
-    """``[np.asarray(a, dtype=float).tolist() for a in arrays]``, made with
-    one ``tolist()`` when the arrays stack."""
-    try:
-        return np.array(arrays, dtype=float).tolist()
-    except (TypeError, ValueError):
-        return [np.asarray(a, dtype=float).tolist() for a in arrays]
-
-
-def traffic_to_objs(elements: Sequence[TrafficElement]) -> list[dict]:
-    """The JSON objects of ``elements``, in order."""
-    return [
-        {"id": int(te.id), "box": box, "category": int(te.category), "confidence": float(te.confidence)}
-        for te, box in zip(elements, _float_lists([te.box for te in elements]))
-    ]
+def traffic_to_obj(te: TrafficElement) -> dict:
+    return {
+        "id": int(te.id),
+        "box": np.asarray(te.box, dtype=float).tolist(),
+        "category": int(te.category),
+        "confidence": float(te.confidence),
+    }
 
 
 _NUMBER_TYPES = {int, float}  # exact types: a bool is an int subclass
@@ -330,23 +322,6 @@ def _leaves(value, ndim: int):
     for _ in range(ndim - 1):
         value = chain.from_iterable(value)
     return value
-
-
-def _stacked(items: list, key: str) -> list[np.ndarray] | None:
-    """``_reals`` of every item's ``key`` entry, from one conversion of them
-    all; None when an item is no object or lacks the entry, or the entries
-    do not stack into one array of numbers. The caller then parses item by
-    item, so the error names the first bad entry.
-
-    Each item gets its own copy, as the per-item parse gives it, not a view
-    of the stack: loaded records whose lanes shared one buffer left the heap
-    to be trimmed and refilled on every later query-budget step (~2,000 more
-    page faults per step and per eval operation)."""
-    try:
-        arr = _reals([item[key] for item in items])
-    except (KeyError, TypeError, ValueError):
-        return None
-    return [a.copy() for a in arr]
 
 
 def _field(obj: dict, name: str, convert=_reals):
@@ -385,17 +360,13 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _traffic_from_objs(items: list) -> list[TrafficElement]:
-    boxes = _stacked(items, "box")
-    return [
-        TrafficElement(
-            id=_field(te, "traffic.id", _integer),
-            box=_field(te, "traffic.box") if boxes is None else boxes[i],
-            category=_field(te, "traffic.category", _integer),
-            confidence=_field(te, "traffic.confidence", _real),
-        )
-        for i, te in enumerate(items)
-    ]
+def traffic_from_obj(obj: dict) -> TrafficElement:
+    return TrafficElement(
+        id=_field(obj, "traffic.id", _integer),
+        box=_field(obj, "traffic.box"),
+        category=_field(obj, "traffic.category", _integer),
+        confidence=_field(obj, "traffic.confidence", _real),
+    )
 
 
 def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
@@ -403,7 +374,7 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
     scale = _field(obj, "scale", _real)
-    traffic = _traffic_from_objs(_field(obj, "traffic", list))
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
     try:
         _check_traffic("", traffic, require_ids=False)
     except ValidationError as exc:
@@ -412,24 +383,20 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
 
 
 def scene_to_obj(scene: SceneRecord) -> dict:
-    ctrls = _float_lists([l.ctrl for l in scene.lanes])
     return {
         "scene_id": scene.scene_id,
-        "lanes": [{"id": int(l.id), "ctrl": ctrl} for l, ctrl in zip(scene.lanes, ctrls)],
-        "traffic": traffic_to_objs(scene.traffic),
+        "lanes": [
+            {"id": int(l.id), "ctrl": np.asarray(l.ctrl, dtype=float).tolist()} for l in scene.lanes
+        ],
+        "traffic": [traffic_to_obj(te) for te in scene.traffic],
         "topo_ll": [[int(i), int(j)] for i, j in sorted(scene.topo_ll)],
         "topo_lt": [[int(i), int(k)] for i, k in sorted(scene.topo_lt)],
     }
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
-    items = _field(obj, "lanes", list)
-    ctrls = _stacked(items, "ctrl")
-    lanes = [
-        GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl") if ctrls is None else ctrls[i])
-        for i, l in enumerate(items)
-    ]
-    traffic = _traffic_from_objs(_field(obj, "traffic", list))
+    lanes = [GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl")) for l in _field(obj, "lanes", list)]
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
     topo_ll, topo_lt = (
         _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in pairs}) if name in obj else set()
         for name in ("topo_ll", "topo_lt")
@@ -439,15 +406,18 @@ def scene_from_obj(obj: dict) -> SceneRecord:
 
 def detection_to_obj(record: DetectionRecord) -> dict:
     lanes = []
-    for lane, ctrl in zip(record.lanes, _float_lists([lane.ctrl for lane in record.lanes])):
-        entry = {"ctrl": ctrl, "class_score": float(lane.class_score)}
+    for lane in record.lanes:
+        entry = {
+            "ctrl": np.asarray(lane.ctrl, dtype=float).tolist(),
+            "class_score": float(lane.class_score),
+        }
         if lane.feature is not None:
             entry["feature"] = np.asarray(lane.feature, dtype=float).tolist()
         lanes.append(entry)
     obj = {
         "scene_id": record.scene_id,
         "lanes": lanes,
-        "traffic": traffic_to_objs(record.traffic),
+        "traffic": [traffic_to_obj(te) for te in record.traffic],
     }
     if isinstance(record, PredictionRecord):
         for name, mat in _prob_matrices(record):
@@ -477,18 +447,15 @@ def _feature(values) -> np.ndarray:
 
 
 def detection_from_obj(obj: dict) -> DetectionRecord:
-    items = _field(obj, "lanes", list)
-    ctrls = _stacked(items, "ctrl")
     lanes = [
         PredLane(
-            # first: a lane that is no object fails here, named
-            ctrl=_field(l, "lanes.ctrl") if ctrls is None else ctrls[i],
+            ctrl=_field(l, "lanes.ctrl"),  # first: a lane that is no object fails here, named
             class_score=_field(l, "lanes.class_score", _real),
             feature=_field(l, "lanes.feature", _feature) if "feature" in l else None,
         )
-        for i, l in enumerate(items)
+        for l in _field(obj, "lanes", list)
     ]
-    traffic = _traffic_from_objs(_field(obj, "traffic", list))
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
     scene_id = _field(obj, "scene_id", _text)
     if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
         n, t = len(lanes), len(traffic)

@@ -209,7 +209,8 @@ def _spurious_lanes(rng, count: int, extent: float, fractions: np.ndarray) -> li
     step = length[:, None] * np.stack([np.cos(heading), np.sin(heading), zeros], axis=1)
     start = np.stack([x, y, zeros], axis=1)
     ctrl = start[:, None, :] + fractions[None, :, None] * step[:, None, :]
-    return [PredLane(ctrl=c, class_score=v) for c, v in zip(ctrl, score.tolist())]
+    # each lane its own array, not a view of the stack, as the ground-truth lanes are
+    return [PredLane(ctrl=c.copy(), class_score=v) for c, v in zip(ctrl, score.tolist())]
 
 
 def _spurious_box(rng, next_id: int) -> TrafficElement:
