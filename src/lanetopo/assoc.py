@@ -24,7 +24,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import GtLane, PredLane, SceneRecord, TrafficElement
+from .dataio import GtLane, PredLane, SceneRecord, TrafficElement, edge_positions
 from .geometry import control_point_l1
 from .settings import Settings, setting
 
@@ -181,24 +181,22 @@ def project_edges(lane_match, traffic_match, scene: SceneRecord) -> tuple[np.nda
     Entry (i, j) of the bool (n, n) lane-lane matrix is True iff
     predictions i and j are matched and their GT lanes form an edge; the
     (n, t) lane-traffic matrix is analogous. Rows and columns of unmatched
-    predictions stay False.
+    predictions stay False. A self-edge or an unknown GT id raises
+    :class:`~lanetopo.dataio.ValidationError`.
     """
     lane_match, traffic_match = np.asarray(lane_match, dtype=int), np.asarray(traffic_match, dtype=int)
     for kind, match, gts in (("lane", lane_match, scene.lanes), ("traffic", traffic_match, scene.traffic)):
         bad = np.flatnonzero((match < -1) | (match >= len(gts)))
         if bad.size:
             raise IndexError(f"{kind} match ({bad[0]} -> {match[bad[0]]}) outside [-1, {len(gts)})")
-    lane_at = {lane.id: g for g, lane in enumerate(scene.lanes)}  # GT id -> position
-    traffic_at = {te.id: g for g, te in enumerate(scene.traffic)}
-    lane_owner = invert_match(lane_match, len(scene.lanes)).tolist()  # GT position -> prediction
-    traffic_owner = invert_match(traffic_match, len(scene.traffic)).tolist()
+    lane_owner = invert_match(lane_match, len(scene.lanes))  # GT position -> prediction
+    traffic_owner = invert_match(traffic_match, len(scene.traffic))
     ll = np.zeros((len(lane_match),) * 2, dtype=bool)
     lt = np.zeros((len(lane_match), len(traffic_match)), dtype=bool)
-    for out, edges, at, owner in ((ll, scene.topo_ll, lane_at, lane_owner), (lt, scene.topo_lt, traffic_at, traffic_owner)):
-        for a, b in edges:
-            i, j = lane_owner[lane_at[a]], owner[at[b]]
-            if i >= 0 and j >= 0:
-                out[i, j] = True
+    for out, edges, owner in zip((ll, lt), edge_positions(scene), (lane_owner, traffic_owner)):
+        i, j = lane_owner[edges[:, 0]], owner[edges[:, 1]]
+        both = (i >= 0) & (j >= 0)
+        out[i[both], j[both]] = True
     return ll, lt
 
 

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import json
+import numbers
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
@@ -240,27 +241,38 @@ def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt:
                 "lanes.ctrl",
                 f"lane {lane.id if gt else idx} has {pts.shape[0]} control points, expected {control_points}",
             )
+        if not gt and not isinstance(lane.class_score, numbers.Real):
+            raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
         if not gt and not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
+
+
+def edge_positions(scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
+    """The GT edges of ``scene`` as (E, 2) int arrays of list positions, in
+    set order: ``topo_ll`` as (lane, lane), ``topo_lt`` as (lane, traffic).
+    A self-edge or an unknown id raises a ValidationError naming the field."""
+    lane_at = {lane.id: g for g, lane in enumerate(scene.lanes)}
+    traffic_at = {te.id: g for g, te in enumerate(scene.traffic)}
+    out = []
+    for name, edges, kind, at in (("topo_ll", scene.topo_ll, "lane", lane_at), ("topo_lt", scene.topo_lt, "traffic", traffic_at)):
+        pos = []
+        for i, j in edges:
+            if at is lane_at and i == j:
+                raise ValidationError(scene.scene_id, name, f"self-edge on lane {i}")
+            if i not in lane_at:
+                raise ValidationError(scene.scene_id, name, f"unknown lane id {i}")
+            if j not in at:
+                raise ValidationError(scene.scene_id, name, f"unknown {kind} id {j}")
+            pos.append((lane_at[i], at[j]))
+        out.append(np.array(pos, dtype=int).reshape(-1, 2))
+    return out[0], out[1]
 
 
 def validate_scene(scene: SceneRecord, control_points: int | None = None) -> None:
     """Check every SceneRecord invariant; raise ValidationError on the first hit."""
     _check_lanes(scene.scene_id, scene.lanes, control_points, gt=True)
-    lane_ids = {lane.id for lane in scene.lanes}
     _check_traffic(scene.scene_id, scene.traffic, require_ids=True)
-    traffic_ids = {te.id for te in scene.traffic}
-    for i, j in scene.topo_ll:
-        if i == j:
-            raise ValidationError(scene.scene_id, "topo_ll", f"self-edge on lane {i}")
-        for v in (i, j):
-            if v not in lane_ids:
-                raise ValidationError(scene.scene_id, "topo_ll", f"unknown lane id {v}")
-    for i, k in scene.topo_lt:
-        if i not in lane_ids:
-            raise ValidationError(scene.scene_id, "topo_lt", f"unknown lane id {i}")
-        if k not in traffic_ids:
-            raise ValidationError(scene.scene_id, "topo_lt", f"unknown traffic id {k}")
+    edge_positions(scene)
 
 
 def validate_detection(record: DetectionRecord, control_points: int | None = None) -> None:
@@ -351,6 +363,13 @@ def _text(value) -> str:
     raise ValueError(f"expected a string, got {value!r}")
 
 
+def _array(value) -> list:
+    """A JSON array; objects, strings and other iterables are rejected."""
+    if isinstance(value, list):
+        return value
+    raise ValueError(f"expected an array, got {type(value).__name__}")
+
+
 def _integer(value) -> int:
     """A JSON integer; bools and non-integral numbers are rejected."""
     if type(value) is int:  # exact type: a bool is an int subclass
@@ -374,7 +393,7 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
     scale = _field(obj, "scale", _real)
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
     try:
         _check_traffic("", traffic, require_ids=False)
     except ValidationError as exc:
@@ -395,25 +414,21 @@ def scene_to_obj(scene: SceneRecord) -> dict:
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
-    lanes = [GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl")) for l in _field(obj, "lanes", list)]
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    lanes = [GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl")) for l in _field(obj, "lanes", _array)]
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
     topo_ll, topo_lt = (
-        _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in pairs}) if name in obj else set()
+        _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in _array(pairs)}) if name in obj else set()
         for name in ("topo_ll", "topo_lt")
     )
     return SceneRecord(_field(obj, "scene_id", _text), lanes, traffic, topo_ll, topo_lt)
 
 
 def detection_to_obj(record: DetectionRecord) -> dict:
-    lanes = []
-    for lane in record.lanes:
-        entry = {
-            "ctrl": np.asarray(lane.ctrl, dtype=float).tolist(),
-            "class_score": float(lane.class_score),
-        }
-        if lane.feature is not None:
-            entry["feature"] = np.asarray(lane.feature, dtype=float).tolist()
-        lanes.append(entry)
+    lanes = [
+        {"ctrl": np.asarray(lane.ctrl, dtype=float).tolist(), "class_score": float(lane.class_score)}
+        | ({} if lane.feature is None else {"feature": np.asarray(lane.feature, dtype=float).tolist()})
+        for lane in record.lanes
+    ]
     obj = {
         "scene_id": record.scene_id,
         "lanes": lanes,
@@ -453,9 +468,9 @@ def detection_from_obj(obj: dict) -> DetectionRecord:
             class_score=_field(l, "lanes.class_score", _real),
             feature=_field(l, "lanes.feature", _feature) if "feature" in l else None,
         )
-        for l in _field(obj, "lanes", list)
+        for l in _field(obj, "lanes", _array)
     ]
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", list)]
+    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
     scene_id = _field(obj, "scene_id", _text)
     if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
         n, t = len(lanes), len(traffic)
@@ -471,8 +486,10 @@ def detection_from_obj(obj: dict) -> DetectionRecord:
 
 def _load_lines(path, parse_obj, validate, control_points: int | None):
     """Parse and validate every non-blank line; a ``control_points`` of
-    None is set from the first lane of the file."""
+    None is set from the first lane of the file, and a count error then
+    names that lane."""
     out = []
+    source = ""
     with open(path, "r", encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -482,9 +499,13 @@ def _load_lines(path, parse_obj, validate, control_points: int | None):
                 # a first lane with no point list infers nothing; its validation names it
                 if control_points is None and record.lanes and np.ndim(record.lanes[0].ctrl):
                     control_points = np.shape(record.lanes[0].ctrl)[0]
+                    source = f" as lane 0 of line {line_no}"
                 validate(record, control_points)
             except ValidationError as exc:
-                raise ValidationError(exc.scene_id, exc.field, exc.message, f"{path}:{line_no}") from exc
+                message = exc.message
+                if source and exc.field == "lanes.ctrl" and message.endswith(f"control points, expected {control_points}"):
+                    message += source
+                raise ValidationError(exc.scene_id, exc.field, message, f"{path}:{line_no}") from exc
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise FormatError(path, line_no, str(exc)) from exc
             out.append(record)
@@ -505,20 +526,20 @@ def load_detections(path, control_points: int | None = None) -> list[DetectionRe
     return _load_lines(path, detection_from_obj, validate_detection, control_points)
 
 
-def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
+def _save_lines(objs: Iterable[dict], path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for scene in scenes:
-            fh.write(json.dumps(scene_to_obj(scene)) + "\n")
+        for obj in objs:
+            fh.write(json.dumps(obj) + "\n")
+
+
+def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
+    _save_lines(map(scene_to_obj, scenes), path)
 
 
 def save_detections(records: Iterable[DetectionRecord], path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(detection_to_obj(record)) + "\n")
+    _save_lines(map(detection_to_obj, records), path)
 
 
 def format_report_table(report: MetricReport) -> str:
@@ -535,7 +556,8 @@ def write_report(report: MetricReport, path) -> None:
     warning is recorded when the stored OLS disagrees with the value
     recomputed from the four sub-scores.
     """
-    for name, v in zip(("det_l", "det_t", "top_ll", "top_lt", "ols"), report.scores()):
+    scores = dict(zip(("det_l", "det_t", "top_ll", "top_lt", "ols"), report.scores()))
+    for name, v in scores.items():
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"report field {name}={v} outside [0, 1]")
     from .metrics import ols as ols_formula
@@ -548,13 +570,7 @@ def write_report(report: MetricReport, path) -> None:
         )
     obj = {
         "warnings": warnings,
-        "scores": {
-            "det_l": report.det_l,
-            "det_t": report.det_t,
-            "top_ll": report.top_ll,
-            "top_lt": report.top_lt,
-            "ols": report.ols,
-        },
+        "scores": scores,
         "lane_ap_by_threshold": {str(k): v for k, v in report.lane_ap_by_threshold.items()},
         "traffic_ap_by_category": {str(k): v for k, v in report.traffic_ap_by_category.items()},
         "scene_count": report.scene_count,
@@ -567,13 +583,8 @@ def write_report(report: MetricReport, path) -> None:
 
 def load_report(path) -> MetricReport:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    s = obj["scores"]
     return MetricReport(
-        det_l=s["det_l"],
-        det_t=s["det_t"],
-        top_ll=s["top_ll"],
-        top_lt=s["top_lt"],
-        ols=s["ols"],
+        **obj["scores"],  # the five scores, by field name
         lane_ap_by_threshold={float(k): v for k, v in obj.get("lane_ap_by_threshold", {}).items()},
         traffic_ap_by_category={int(k): v for k, v in obj.get("traffic_ap_by_category", {}).items()},
         scene_count=int(obj.get("scene_count", 0)),

@@ -7,9 +7,10 @@ Lanes are Bezier curves given by an ordered set of 3D control points
 The pairwise kernels (``frechet_distance``, ``box_iou``,
 ``control_point_l1``) take either one item per side and return a float,
 or one batch per side and return the (n, m) matrix of every pair; the
-Frechet kernels also take stacked batches (..., n, P, 3) x (..., m, Q, 3)
--> (..., n, m). Every form runs the same elementwise arithmetic, so a
-matrix entry equals the float of its pair bit for bit.
+Frechet kernels and ``box_iou`` also take stacked batches, (..., n, P, 3)
+x (..., m, Q, 3) and (..., n, 4) x (..., m, 4) -> (..., n, m). Every form
+runs the same elementwise arithmetic, so a matrix entry equals the float of
+its pair bit for bit.
 """
 
 from __future__ import annotations
@@ -51,11 +52,11 @@ def as_control_points(ctrl, batch: bool = False) -> np.ndarray:
 
 def as_box(box, batch: bool = False) -> np.ndarray:
     """Coerce to a (4,) float array (x1, y1, x2, y2) with x1 < x2 and y1 < y2;
-    with ``batch``, to an (n, 4) stack of such boxes."""
+    with ``batch``, to an (n, 4) or (..., n, 4) stack of such boxes."""
     b = np.asarray(box, dtype=float)
     if not batch:
         b = b.reshape(-1)
-    if b.shape[-1:] != (4,) or b.ndim != 1 + batch:
+    if b.shape[-1:] != (4,) or (b.ndim < 2 if batch else b.ndim != 1):
         raise ValueError(f"box must have 4 coordinates, got {b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("box coordinates must be finite")
@@ -175,17 +176,17 @@ def frechet_lower_bound(a, b):
 
 def box_iou(a, b):
     """Intersection-over-union of axis-aligned boxes, in [0, 1]. Two
-    boxes give a float; an (n, 4) and an (m, 4) batch give (n, m)."""
+    boxes give a float; an (n, 4) and an (m, 4) batch give (n, m); stacked
+    batches (..., n, 4) and (..., m, 4) whose leading shapes broadcast give
+    (..., n, m)."""
     batch = _is_batch(a, b, 1)
-    ba = as_box(a, batch).reshape(-1, 4)
-    bb = as_box(b, batch).reshape(-1, 4)
-    lo = np.maximum(ba[:, None, :2], bb[None, :, :2])
-    hi = np.minimum(ba[:, None, 2:], bb[None, :, 2:])
-    side = np.maximum(0.0, hi - lo)
+    ba = np.atleast_2d(as_box(a, batch))[..., :, None, :]
+    bb = np.atleast_2d(as_box(b, batch))[..., None, :, :]
+    side = np.maximum(0.0, np.minimum(ba[..., 2:], bb[..., 2:]) - np.maximum(ba[..., :2], bb[..., :2]))
     inter = side[..., 0] * side[..., 1]
-    area_a = (ba[:, 2] - ba[:, 0]) * (ba[:, 3] - ba[:, 1])
-    area_b = (bb[:, 2] - bb[:, 0]) * (bb[:, 3] - bb[:, 1])
-    out = inter / (area_a[:, None] + area_b[None, :] - inter)
+    area_a = (ba[..., 2] - ba[..., 0]) * (ba[..., 3] - ba[..., 1])
+    area_b = (bb[..., 2] - bb[..., 0]) * (bb[..., 3] - bb[..., 1])
+    out = inter / (area_a + area_b - inter)
     return out if batch else float(out[0, 0])
 
 

@@ -111,9 +111,9 @@ def _pooled_ap(flags, conf, scene, idx, num_gt: int) -> float:
     return average_precision(flags[np.lexsort((idx, scene, -conf))].tolist(), num_gt)
 
 
-def _padded_stack(flat: np.ndarray, group: np.ndarray, rank: np.ndarray, shape) -> np.ndarray:
-    """Zero-padded (*shape, ...) stack holding ``flat[k]`` at (group[k], rank[k])."""
-    out = np.zeros((*shape, *flat.shape[1:]))
+def _padded_stack(flat: np.ndarray, group: np.ndarray, rank: np.ndarray, shape, pad=0.0) -> np.ndarray:
+    """(*shape, ...) stack holding ``flat[k]`` at (group[k], rank[k]), ``pad`` elsewhere."""
+    out = np.full((*shape, *flat.shape[1:]), pad)
     out[group, rank] = flat
     return out
 
@@ -173,9 +173,10 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     threshold, matching within the same attribute only. Attributes with
     zero GT and zero predictions are excluded from the mean.
 
-    One greedy pass matches every (scene, attribute) group on its -IoU
-    matrix (IoU is a similarity: negating it and its threshold is exact),
-    stacked with +inf padding.
+    One ``box_iou`` call scores the padded (group, pred, GT) stack of every
+    (scene, attribute) group, and one greedy pass matches each group on its
+    -IoU matrix (IoU is a similarity: negating it and its threshold is
+    exact), its padding at +inf.
 
     Returns (score, per-attribute breakdown, ``{scene_id: match}``, each
     match the GT index of every predicted element in input order, -1 for a
@@ -200,14 +201,14 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     p_group, g_group = group[: len(pred_te)], group[len(pred_te) :]
     p_rank = _rank_within(p_group, -conf, p_idx)
     g_col = _rank_within(g_group, g_idx)
-    shape = (len(keys), np.bincount(p_group, minlength=1).max(), np.bincount(g_group, minlength=1).max())
-    dist = np.full(shape, np.inf)
-    p_boxes = np.reshape([te.box for te in pred_te], (-1, 4))
-    g_boxes = np.reshape([te.box for te in gt_te], (-1, 4))
-    per_scene = (np.split(np.arange(len(te)), np.cumsum(k)[:-1]) for te, k in ((pred_te, n), (gt_te, m)))
-    for pi, gi in zip(*per_scene):
-        i, j = np.nonzero(p_cat[pi, None] == g_cat[None, gi])  # one scene's same-attribute pairs
-        dist[p_group[pi[i]], p_rank[pi[i]], g_col[gi[j]]] = -box_iou(p_boxes[pi], g_boxes[gi])[i, j]
+    p_count, g_count = (np.bincount(g, minlength=len(keys)) for g in (p_group, g_group))
+    shape = (len(keys), p_count.max(initial=0), g_count.max(initial=0))
+    unit = (0.0, 0.0, 1.0, 1.0)  # a valid box to pad with; the mask below drops its pairs
+    p_boxes = _padded_stack(np.reshape([te.box for te in pred_te], (-1, 4)), p_group, p_rank, shape[:2], unit)
+    g_boxes = _padded_stack(np.reshape([te.box for te in gt_te], (-1, 4)), g_group, g_col, shape[::2], unit)
+    # a group's real pairs are one scene's same-attribute pairs
+    real = (np.arange(shape[1]) < p_count[:, None])[:, :, None] & (np.arange(shape[2]) < g_count[:, None])[:, None, :]
+    dist = np.where(real, -box_iou(p_boxes, g_boxes), np.inf)
     flags, match = assoc.greedy_metric_match(dist, -cfg.traffic_iou_threshold)
     p_flags = flags[p_group, p_rank]
     gt_count_by_cat = Counter(g_cat.tolist())
@@ -295,18 +296,16 @@ def vertex_aps(predictions, gts, lane_match: dict, traffic_match: dict):
             raise IndexError(f"{kind} match is not one GT index in [-1, GT count) per prediction of every scene")
         took = gt_idx >= 0
         owner[first[scene[took]] + gt_idx[took]] = idx[took]
-    ll_edges, lt_edges = [], []
-    for (gt, _), first_lane, first_traffic in zip(aligned, start.tolist(), (start + m).tolist()):
-        lane_at = {lane.id: first_lane + g for g, lane in enumerate(gt.lanes)}
-        traffic_at = {te.id: first_traffic + g for g, te in enumerate(gt.traffic)}
-        ll_edges += [(lane_at[a], lane_at[b]) for a, b in gt.topo_ll]
-        lt_edges += [(lane_at[a], traffic_at[b]) for a, b in gt.topo_lt]
+    # every GT edge as a pair of entity indices
+    positions = [dataio.edge_positions(gt) for gt, _ in aligned]
+    ll_edges = np.concatenate([ll + first for (ll, _), first in zip(positions, start)])
+    lt_edges = np.concatenate([lt + (first, first + lanes) for (_, lt), first, lanes in zip(positions, start, m)])
 
     def space(edges, probs, candidates):
         """APs and detected flags of one edge space's vertices. ``candidates``
         gives their candidate indices into the flat probabilities, and the
         column offset of an edge's hit in its head vertex's row."""
-        src, dst = np.array(edges, dtype=int).reshape(-1, 2).T
+        src, dst = edges.T
         degree = np.bincount(np.concatenate([src, dst]), minlength=len(owner))
         vertex = np.flatnonzero(degree)
         row = np.zeros(len(owner), dtype=int)

@@ -90,10 +90,6 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
-    @property
-    def out_dim(self) -> int:
-        return self.weights[-1].shape[0]
-
 
 def module_dims(cfg: HeadConfig) -> dict[str, list[int]]:
     """Layer widths of every module, in parameter-layout order."""
@@ -155,13 +151,13 @@ class TrainStats:
 
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """1 / (1 + e^-z) for z >= 0, e^z / (1 + e^z) below, from one exp(-|z|), in two
+    arrays: more freed (n, n) temporaries make glibc trim the heap at ~300 lanes."""
     z = np.asarray(z, dtype=float)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.abs(z, out=np.empty_like(z))
+    np.exp(np.negative(e, out=e), out=e)
+    p = np.where(z >= 0, 1.0, e)
+    return np.divide(p, np.add(e, 1.0, out=e), out=p)
 
 
 # ---------------------------------------------------------------------------
@@ -538,7 +534,8 @@ def train(
             if not np.isfinite(total):
                 raise TrainingError(f"non-finite loss at epoch {epoch}, scene {pairs[idx][0].scene_id!r}")
             step += 1
-            norms.append(float(np.sqrt(grads.flat @ grads.flat)))
+            # a numpy reduction, not BLAS: its bits and time do not depend on BLAS threads
+            norms.append(float(np.sqrt(np.einsum("i,i->", grads.flat, grads.flat))))
             adamw_step(params, grads, state, step, cfg)
             losses_ll.append(loss_ll)
             losses_lt.append(loss_lt)

@@ -112,6 +112,78 @@ def test_self_edge_rejected():
         dataio.validate_scene(scene)
 
 
+def test_edge_positions_map_ids_to_list_positions():
+    lanes = [GtLane(id=i, ctrl=np.zeros((4, 3))) for i in (7, 3, 5)]
+    traffic = [TrafficElement(id=k, box=np.array([0.0, 0.0, 1.0, 1.0]), category=0) for k in (4, 9)]
+    scene = SceneRecord("s", lanes, traffic, topo_ll={(7, 3), (3, 5)}, topo_lt={(5, 9), (7, 4)})
+    ll, lt = dataio.edge_positions(scene)
+    assert ll.dtype.kind == lt.dtype.kind == "i"
+    assert sorted(map(tuple, ll.tolist())) == [(0, 1), (1, 2)]
+    assert sorted(map(tuple, lt.tolist())) == [(0, 0), (2, 1)]
+    empty = dataio.edge_positions(SceneRecord("s", lanes, traffic, set(), set()))
+    assert [e.shape for e in empty] == [(0, 2), (0, 2)]
+    for ll, lt, field, message in (
+        ({(3, 3)}, set(), "topo_ll", "self-edge on lane 3"),
+        ({(1, 1)}, set(), "topo_ll", "self-edge on lane 1"),  # before the unknown id
+        ({(1, 3)}, set(), "topo_ll", "unknown lane id 1"),
+        ({(3, 1)}, set(), "topo_ll", "unknown lane id 1"),
+        (set(), {(1, 4)}, "topo_lt", "unknown lane id 1"),
+        (set(), {(7, 7)}, "topo_lt", "unknown traffic id 7"),
+    ):
+        bad = SceneRecord("s", lanes, traffic, topo_ll=ll, topo_lt=lt)
+        for check in (dataio.edge_positions, dataio.validate_scene):
+            with pytest.raises(ValidationError) as info:
+                check(bad)
+            assert (info.value.field, info.value.message) == (field, message)
+
+
+NOT_ARRAYS = [
+    ({"lanes": {}, "traffic": {}}, "lanes", "dict"),
+    ({"lanes": "ab", "traffic": []}, "lanes", "str"),
+    ({"lanes": [], "traffic": {}}, "traffic", "dict"),
+    ({"lanes": [], "traffic": "ab"}, "traffic", "str"),
+]
+GT_EDGES_NOT_ARRAYS = [
+    ({"lanes": [], "traffic": [], "topo_ll": {}}, "topo_ll", "dict"),
+    ({"lanes": [], "traffic": [], "topo_lt": "ab"}, "topo_lt", "str"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind,entries,field,got",
+    [("scene", *case) for case in NOT_ARRAYS + GT_EDGES_NOT_ARRAYS] + [("detection", *case) for case in NOT_ARRAYS],
+)
+def test_lists_must_be_json_arrays(tmp_path, kind, entries, field, got):
+    p = tmp_path / f"{kind}.jsonl"
+    p.write_text(json.dumps({"scene_id": "s", **entries}) + "\n")
+    load = dataio.load_scenes if kind == "scene" else dataio.load_detections
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}:1: field '{field}': expected an array, got {got}$"):
+        load(p)
+    if field == "traffic":
+        with pytest.raises(ValueError, match=f"field 'traffic': expected an array, got {got}"):
+            dataio.tta_entry_from_obj({"scale": 1.0, "traffic": entries["traffic"]})
+
+
+@pytest.mark.parametrize("score", ["0.5", None, [0.5]])
+def test_validate_detection_names_a_score_that_is_no_number(score):
+    det = make_detection()
+    det.lanes[1].class_score = score
+    with pytest.raises(ValidationError, match=f"field 'lanes.class_score': expected a number, got {re.escape(repr(score))}"):
+        dataio.validate_detection(det)
+
+
+def test_a_control_point_count_error_names_where_the_count_came_from(tmp_path):
+    scene = make_scene()
+    scene.lanes[0].ctrl = scene.lanes[0].ctrl[:3]
+    p = tmp_path / "scenes.jsonl"
+    dataio.save_scenes([make_scene("s1"), scene], p)
+    with pytest.raises(ValidationError, match=r":2: .*lane 0 has 3 control points, expected 4 as lane 0 of line 1$"):
+        dataio.load_scenes(p)
+    # a count the caller gives has no source to name
+    with pytest.raises(ValidationError, match=r"lane 0 has 3 control points, expected 4$"):
+        dataio.load_scenes(p, control_points=4)
+
+
 def test_duplicate_lane_id_rejected():
     scene = make_scene()
     scene.lanes[1].id = scene.lanes[0].id

@@ -214,4 +214,9 @@ if __name__ == "__main__":
         sys.exit("usage: python tests/test_dataio_messages.py --record")
     with tempfile.TemporaryDirectory() as tmp:
         table = {_key(*p): messages(*p, Path(tmp)) for p in PARAMS}
+    old = json.loads(RECORDED.read_text(encoding="utf-8")) if RECORDED.exists() else {}
+    for key in sorted(table.keys() | old.keys()):
+        for entry in ("validate", "load"):
+            if old.get(key, {}).get(entry, "<absent>") != table.get(key, {}).get(entry, "<absent>"):
+                print(f"changed: {key} {entry}")
     RECORDED.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")

@@ -255,6 +255,29 @@ def test_batch_kernels_equal_their_pairs_bitwise():
             for j in range(len(b)):
                 assert mat[i, j] == kernel(a[i], b[j])
     assert frechet_distance(polys_a[:0], polys_b).shape == (0, 3)
+    # a stacked box_iou
+    stack_a, stack_b = np.stack([boxes_a, boxes_a[::-1]]), np.stack([boxes_b, boxes_b[::-1]])
+    mat = box_iou(stack_a, stack_b)
+    assert mat.shape == (2, 5, 3)
+    for s, i, j in np.ndindex(mat.shape):
+        assert mat[s, i, j] == box_iou(stack_a[s, i], stack_b[s, j])
+
+
+def test_stacked_box_iou_equals_each_slice_bitwise():
+    rng = np.random.default_rng(61)
+    corners = rng.uniform(0, 50, size=(3, 9, 2))
+    boxes = np.concatenate([corners, corners + rng.uniform(1, 20, size=(3, 9, 2))], axis=-1)
+    a, b = boxes[:, :5], boxes[:, 5:]
+    stacked = box_iou(a, b)
+    assert stacked.shape == (3, 5, 4)
+    for s in range(3):
+        assert stacked[s].tobytes() == box_iou(a[s], b[s]).tobytes()
+    # a leading shape that broadcasts, deeper stacks and empty sides
+    assert box_iou(a[:1], b).tobytes() == np.stack([box_iou(a[0], b[s]) for s in range(3)]).tobytes()
+    assert box_iou(a[None], b[:, None]).shape == (3, 3, 5, 4)
+    assert box_iou(a[:, :0], b).shape == (3, 0, 4)
+    with pytest.raises(ValueError, match="degenerate"):
+        box_iou(a, np.zeros((3, 1, 4)))
 
 
 def test_batch_kernels_keep_the_pair_checks():

@@ -137,6 +137,14 @@ def test_one_pruned_frechet_call_per_det_l(monkeypatch):
 if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_golden.py --record")
-    pairs = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in training_pairs().items())
-    text = f'{{"reports": {json.dumps(report_values(), indent=1)},\n "training_pairs": {{\n{pairs}\n }}\n}}\n'
+    new = {"reports": report_values(), "training_pairs": training_pairs()}
+    old = json.loads(GOLDEN.read_text(encoding="utf-8")) if GOLDEN.exists() else {}
+    for table, values in new.items():
+        recorded = old.get(table, {})
+        for key in sorted(values.keys() | recorded.keys()):
+            # JSON has no tuples: compare as nested lists
+            if json.loads(json.dumps(values.get(key))) != recorded.get(key):
+                print(f"changed: {table}/{key}")
+    pairs = ",\n".join(f"  {json.dumps(k)}: {json.dumps(v)}" for k, v in new["training_pairs"].items())
+    text = f'{{"reports": {json.dumps(new["reports"], indent=1)},\n "training_pairs": {{\n{pairs}\n }}\n}}\n'
     GOLDEN.write_text(text, encoding="utf-8")

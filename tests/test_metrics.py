@@ -13,6 +13,7 @@ from lanetopo.dataio import (
     PredLane,
     SceneRecord,
     TrafficElement,
+    ValidationError,
 )
 from lanetopo.metrics import DetMatchConfig, average_precision, evaluate, ols
 from lanetopo.synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_scene
@@ -465,6 +466,31 @@ def test_batched_detection_equals_the_per_scene_loop(thresholds, iou):
     assert {sid: len(m) for sid, m in lane_match.items()} == {r.scene_id: len(r.lanes) for r in records}
     # at the loosest threshold every exact-threshold lane is a true positive
     assert lane_match["zz-exact"].tolist() == list(range(len(thresholds)))
+
+
+def test_one_stacked_box_iou_call_per_det_t(monkeypatch):
+    calls = []
+    original = metrics.box_iou
+
+    def counting(a, b):
+        calls.append(np.shape(a))
+        return original(a, b)
+
+    monkeypatch.setattr(metrics, "box_iou", counting)
+    scenes, records = edge_case_inputs((1.0,))
+    metrics.det_t(records, scenes)
+    # one call on the (scene, attribute) group stack
+    assert len(calls) == 1 and len(calls[0]) == 3
+
+
+@pytest.mark.parametrize("field,kind", [("topo_ll", "lane"), ("topo_lt", "traffic")])
+def test_evaluate_names_an_unknown_topology_id(field, kind):
+    cfg = GeneratorConfig(scenes=2, seed=17)
+    scenes = [generate_scene(cfg, i) for i in range(2)]
+    preds = [perfect_prediction(s) for s in scenes]
+    getattr(scenes[1], field).add((0, 999))
+    with pytest.raises(ValidationError, match=f"scene 'scene-00001', field '{field}': unknown {kind} id 999"):
+        evaluate(preds, scenes)
 
 
 def test_evaluate_rejects_zero_scenes():

@@ -277,5 +277,7 @@ if __name__ == "__main__":
     path = Path(__file__)
     text = path.read_text(encoding="utf-8")
     for name, value in pins.items():
+        if value != globals()[name]:
+            print(f"changed: {name}")
         text = re.sub(rf'^{name} = ".*"$', f'{name} = "{value}"', text, count=1, flags=re.M)
     path.write_text(text, encoding="utf-8")

@@ -532,6 +532,21 @@ def test_project_labels_crossed_assignment_permutes():
     assert ll[1, 0] and ll.sum() == 1
 
 
+def test_project_labels_name_a_bad_edge():
+    lanes = [GtLane(id=4, ctrl=np.zeros((3, 3))), GtLane(id=2, ctrl=np.ones((3, 3)))]
+    traffic = [TrafficElement(8, np.array([0.0, 0.0, 1.0, 1.0]), 1)]
+    match = np.array([1, 0])
+    assert project_edges(match, [0], SceneRecord("s", lanes, traffic, {(4, 2)}, {(2, 8)}))[1].tolist() == [[True], [False]]
+    for ll, lt, message in (
+        ({(4, 4)}, set(), "field 'topo_ll': self-edge on lane 4"),
+        ({(4, 7)}, set(), "field 'topo_ll': unknown lane id 7"),
+        (set(), {(7, 8)}, "field 'topo_lt': unknown lane id 7"),
+        (set(), {(4, 7)}, "field 'topo_lt': unknown traffic id 7"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            project_edges(match, [0], SceneRecord("s", lanes, traffic, ll, lt))
+
+
 def test_project_labels_out_of_range():
     # a match entry must lie in [-1, len(GT)): 5, len(GT) = 1 and -2 (which
     # would index from the end without the check) are all rejected
@@ -625,6 +640,27 @@ def test_scene_gradients_match_finite_differences_across_pair_blocks(monkeypatch
     assert full_gradient_check(cfg, np.random.default_rng(78), lanes=(7, 8), traffic=(3, 4)) > 0
 
 
+def two_branch_sigmoid(z):
+    """The logistic as two branches: 1 / (1 + e^-z) on z >= 0, e^z / (1 + e^z) below."""
+    z = np.asarray(z, dtype=float)
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_stable_sigmoid_equals_the_two_branch_form_bitwise(seed):
+    z = np.random.default_rng(seed).normal(size=(300, 300))
+    z.flat[:8] = [np.inf, -np.inf, 0.0, -0.0, 40.0, -40.0, 800.0, -800.0]
+    with np.errstate(over="raise"):
+        assert th.stable_sigmoid(z).tobytes() == two_branch_sigmoid(z).tobytes()
+    out = th.stable_sigmoid(np.array([np.nan, 1.0, -np.nan]))
+    assert np.isnan(out[[0, 2]]).all() and out[1] == two_branch_sigmoid(1.0)
+
+
 def make_training_set(rng, count, n_lanes=3, n_traffic=2, m=3):
     scenes, dets = [], []
     for i in range(count):
@@ -634,6 +670,15 @@ def make_training_set(rng, count, n_lanes=3, n_traffic=2, m=3):
         scenes.append(scene)
         dets.append(det)
     return scenes, dets
+
+
+@pytest.mark.parametrize("field,kind", [("topo_ll", "lane"), ("topo_lt", "traffic")])
+def test_an_unknown_topology_id_is_named_by_train(field, kind):
+    rng = np.random.default_rng(26)
+    scenes, dets = make_training_set(rng, 2)
+    getattr(scenes[1], field).add((0, 999))
+    with pytest.raises(ValidationError, match=f"scene 's1', field '{field}': unknown {kind} id 999"):
+        th.train(scenes, dets, cfg=small_config(epochs=1))
 
 
 def test_train_lr_zero_keeps_init():
@@ -669,7 +714,7 @@ def reference_train(scenes, dets, val_scenes, val_dets, cfg):
             targets = th.scene_targets(dets[idx], scenes[idx], cfg)
             loss_ll, loss_lt, grads = th.scene_loss_and_grads(targets, params)
             step += 1
-            norms.append(float(np.sqrt(grads.flat @ grads.flat)))
+            norms.append(float(np.sqrt(np.einsum("i,i->", grads.flat, grads.flat))))
             th.adamw_step(params, grads, state, step, cfg)
             losses_ll.append(loss_ll)
             losses_lt.append(loss_lt)
