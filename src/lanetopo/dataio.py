@@ -424,11 +424,15 @@ def scene_from_obj(obj: dict) -> SceneRecord:
 
 
 def detection_to_obj(record: DetectionRecord) -> dict:
-    lanes = [
-        {"ctrl": np.asarray(lane.ctrl, dtype=float).tolist(), "class_score": float(lane.class_score)}
-        | ({} if lane.feature is None else {"feature": np.asarray(lane.feature, dtype=float).tolist()})
-        for lane in record.lanes
-    ]
+    lanes = []
+    for lane in record.lanes:
+        entry = {
+            "ctrl": np.asarray(lane.ctrl, dtype=float).tolist(),
+            "class_score": float(lane.class_score),
+        }
+        if lane.feature is not None:
+            entry["feature"] = np.asarray(lane.feature, dtype=float).tolist()
+        lanes.append(entry)
     obj = {
         "scene_id": record.scene_id,
         "lanes": lanes,
@@ -499,7 +503,7 @@ def _load_lines(path, parse_obj, validate, control_points: int | None):
                 # a first lane with no point list infers nothing; its validation names it
                 if control_points is None and record.lanes and np.ndim(record.lanes[0].ctrl):
                     control_points = np.shape(record.lanes[0].ctrl)[0]
-                    source = f" as lane 0 of line {line_no}"
+                    source = f" as the first lane of line {line_no}"
                 validate(record, control_points)
             except ValidationError as exc:
                 message = exc.message
@@ -526,20 +530,20 @@ def load_detections(path, control_points: int | None = None) -> list[DetectionRe
     return _load_lines(path, detection_from_obj, validate_detection, control_points)
 
 
-def _save_lines(objs: Iterable[dict], path) -> None:
+def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        for obj in objs:
-            fh.write(json.dumps(obj) + "\n")
-
-
-def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
-    _save_lines(map(scene_to_obj, scenes), path)
+        for scene in scenes:
+            fh.write(json.dumps(scene_to_obj(scene)) + "\n")
 
 
 def save_detections(records: Iterable[DetectionRecord], path) -> None:
-    _save_lines(map(detection_to_obj, records), path)
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        for record in records:
+            fh.write(json.dumps(detection_to_obj(record)) + "\n")
 
 
 def format_report_table(report: MetricReport) -> str:
@@ -556,8 +560,7 @@ def write_report(report: MetricReport, path) -> None:
     warning is recorded when the stored OLS disagrees with the value
     recomputed from the four sub-scores.
     """
-    scores = dict(zip(("det_l", "det_t", "top_ll", "top_lt", "ols"), report.scores()))
-    for name, v in scores.items():
+    for name, v in zip(("det_l", "det_t", "top_ll", "top_lt", "ols"), report.scores()):
         if not (0.0 <= v <= 1.0):
             raise ValueError(f"report field {name}={v} outside [0, 1]")
     from .metrics import ols as ols_formula
@@ -570,7 +573,13 @@ def write_report(report: MetricReport, path) -> None:
         )
     obj = {
         "warnings": warnings,
-        "scores": scores,
+        "scores": {
+            "det_l": report.det_l,
+            "det_t": report.det_t,
+            "top_ll": report.top_ll,
+            "top_lt": report.top_lt,
+            "ols": report.ols,
+        },
         "lane_ap_by_threshold": {str(k): v for k, v in report.lane_ap_by_threshold.items()},
         "traffic_ap_by_category": {str(k): v for k, v in report.traffic_ap_by_category.items()},
         "scene_count": report.scene_count,
@@ -583,8 +592,13 @@ def write_report(report: MetricReport, path) -> None:
 
 def load_report(path) -> MetricReport:
     obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    s = obj["scores"]
     return MetricReport(
-        **obj["scores"],  # the five scores, by field name
+        det_l=s["det_l"],
+        det_t=s["det_t"],
+        top_ll=s["top_ll"],
+        top_lt=s["top_lt"],
+        ols=s["ols"],
         lane_ap_by_threshold={float(k): v for k, v in obj.get("lane_ap_by_threshold", {}).items()},
         traffic_ap_by_category={int(k): v for k, v in obj.get("traffic_ap_by_category", {}).items()},
         scene_count=int(obj.get("scene_count", 0)),

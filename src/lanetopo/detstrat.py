@@ -32,7 +32,9 @@ class TtaConfig(Settings):
 def category_histogram(frames: Sequence[SceneRecord]) -> CategoryStats:
     """Exact traffic-category counts over all frames."""
     counts = np.zeros(NUM_CATEGORIES, dtype=int)
-    np.add.at(counts, [te.category for frame in frames for te in frame.traffic], 1)
+    for frame in frames:
+        for te in frame.traffic:
+            counts[te.category] += 1
     total = int(counts.sum())
     freqs = counts / total if total > 0 else np.zeros(NUM_CATEGORIES)
     return CategoryStats(counts=counts, total=total, frequencies=freqs)
@@ -50,14 +52,19 @@ def tta_merge(
     their own confidence, so merging a merged set changes nothing.
     """
     cfg = cfg or TtaConfig()
-    for scale, _ in per_scale_boxes:
+    pooled: list[TrafficElement] = []
+    for scale, boxes in per_scale_boxes:
         if scale <= 0:
             raise ValueError(f"scale must be positive, got {scale}")
-    pooled = [
-        TrafficElement(te.id, np.asarray(te.box, dtype=float) / scale, te.category, te.confidence)
-        for scale, boxes in per_scale_boxes
-        for te in boxes
-    ]
+        for te in boxes:
+            pooled.append(
+                TrafficElement(
+                    id=te.id,
+                    box=np.asarray(te.box, dtype=float) / scale,
+                    category=te.category,
+                    confidence=te.confidence,
+                )
+            )
     boxes = np.reshape([te.box for te in pooled], (-1, 4))
     categories = np.array([te.category for te in pooled])
     overlaps = (categories[:, None] == categories[None, :]) & (box_iou(boxes, boxes) >= cfg.merge_iou)

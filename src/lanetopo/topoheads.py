@@ -90,6 +90,10 @@ class MlpParams:
     def in_dim(self) -> int:
         return self.weights[0].shape[1]
 
+    @property
+    def out_dim(self) -> int:
+        return self.weights[-1].shape[0]
+
 
 def module_dims(cfg: HeadConfig) -> dict[str, list[int]]:
     """Layer widths of every module, in parameter-layout order."""

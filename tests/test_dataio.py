@@ -172,15 +172,23 @@ def test_validate_detection_names_a_score_that_is_no_number(score):
         dataio.validate_detection(det)
 
 
-def test_a_control_point_count_error_names_where_the_count_came_from(tmp_path):
-    scene = make_scene()
-    scene.lanes[0].ctrl = scene.lanes[0].ctrl[:3]
+@pytest.mark.parametrize("first_id", [0, 7])
+def test_a_control_point_count_error_names_where_the_count_came_from(tmp_path, first_id):
+    # with GT ids 7, 8, 9 the bad lane is named by its id, the source by its place
+    first, scene = make_scene("s1"), make_scene()
+    for s in (first, scene):
+        for lane in s.lanes:
+            lane.id += first_id
+        s.topo_ll = {(i + first_id, j + first_id) for i, j in s.topo_ll}
+        s.topo_lt = {(i + first_id, k) for i, k in s.topo_lt}
+    scene.lanes[1].ctrl = scene.lanes[1].ctrl[:3]
     p = tmp_path / "scenes.jsonl"
-    dataio.save_scenes([make_scene("s1"), scene], p)
-    with pytest.raises(ValidationError, match=r":2: .*lane 0 has 3 control points, expected 4 as lane 0 of line 1$"):
+    dataio.save_scenes([first, scene], p)
+    bad = f"lane {first_id + 1} has 3 control points, expected 4"
+    with pytest.raises(ValidationError, match=f":2: .*{bad} as the first lane of line 1$"):
         dataio.load_scenes(p)
     # a count the caller gives has no source to name
-    with pytest.raises(ValidationError, match=r"lane 0 has 3 control points, expected 4$"):
+    with pytest.raises(ValidationError, match=f"{bad}$"):
         dataio.load_scenes(p, control_points=4)
 
 

@@ -69,6 +69,14 @@ def test_mlp_params_reject_broken_chain():
         th.MlpParams([np.zeros((3, 2)), np.zeros((1, 4))], [np.zeros(3), np.zeros(1)])
 
 
+def test_mlp_out_dim_tells_the_pair_heads_from_the_embedders():
+    # lanebench's tracer files each mlp_backward span by its module's out_dim
+    cfg = small_config()
+    for name, mlp in th.init_params(cfg).modules().items():
+        assert mlp.out_dim == th.module_dims(cfg)[name][-1]
+        assert (mlp.out_dim == 1) == name.endswith("_head")
+
+
 def test_mlp_backward_zero_output_grad():
     rng = np.random.default_rng(0)
     params = th.mlp_init([3, 4, 2], rng)
