@@ -9,10 +9,13 @@ Two matching regimes live here:
 * greedy confidence-ranked matching with a distance threshold, the
   standard detection-AP protocol used by the metrics.
 
-Both take a whole scene's preds x GT matrix; the greedy matcher also
-takes a stack of them and walks rank r of every matrix at once. Both
-return a matching in one form: an int array over the predictions whose
-entry i is the GT index that prediction i took, or -1 when it took none.
+Both take a whole scene's preds x GT matrix. The Hungarian solver also
+takes a ragged batch of them (every scene of a training run) and solves
+it in one +inf-padded stack, one path step of every problem per round;
+the greedy matcher takes a stack and walks rank r of every matrix at
+once. Both return a matching in one form: an int array over the
+predictions whose entry i is the GT index that prediction i took, or -1
+when it took none.
 Either matching projects the GT topology onto prediction indices
 (:func:`project_edges`): the training labels.
 """
@@ -73,19 +76,31 @@ def hungarian_solve(cost) -> np.ndarray:
     goes to the lowest index. The cost is first scaled by an exact power
     of two to magnitudes below 1, which keeps the dual potentials finite
     near the float maximum and changes no comparison while entries stay
-    normal.
+    normal. The one-matrix call of :func:`hungarian_solve_batch`.
     """
-    mat = np.asarray(cost, dtype=float)
-    if mat.ndim != 2:
-        raise ValueError(f"cost must be a 2D matrix, got shape {mat.shape}")
-    rows, cols = mat.shape
-    if not np.all(np.isfinite(mat)):
-        raise ValueError("cost matrix entries must be finite (no NaN or inf)")
+    return hungarian_solve_batch([cost])[0]
 
-    mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(initial=0.0))[1])
-    transposed = rows > cols
-    owners = _augment(mat.T if transposed else mat)  # each larger-side index's partner
-    return owners if transposed else invert_match(owners, rows)
+
+def hungarian_solve_batch(costs) -> list[np.ndarray]:
+    """:func:`hungarian_solve` of every matrix in ``costs``, of any shapes,
+    in one pass; the matchings are bit-identical to one call per matrix.
+
+    Each matrix is checked, scaled by its own power of two and, when rows
+    > cols, transposed; then all of them are solved together in a
+    +inf-padded (k, n, m) stack (see :func:`_augment`).
+    """
+    mats, transposed = [], []
+    for cost in costs:
+        mat = np.asarray(cost, dtype=float)
+        if mat.ndim != 2:
+            raise ValueError(f"cost must be a 2D matrix, got shape {mat.shape}")
+        if not np.all(np.isfinite(mat)):
+            raise ValueError("cost matrix entries must be finite (no NaN or inf)")
+        mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(initial=0.0))[1])
+        transposed.append(mat.shape[0] > mat.shape[1])
+        mats.append(mat.T if transposed[-1] else mat)
+    owners = _augment(mats)  # each larger-side index's partner
+    return [o if t else invert_match(o, len(mat)) for o, mat, t in zip(owners, mats, transposed)]
 
 
 def invert_match(match: np.ndarray, size: int) -> np.ndarray:
@@ -98,79 +113,124 @@ def invert_match(match: np.ndarray, size: int) -> np.ndarray:
     return out
 
 
-def _augment(cost: np.ndarray) -> np.ndarray:
-    """Assign every row (rows <= cols); returns each column's row or -1."""
-    n, m = cost.shape
+def _augment(mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Assign every row of each matrix (rows <= cols); returns each matrix's
+    per-column row, or -1.
+
+    The k matrices sit in a (k, n, m) stack padded with +inf. Each round,
+    every problem with a row left takes one step of its own row's shortest
+    augmenting path, and a problem whose path reached a free column
+    augments and starts its next row. So each problem makes the float
+    operations and argmin choices that it would make alone: its padded
+    columns hold +inf, sit after its real ones and never win. A row's
+    potential is kept at the column that holds the row and moves with it.
+    A finished problem keeps stepping on stale state with a zero shift;
+    only an augmentation writes ``job``, and none runs for it.
+    """
+    k = len(mats)
+    rows = np.array([a.shape[0] for a in mats], dtype=int)
+    n, m = max(rows, default=0), max((a.shape[1] for a in mats), default=0)
+    if n == 0:
+        return [np.full(a.shape[1], -1) for a in mats]
     inf = float("inf")
-    # column m is a virtual start column for each augmentation
-    job = np.full(m + 1, -1, dtype=int)
-    ys = np.zeros(n)  # row potentials
-    yt = np.zeros(m + 1)  # column potentials
+    cost = np.full((k, n, m), inf)
+    for p, a in enumerate(mats):
+        cost[p, : a.shape[0], : a.shape[1]] = a
+    ar = np.arange(k)
+    # column m is each problem's virtual start column for an augmentation
+    job = np.zeros((k, m + 1), dtype=int)
+    job[:, :m] = -1
+    ys = np.zeros((k, m + 1))  # potential of the row each column holds
+    yt = np.zeros((k, m + 1))  # column potentials
+    min_to = np.full((k, m), inf)
+    prv = np.full((k, m), -1)
+    in_z = np.zeros((k, m + 1), dtype=bool)
+    row = np.zeros(k, dtype=int)
+    live = rows > 0
+    c_cur, j = np.full(k, m), np.zeros(k, dtype=int)
 
-    for r in range(n):
-        c_cur = m
-        job[c_cur] = r
-        min_to = np.full(m, inf)
-        prv = np.full(m, -1, dtype=int)
-        in_z = np.zeros(m + 1, dtype=bool)
+    while live.any():
+        in_z[ar, c_cur] = True
+        out_z = ~in_z[:, :m]
+        reduced = cost[ar, j] - ys[ar, c_cur][:, None] - yt[:, :m]
+        better = (reduced < min_to) & out_z
+        np.copyto(min_to, reduced, where=better)
+        np.copyto(prv, c_cur[:, None], where=better)
+        masked = np.where(out_z, min_to, inf)
+        c_cur = np.argmin(masked, axis=1)  # lowest column wins ties
+        delta = np.where(live, masked[ar, c_cur], 0.0)[:, None]
+        # every visited column holds a row: shift both potentials
+        np.add(ys, delta, out=ys, where=in_z)
+        np.subtract(yt, delta, out=yt, where=in_z)
+        np.subtract(min_to, delta, out=min_to, where=out_z)
+        j = job[ar, c_cur]
+        done = live & (j < 0)  # reached a free column
+        if done.any():
+            idx, cur = np.flatnonzero(done), c_cur[done]
+            while idx.size:
+                c = prv[idx, cur]
+                job[idx, cur], ys[idx, cur] = job[idx, c], ys[idx, c]
+                keep = c != m
+                idx, cur = idx[keep], c[keep]
+            row += done
+            live &= row < rows
+            c_cur[done] = m
+            start = done & live
+            job[start, m] = j[start] = row[start]
+            ys[start, m] = 0.0
+            min_to[start] = inf
+            in_z[start] = False
 
-        while job[c_cur] != -1:
-            in_z[c_cur] = True
-            j = job[c_cur]
-            reduced = cost[j, :] - ys[j] - yt[:m]
-            better = (reduced < min_to) & ~in_z[:m]
-            min_to[better] = reduced[better]
-            prv[better] = c_cur
-            masked = np.where(in_z[:m], inf, min_to)
-            c_next = int(np.argmin(masked))  # lowest column wins ties
-            delta = masked[c_next]
-            # every visited column holds a row: shift both potentials
-            ys[job[in_z]] += delta
-            yt[in_z] -= delta
-            min_to[~in_z[:m]] -= delta
-            c_cur = c_next
-
-        while c_cur != m:
-            c = prv[c_cur]
-            job[c_cur] = job[c]
-            c_cur = c
-
-    return job[:m]
+    return [job[p, : a.shape[1]].copy() for p, a in enumerate(mats)]
 
 
-def _training_match(scores, l1: np.ndarray, cfg: CostConfig) -> np.ndarray:
-    """Hungarian match on the DETR-style cost: a weighted focal term of the
-    positive class, which depends only on the prediction, plus the
-    weighted mean-L1 geometry matrix."""
+def lane_training_cost(
+    preds: Sequence[PredLane], gts: Sequence[GtLane], cfg: CostConfig | None = None
+) -> np.ndarray:
+    """The (preds, GT) DETR-style matching cost of lanes: a weighted focal
+    term of the positive class, which depends only on the prediction, plus
+    the weighted mean L1 over control points."""
+    cfg = cfg or CostConfig()
+    if not preds or not gts:
+        return np.zeros((len(preds), len(gts)))
+    l1 = control_point_l1(np.stack([p.ctrl for p in preds]), np.stack([g.ctrl for g in gts]))
+    return _training_cost([p.class_score for p in preds], l1, cfg)
+
+
+def traffic_training_cost(
+    preds: Sequence[TrafficElement], gts: Sequence[TrafficElement], cfg: CostConfig | None = None
+) -> np.ndarray:
+    """Same cost structure for traffic elements, with mean L1 over box corners."""
+    cfg = cfg or CostConfig()
+    boxes = np.array([p.box for p in preds], dtype=float).reshape(-1, 4)
+    gt_boxes = np.array([g.box for g in gts], dtype=float).reshape(-1, 4)
+    l1 = np.mean(np.abs(boxes[:, None] - gt_boxes[None]), axis=-1)
+    return _training_cost([p.confidence for p in preds], l1, cfg)
+
+
+def _training_cost(scores, l1: np.ndarray, cfg: CostConfig) -> np.ndarray:
     cls, _ = focal_loss(np.asarray(scores, dtype=float), 1, cfg.focal_alpha, cfg.focal_gamma)
-    return hungarian_solve(cfg.w_cls * cls[:, None] + cfg.w_l1 * l1)
+    return cfg.w_cls * cls[:, None] + cfg.w_l1 * l1
 
 
 def match_for_training(
     preds: Sequence[PredLane], gts: Sequence[GtLane], cfg: CostConfig | None = None
 ) -> np.ndarray:
-    """Optimal prediction/GT lane matching for topology supervision.
+    """Optimal prediction/GT lane matching for topology supervision, on
+    :func:`lane_training_cost`.
 
     No distance gating: every prediction up to min(|preds|, |gts|) gets a
     partner; unmatched predictions receive all-negative topology labels
-    downstream. The geometry term is the mean L1 over control points.
+    downstream.
     """
-    cfg = cfg or CostConfig()
-    if not preds or not gts:
-        return hungarian_solve(np.zeros((len(preds), len(gts))))
-    l1 = control_point_l1(np.stack([p.ctrl for p in preds]), np.stack([g.ctrl for g in gts]))
-    return _training_match([p.class_score for p in preds], l1, cfg)
+    return hungarian_solve(lane_training_cost(preds, gts, cfg))
 
 
 def match_traffic_for_training(
     preds: Sequence[TrafficElement], gts: Sequence[TrafficElement], cfg: CostConfig | None = None
 ) -> np.ndarray:
-    """Same cost structure for traffic elements, with mean-L1 over box corners."""
-    cfg = cfg or CostConfig()
-    boxes = np.array([p.box for p in preds], dtype=float).reshape(-1, 4)
-    gt_boxes = np.array([g.box for g in gts], dtype=float).reshape(-1, 4)
-    l1 = np.mean(np.abs(boxes[:, None] - gt_boxes[None]), axis=-1)
-    return _training_match([p.confidence for p in preds], l1, cfg)
+    """Optimal traffic-element matching on :func:`traffic_training_cost`."""
+    return hungarian_solve(traffic_training_cost(preds, gts, cfg))
 
 
 def project_edges(lane_match, traffic_match, scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:

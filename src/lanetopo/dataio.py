@@ -182,6 +182,9 @@ def _check_boxes(scene_id: str, elements: Sequence[TrafficElement]) -> None:
             _geometry(as_box, te.box, scene_id, "traffic.box")
 
 
+_BOOLS = (bool, np.bool_)  # rejected where a number is expected, as the loader rejects JSON true
+
+
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
     if elements:
         _check_boxes(scene_id, elements)
@@ -191,10 +194,14 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             if te.id in seen:
                 raise ValidationError(scene_id, "traffic.id", f"duplicate id {te.id}")
             seen.add(te.id)
+        if isinstance(te.category, _BOOLS):
+            raise ValidationError(scene_id, "traffic.category", f"expected an integer, got {te.category!r}")
         if not (0 <= te.category < NUM_CATEGORIES):
             raise ValidationError(
                 scene_id, "traffic.category", f"category {te.category} outside [0, {NUM_CATEGORIES - 1}]"
             )
+        if isinstance(te.confidence, _BOOLS):
+            raise ValidationError(scene_id, "traffic.confidence", f"expected a number, got {te.confidence!r}")
         if not (0.0 <= te.confidence <= 1.0):
             raise ValidationError(
                 scene_id, "traffic.confidence", f"confidence {te.confidence} outside [0, 1]"
@@ -213,8 +220,11 @@ def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool) -> bool:
             return False
         if gt:
             return len({lane.id for lane in lanes}) == len(lanes)
-        scores = np.array([lane.class_score for lane in lanes])
-        if scores.dtype.kind not in "biuf" or scores.shape != (len(lanes),):  # strings, objects, arrays
+        scores = [lane.class_score for lane in lanes]
+        if any(isinstance(s, _BOOLS) for s in scores):  # an array would read True as 1.0
+            return False
+        scores = np.array(scores)
+        if scores.dtype.kind not in "iuf" or scores.shape != (len(lanes),):  # strings, objects, arrays
             return False
         return bool(np.all((scores >= 0.0) & (scores <= 1.0)))
     except (TypeError, ValueError, OverflowError):
@@ -241,7 +251,7 @@ def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt:
                 "lanes.ctrl",
                 f"lane {lane.id if gt else idx} has {pts.shape[0]} control points, expected {control_points}",
             )
-        if not gt and not isinstance(lane.class_score, numbers.Real):
+        if not gt and (isinstance(lane.class_score, _BOOLS) or not isinstance(lane.class_score, numbers.Real)):
             raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
         if not gt and not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")

@@ -429,17 +429,26 @@ class SceneTargets:
 def scene_targets(detection: DetectionRecord, scene: SceneRecord, cfg: HeadConfig) -> SceneTargets:
     """The embedder inputs of ``detection`` and the labels that its optimal
     matching against ``scene`` (at the default ``CostConfig``) projects
-    from the GT edges."""
-    lane_match = assoc.match_for_training(detection.lanes, scene.lanes)
-    traffic_match = assoc.match_traffic_for_training(detection.traffic, scene.traffic)
-    ll_labels, lt_labels = assoc.project_edges(lane_match, traffic_match, scene)
-    return SceneTargets(
-        lane_inputs(detection.lanes, cfg),
-        traffic_inputs(detection.traffic),
-        ll_labels,
-        lt_labels,
-        ~np.eye(len(detection.lanes), dtype=bool),
-    )
+    from the GT edges: the one-scene form of :func:`scene_targets_batch`."""
+    return scene_targets_batch([(scene, detection)], cfg)[0]
+
+
+def scene_targets_batch(pairs: Sequence[tuple[SceneRecord, DetectionRecord]], cfg: HeadConfig) -> list[SceneTargets]:
+    """:func:`scene_targets` of every (scene, detection) pair, with every
+    scene's lane and traffic matches found in one stacked Hungarian solve."""
+    costs = []
+    for scene, det in pairs:
+        costs += [assoc.lane_training_cost(det.lanes, scene.lanes), assoc.traffic_training_cost(det.traffic, scene.traffic)]
+    matches = assoc.hungarian_solve_batch(costs)
+    return [
+        SceneTargets(
+            lane_inputs(det.lanes, cfg),
+            traffic_inputs(det.traffic),
+            *assoc.project_edges(matches[2 * i], matches[2 * i + 1], scene),
+            ~np.eye(len(det.lanes), dtype=bool),
+        )
+        for i, (scene, det) in enumerate(pairs)
+    ]
 
 
 def scene_loss_and_grads(
@@ -511,8 +520,9 @@ def train(
     """Train both heads with one AdamW step per scene.
 
     Deterministic given ``cfg.seed``: seeded init, one seeded scene
-    permutation reused by every epoch. Every scene's targets are built once,
-    before the first epoch. ``on_epoch(epoch, stats)`` runs as each epoch
+    permutation reused by every epoch. Every train and validation scene's
+    targets are built once, before the first epoch, in one stacked
+    Hungarian solve. ``on_epoch(epoch, stats)`` runs as each epoch
     ends (``epoch`` counts from 0), after its entries are in ``stats``.
     """
     cfg = cfg or HeadConfig()
@@ -527,8 +537,8 @@ def train(
     order = np.random.default_rng(cfg.seed).permutation(len(pairs))
     stats = TrainStats()
     t_start = time.perf_counter()
-    targets = [scene_targets(d, s, cfg) for s, d in pairs]
-    val_targets = [scene_targets(d, s, cfg) for s, d in val_pairs]
+    targets = scene_targets_batch(pairs + val_pairs, cfg)
+    targets, val_targets = targets[: len(pairs)], targets[len(pairs) :]
     step = 0
     for epoch in range(cfg.epochs):
         losses_ll, losses_lt, norms = [], [], []

@@ -20,6 +20,7 @@ from lanetopo.assoc import (
 )
 from lanetopo.dataio import GtLane, PredLane
 from lanetopo.geometry import box_iou, frechet_distance
+from lanetopo.synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_scene
 
 
 def test_every_public_name_resolves():
@@ -147,6 +148,122 @@ def test_hungarian_potentials_stay_finite_near_float_max():
             assert total_cost(scaled, a) == pytest.approx(brute_min_cost(scaled), rel=1e-12)
 
 
+def oracle_augment(cost: np.ndarray) -> np.ndarray:
+    """One matrix's shortest augmenting paths, one path step per loop pass
+    (rows <= cols): each column's row, or -1."""
+    n, m = cost.shape
+    inf = float("inf")
+    # column m is a virtual start column for each augmentation
+    job = np.full(m + 1, -1, dtype=int)
+    ys = np.zeros(n)  # row potentials
+    yt = np.zeros(m + 1)  # column potentials
+
+    for r in range(n):
+        c_cur = m
+        job[c_cur] = r
+        min_to = np.full(m, inf)
+        prv = np.full(m, -1, dtype=int)
+        in_z = np.zeros(m + 1, dtype=bool)
+
+        while job[c_cur] != -1:
+            in_z[c_cur] = True
+            j = job[c_cur]
+            reduced = cost[j, :] - ys[j] - yt[:m]
+            better = (reduced < min_to) & ~in_z[:m]
+            min_to[better] = reduced[better]
+            prv[better] = c_cur
+            masked = np.where(in_z[:m], inf, min_to)
+            c_next = int(np.argmin(masked))  # lowest column wins ties
+            delta = masked[c_next]
+            # every visited column holds a row: shift both potentials
+            ys[job[in_z]] += delta
+            yt[in_z] -= delta
+            min_to[~in_z[:m]] -= delta
+            c_cur = c_next
+
+        while c_cur != m:
+            c = prv[c_cur]
+            job[c_cur] = job[c]
+            c_cur = c
+
+    return job[:m]
+
+
+def oracle_solve(cost) -> np.ndarray:
+    """``hungarian_solve`` one matrix at a time: the same scaling, transpose
+    and tie rule, with ``oracle_augment`` as the solver."""
+    mat = np.asarray(cost, dtype=float)
+    rows, cols = mat.shape
+    mat = np.ldexp(mat, -np.frexp(np.abs(mat).max(initial=0.0))[1])
+    if rows > cols:
+        return oracle_augment(mat.T)
+    return invert_match(oracle_augment(mat), rows)
+
+
+def training_costs(spurious_rate: float, scenes: int, seed: int) -> list[np.ndarray]:
+    """Every scene's lane and traffic training costs at the bench's level-1
+    detector noise with ``spurious_rate`` false entities per type."""
+    cfg = GeneratorConfig(seed=seed)
+    noise = NoiseModel(ctrl_sigma=0.25, drop_prob=0.1, spurious_rate=spurious_rate)
+    costs = []
+    for i in range(scenes):
+        scene = generate_scene(cfg, i)
+        det = corrupt_scene(scene, noise, seed=[seed, i])
+        costs += [assoc.lane_training_cost(det.lanes, scene.lanes), assoc.traffic_training_cost(det.traffic, scene.traffic)]
+    return costs
+
+
+def ragged_batch(rng, count: int) -> list[np.ndarray]:
+    """Seeded matrices of 0-11 rows and columns: every other one of small
+    integers (full of ties), the rest normal draws at scales up to 1e300."""
+    out = []
+    for t in range(count):
+        r, c = (int(v) for v in rng.integers(0, 12, size=2))
+        if t % 2:
+            out.append(rng.integers(0, 4, size=(r, c)).astype(float))
+        else:
+            out.append(rng.normal(size=(r, c)) * 10.0 ** float(rng.integers(-5, 301)))
+    return out
+
+
+def test_hungarian_batch_equals_the_one_matrix_oracle():
+    rng = np.random.default_rng(58)
+    edge_cases = [
+        np.zeros((0, 4)),
+        np.zeros((3, 0)),
+        np.zeros((0, 0)),
+        np.array([[7.0]]),
+        np.full((3, 5), 1e307),
+        np.full((5, 3), -1e307),
+        np.array([[1e307, -1e307, 0.0], [-1e307, 1e307, 1e307]]),
+        rng.integers(0, 3, size=(9, 4)).astype(float),  # rows > cols, ties
+    ]
+    batches = [
+        ragged_batch(rng, 60),
+        ragged_batch(rng, 60) + edge_cases,
+        edge_cases,
+        # the bench's train_default call and query-budget scene in one batch
+        training_costs(1.5, 18, seed=0) + training_costs(280.0, 1, seed=0),
+    ]
+    batches += [[cost] for cost in edge_cases + batches[-1][-2:]]  # one-problem stacks
+    for costs in batches:
+        with np.errstate(over="raise", invalid="raise"):
+            got = assoc.hungarian_solve_batch(costs)
+        assert len(got) == len(costs)
+        for cost, match in zip(costs, got):
+            want = oracle_solve(cost)
+            assert match.dtype == want.dtype and np.array_equal(match, want), cost.shape
+    assert assoc.hungarian_solve_batch([]) == []
+    assert max(cost.shape[0] for cost in batches[3]) >= 250  # the query-budget scene is in it
+
+
+def test_hungarian_batch_checks_every_matrix():
+    with pytest.raises(ValueError, match=r"cost must be a 2D matrix, got shape \(3,\)"):
+        assoc.hungarian_solve_batch([np.zeros((2, 2)), np.zeros(3)])
+    with pytest.raises(ValueError, match=r"cost matrix entries must be finite \(no NaN or inf\)"):
+        assoc.hungarian_solve_batch([np.zeros((2, 2)), [[1.0, float("nan")]]])
+
+
 @pytest.mark.parametrize("shape", [(40, 300), (300, 16), (17, 290), (64, 64), (1, 50), (50, 1)])
 def test_hungarian_matches_scipy(shape):
     optimize = pytest.importorskip("scipy.optimize")
@@ -250,6 +367,16 @@ def test_match_for_training_crossed():
     # pred0 sits near gt1, pred1 near gt0
     a = match_for_training([make_lane(gt1.ctrl + 0.1), make_lane(gt0.ctrl + 0.1)], [gt0, gt1])
     assert a.tolist() == [1, 0]
+
+
+def test_match_for_training_solves_the_public_cost():
+    rng = np.random.default_rng(59)
+    gts = [GtLane(id=i, ctrl=rng.normal(scale=10, size=(4, 3))) for i in range(5)]
+    preds = [make_lane(rng.normal(scale=10, size=(4, 3)), float(rng.uniform())) for _ in range(7)]
+    cost = assoc.lane_training_cost(preds, gts)
+    assert cost.shape == (7, 5)
+    assert np.array_equal(match_for_training(preds, gts), oracle_solve(cost))
+    assert assoc.lane_training_cost(preds, []).shape == (7, 0)
 
 
 def frechet_matrix(preds, gts):

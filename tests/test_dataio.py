@@ -172,6 +172,29 @@ def test_validate_detection_names_a_score_that_is_no_number(score):
         dataio.validate_detection(det)
 
 
+@pytest.mark.parametrize("score", [True, np.True_, False])
+@pytest.mark.parametrize("lanes", ["one", "all"])
+def test_validate_detection_rejects_a_bool_score_as_the_loader_does(score, lanes):
+    det = make_detection()
+    for lane in det.lanes[1:] if lanes == "all" else det.lanes[1:2]:
+        lane.class_score = score
+    with pytest.raises(ValidationError, match=f"field 'lanes.class_score': expected a number, got {re.escape(repr(score))}$"):
+        dataio.validate_detection(det)
+
+
+@pytest.mark.parametrize(
+    "fieldname,value,expected",
+    [("confidence", True, "a number"), ("confidence", np.False_, "a number"), ("category", True, "an integer")],
+)
+def test_validate_detection_rejects_bool_traffic_fields(fieldname, value, expected):
+    det = make_detection()
+    setattr(det.traffic[-1], fieldname, value)
+    with pytest.raises(
+        ValidationError, match=f"field 'traffic.{fieldname}': expected {expected}, got {re.escape(repr(value))}$"
+    ):
+        dataio.validate_detection(det)
+
+
 @pytest.mark.parametrize("first_id", [0, 7])
 def test_a_control_point_count_error_names_where_the_count_came_from(tmp_path, first_id):
     # with GT ids 7, 8, 9 the bad lane is named by its id, the source by its place

@@ -42,6 +42,18 @@ def test_histogram_skewed_mix():
     assert stats.frequencies.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("category", [-1, 13])
+def test_histogram_rejects_a_category_out_of_range(category):
+    frames = [frame([0, 1]), frame([2, 3, category, 4], scene_id="g")]
+    with pytest.raises(ValueError, match=rf"^scene 'g', traffic element 2: category {category} outside \[0, 12\]$"):
+        category_histogram(frames)
+
+
+def test_histogram_counts_every_category_across_frames():
+    stats = category_histogram([frame([12, 0, 12]), frame([]), frame([5])])
+    assert stats.counts.tolist() == [1, 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 2] and stats.total == 4
+
+
 def test_tta_single_scale_passthrough():
     boxes = [element(0.0, 1, 0.9, 0), element(100.0, 1, 0.8, 1)]
     merged = tta_merge([(1.0, boxes)])

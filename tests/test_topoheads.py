@@ -745,25 +745,49 @@ def test_train_matches_each_scene_once_and_equals_per_step_targets(monkeypatch):
     cfg = small_config(epochs=3, lr=5e-3, seed=7)
     want_params, want_stats = reference_train(scenes, dets, val_scenes, val_dets, cfg)
 
-    def counted(original, seen):
-        def wrapper(preds, gts, cost_cfg=None):
-            seen.append(id(gts))
-            return original(preds, gts, cost_cfg)
+    solves, solve_batch = [], assoc.hungarian_solve_batch
 
-        return wrapper
+    def counted(costs):
+        solves.append([np.array(c) for c in costs])
+        return solve_batch(costs)
 
-    calls = {"match_for_training": [], "match_traffic_for_training": []}
-    for name, seen in calls.items():
-        monkeypatch.setattr(assoc, name, counted(getattr(assoc, name), seen))
+    monkeypatch.setattr(assoc, "hungarian_solve_batch", counted)
+    monkeypatch.setattr(assoc, "hungarian_solve", None)  # no per-matrix solve
     params, stats = th.train(scenes, dets, val_scenes, val_dets, cfg)
-    every_scene = scenes + val_scenes
-    assert sorted(calls["match_for_training"]) == sorted(id(s.lanes) for s in every_scene)
-    assert sorted(calls["match_traffic_for_training"]) == sorted(id(s.traffic) for s in every_scene)
+    # one stacked solve per call: each train, then each validation scene's
+    # lane and traffic costs
+    want = [
+        cost
+        for s, d in zip(scenes + val_scenes, dets + val_dets)
+        for cost in (assoc.lane_training_cost(d.lanes, s.lanes), assoc.traffic_training_cost(d.traffic, s.traffic))
+    ]
+    assert len(solves) == 1 and len(solves[0]) == len(want)
+    assert all(np.array_equal(got, cost) for got, cost in zip(solves[0], want))
 
     assert np.array_equal(params.flat, want_params.flat)
     stats.wall_clock_sec = want_stats.wall_clock_sec
     assert stats == want_stats
     assert len(stats.val_loss_total) == cfg.epochs
+
+
+def test_scene_targets_batch_equals_one_solve_per_matrix():
+    rng = np.random.default_rng(24)
+    scenes, dets = make_training_set(rng, 4, n_lanes=5, n_traffic=3)
+    dets[1].traffic = []  # an empty side
+    dets[2].lanes = dets[2].lanes[:2]  # fewer predictions than GT lanes
+    dets[3].lanes = dets[3].lanes + dets[3].lanes[:3]  # more
+    cfg = small_config()
+    batch = th.scene_targets_batch(list(zip(scenes, dets)), cfg)
+    assert len(batch) == len(scenes)
+    for got, det, scene in zip(batch, dets, scenes):
+        lane_match = assoc.match_for_training(det.lanes, scene.lanes)
+        traffic_match = assoc.match_traffic_for_training(det.traffic, scene.traffic)
+        ll, lt = project_edges(lane_match, traffic_match, scene)
+        assert np.array_equal(got.ll_labels, ll) and np.array_equal(got.lt_labels, lt)
+        one = th.scene_targets(det, scene, cfg)
+        assert all(np.array_equal(a, b) for a, b in zip(got.lane_in, one.lane_in))
+        for name in ("traffic_in", "ll_labels", "lt_labels", "off_diag"):
+            assert np.array_equal(getattr(got, name), getattr(one, name)), name
 
 
 def test_train_reports_each_epoch_as_it_ends():
