@@ -51,19 +51,49 @@ def focal_loss(prob, target, alpha: float = 0.25, gamma: float = 2.0):
         d loss / d logit = -alpha_t * s * ((1-p_t)^(gamma+1)
                             - gamma * p_t * (1-p_t)^gamma * log(p_t))
     with s = +1 for positives and -1 for negatives, which stays bounded at
-    extreme logits. Elementwise over broadcastable inputs.
+    extreme logits. Elementwise over broadcastable inputs; scalar inputs
+    give numpy scalars.
+
+    The terms are built in place in at most four buffers of the broadcast
+    shape, each element by the same operations in the same order as the
+    formulas read. ``-alpha_t`` and ``-alpha_t * s`` take two values each,
+    so each is one multiply by a two-valued factor, built while only three
+    buffers are alive. ``prob`` is released as soon as p_t exists: a
+    temporary sigmoid output passed in is freed there.
     """
     p = np.asarray(prob, dtype=float)
-    t = np.asarray(target)
-    pos = t == 1
+    del prob
+    pos = np.asarray(target) == 1
     p_t = np.where(pos, p, 1.0 - p)
-    a_t = np.where(pos, alpha, 1.0 - alpha)
-    sign = np.where(pos, 1.0, -1.0)
-    log_pt = np.log(np.maximum(p_t, np.finfo(float).tiny))
-    one_m = 1.0 - p_t
-    loss = -a_t * one_m**gamma * log_pt
-    grad = -a_t * sign * (one_m ** (gamma + 1.0) - gamma * p_t * one_m**gamma * log_pt)
-    return loss, grad
+    del p
+    log_pt = np.maximum(p_t, np.finfo(float).tiny, out=np.empty_like(p_t))
+    np.log(log_pt, out=log_pt)
+    one_m = np.subtract(1.0, p_t, out=np.empty_like(p_t))
+    pow_g = _power(one_m.copy(), gamma)
+    grad = _power(one_m, gamma + 1.0)
+    # grad = -alpha_t * s * (one_m**(gamma+1) - gamma * p_t * one_m**gamma * log_pt)
+    p_t *= gamma
+    p_t *= pow_g
+    p_t *= log_pt
+    grad -= p_t
+    del p_t
+    grad *= np.where(pos, -float(alpha), 1.0 - alpha)
+    # loss = -alpha_t * one_m**gamma * log_pt
+    loss = pow_g
+    loss *= np.where(pos, -float(alpha), -(1.0 - alpha))
+    loss *= log_pt
+    return (loss[()], grad[()]) if loss.ndim == 0 else (loss, grad)
+
+
+def _power(x: np.ndarray, exponent: float) -> np.ndarray:
+    """``x **= exponent`` with the arithmetic of the formulas' ``**``:
+    numpy's array fast paths (square, sqrt, ...) on an array, and on a 0-d
+    buffer the numpy-scalar ``**`` (C ``pow``), which scalar inputs take."""
+    if x.ndim:
+        x **= exponent
+    else:
+        x[()] = x[()] ** exponent
+    return x
 
 
 def hungarian_solve(cost) -> np.ndarray:

@@ -185,6 +185,31 @@ def _check_boxes(scene_id: str, elements: Sequence[TrafficElement]) -> None:
 _BOOLS = (bool, np.bool_)  # rejected where a number is expected, as the loader rejects JSON true
 
 
+def _category_error(category) -> str | None:
+    """Why ``category`` is no traffic category, in the loader's words, or
+    None: it must be an integer in [0, NUM_CATEGORIES). A bool is not one; an
+    integral float is, as the loader reads 2.0 as 2."""
+    if type(category) is not int and (  # the common case first: an ABC check costs ~0.4 us
+        isinstance(category, _BOOLS)
+        or not (isinstance(category, numbers.Integral) or isinstance(category, float) and category.is_integer())
+    ):
+        return f"expected an integer, got {category!r}"
+    if not 0 <= category < NUM_CATEGORIES:
+        return f"category {category} outside [0, {NUM_CATEGORIES - 1}]"
+    return None
+
+
+def category_indices(elements: Sequence[TrafficElement]) -> np.ndarray:
+    """The elements' categories as an int array of one-hot positions. One that
+    is no integer in [0, NUM_CATEGORIES) raises a ValueError naming the
+    element, where an index cast would truncate 2.7 or wrap -1."""
+    for k, te in enumerate(elements):
+        why = _category_error(te.category)
+        if why:
+            raise ValueError(f"traffic element {k}: {why}")
+    return np.array([te.category for te in elements], dtype=int)
+
+
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
     if elements:
         _check_boxes(scene_id, elements)
@@ -194,12 +219,9 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             if te.id in seen:
                 raise ValidationError(scene_id, "traffic.id", f"duplicate id {te.id}")
             seen.add(te.id)
-        if isinstance(te.category, _BOOLS):
-            raise ValidationError(scene_id, "traffic.category", f"expected an integer, got {te.category!r}")
-        if not (0 <= te.category < NUM_CATEGORIES):
-            raise ValidationError(
-                scene_id, "traffic.category", f"category {te.category} outside [0, {NUM_CATEGORIES - 1}]"
-            )
+        why = _category_error(te.category)
+        if why:
+            raise ValidationError(scene_id, "traffic.category", why)
         if isinstance(te.confidence, _BOOLS):
             raise ValidationError(scene_id, "traffic.confidence", f"expected a number, got {te.confidence!r}")
         if not (0.0 <= te.confidence <= 1.0):
@@ -549,11 +571,24 @@ def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
 
 
 def save_detections(records: Iterable[DetectionRecord], path) -> None:
+    """One JSON line per record. A prediction's base64 probability texts need
+    no escaping, so they go in after the JSON of the rest, as the bytes
+    ``json.dumps`` would write, without its escaper's scan of ~1 MB per
+    ~300-lane record. Each record is encoded whole before it is written, so
+    a misshapen matrix raises before any of its bytes reach the file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            fh.write(json.dumps(detection_to_obj(record)) + "\n")
+            obj = detection_to_obj(record)
+            texts = [(name, obj.pop(name)) for name in ("topo_ll_prob", "topo_lt_prob") if name in obj]
+            if not texts:
+                fh.write(json.dumps(obj) + "\n")
+                continue
+            fh.write(json.dumps(obj)[:-1])  # its closing brace follows the texts
+            for name, text in texts:
+                fh.write(f', "{name}": "{text}"')
+            fh.write("}\n")
 
 
 def format_report_table(report: MetricReport) -> str:

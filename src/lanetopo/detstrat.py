@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dataio import NUM_CATEGORIES, SceneRecord, TrafficElement
+from .dataio import NUM_CATEGORIES, SceneRecord, TrafficElement, category_indices
 from .geometry import box_iou
 from .settings import Settings, setting
 
@@ -30,16 +30,15 @@ class TtaConfig(Settings):
 
 
 def category_histogram(frames: Sequence[SceneRecord]) -> CategoryStats:
-    """Exact traffic-category counts over all frames. A category outside
-    [0, NUM_CATEGORIES) is an error, not a wrapped index."""
-    categories = np.array([te.category for frame in frames for te in frame.traffic], dtype=int)
-    bad = np.flatnonzero((categories < 0) | (categories >= NUM_CATEGORIES))
-    if bad.size:
-        scene_id, k = [(frame.scene_id, k) for frame in frames for k in range(len(frame.traffic))][bad[0]]
-        raise ValueError(
-            f"scene {scene_id!r}, traffic element {k}: category {categories[bad[0]]} outside [0, {NUM_CATEGORIES - 1}]"
-        )
-    counts = np.bincount(categories, minlength=NUM_CATEGORIES)
+    """Exact traffic-category counts over all frames. A category that is no
+    integer in [0, NUM_CATEGORIES) is an error, not a truncated or wrapped index."""
+    counts = np.zeros(NUM_CATEGORIES, dtype=int)
+    for frame in frames:
+        try:
+            categories = category_indices(frame.traffic)
+        except ValueError as exc:
+            raise ValueError(f"scene {frame.scene_id!r}, {exc}") from exc
+        counts += np.bincount(categories, minlength=NUM_CATEGORIES)
     total = int(counts.sum())
     freqs = counts / total if total > 0 else np.zeros(NUM_CATEGORIES)
     return CategoryStats(counts=counts, total=total, frequencies=freqs)

@@ -38,6 +38,7 @@ from .dataio import (
     PredLane,
     SceneRecord,
     TrafficElement,
+    category_indices,
     validate_detection,
 )
 from .settings import Settings, setting
@@ -251,13 +252,10 @@ def lane_inputs(lanes: Sequence[PredLane], cfg: HeadConfig) -> tuple[np.ndarray,
 
 def traffic_inputs(elements: Sequence[TrafficElement]) -> np.ndarray:
     """The traffic embedder's input, one row per element: the box over the
-    image extent, the one-hot category and the confidence. A category
-    outside [0, NUM_CATEGORIES) is an error, not a wrapped index."""
+    image extent, the one-hot category and the confidence. A category that
+    is no integer in [0, NUM_CATEGORIES) is an error (see ``category_indices``)."""
     t = len(elements)
-    categories = np.array([te.category for te in elements], dtype=int)
-    bad = np.flatnonzero((categories < 0) | (categories >= NUM_CATEGORIES))
-    if bad.size:
-        raise ValueError(f"traffic element {bad[0]}: category {categories[bad[0]]} outside [0, {NUM_CATEGORIES - 1}]")
+    categories = category_indices(elements)
     x = np.zeros((t, 4 + NUM_CATEGORIES + 1))
     x[:, :4] = np.array([te.box for te in elements], dtype=float).reshape(t, 4) / _IMAGE_EXTENT
     x[:, 4:-1][np.arange(t), categories] = 1.0
@@ -467,29 +465,39 @@ def scene_loss_and_grads(
     n, t = targets.lt_labels.shape
     lane_feats, lane_cache = embed_lanes(targets.lane_in, params)
     traffic_feats, traffic_cache = embed_traffic_batch(targets.traffic_in, params)
-    ll_z, ll_cache = ll_logits(lane_feats, params)
-    lt_z, lt_cache = lt_logits(lane_feats, traffic_feats, params)
 
+    # One head at a time, each spent (n, n) / (n, t) array dropped at once:
+    # at ~300 lanes these arrays set the process's peak memory.
     off_diag = targets.off_diag
     n_ll = int(off_diag.sum())
+    ll_z, ll_cache = ll_logits(lane_feats, params)
+    terms, dll = focal_loss(stable_sigmoid(ll_z), targets.ll_labels, cfg.focal_alpha, cfg.focal_gamma)
+    del ll_z
+    loss_ll = float(terms[off_diag].mean()) if n_ll else 0.0
+    del terms
+    if compute_grads:
+        if grads is None:
+            grads = TopoHeadParams(cfg)
+        else:
+            grads.flat.fill(0.0)  # _pair_backward adds into it
+        # an edge space without pairs contributes zero gradient
+        np.copyto(dll, 0.0, where=~off_diag)
+        dll /= max(n_ll, 1)
+        g_left, g_right = _pair_backward(params.ll_head, grads.ll_head, ll_cache, dll)
+    del dll, ll_cache
+
     n_lt = n * t
-
-    ll_loss_terms, ll_grad_terms = focal_loss(stable_sigmoid(ll_z), targets.ll_labels, cfg.focal_alpha, cfg.focal_gamma)
-    lt_loss_terms, lt_grad_terms = focal_loss(stable_sigmoid(lt_z), targets.lt_labels, cfg.focal_alpha, cfg.focal_gamma)
-    loss_ll = float(ll_loss_terms[off_diag].mean()) if n_ll else 0.0
-    loss_lt = float(lt_loss_terms.mean()) if n_lt else 0.0
-
+    lt_z, lt_cache = lt_logits(lane_feats, traffic_feats, params)
+    terms, dlt = focal_loss(stable_sigmoid(lt_z), targets.lt_labels, cfg.focal_alpha, cfg.focal_gamma)
+    del lt_z
+    loss_lt = float(terms.mean()) if n_lt else 0.0
+    del terms
     if not compute_grads:
         return loss_ll, loss_lt, None
+    dlt /= max(n_lt, 1)
+    g_lanes, dfeat_traffic = _pair_backward(params.lt_head, grads.lt_head, lt_cache, dlt)
+    del dlt, lt_cache
 
-    if grads is None:
-        grads = TopoHeadParams(cfg)
-    else:
-        grads.flat.fill(0.0)  # _pair_backward adds into it
-    # an edge space without pairs contributes zero gradient
-    dll = np.where(off_diag, ll_grad_terms, 0.0) / max(n_ll, 1)
-    g_left, g_right = _pair_backward(params.ll_head, grads.ll_head, ll_cache, dll)
-    g_lanes, dfeat_traffic = _pair_backward(params.lt_head, grads.lt_head, lt_cache, lt_grad_terms / max(n_lt, 1))
     dfeat_lanes = g_left + g_right + g_lanes
     coord_cache, feat_cache = lane_cache
     mlp_backward(params.coord_embedder, coord_cache, dfeat_lanes, grads.coord_embedder)
@@ -571,11 +579,10 @@ def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndar
     (self-loops) is forced to zero."""
     lane_feats, _ = embed_lanes(lane_inputs(detection.lanes, params.config), params)
     traffic_feats, _ = embed_traffic_batch(traffic_inputs(detection.traffic), params)
-    ll_z, _ = ll_logits(lane_feats, params)
-    lt_z, _ = lt_logits(lane_feats, traffic_feats, params)
-    ll_p = stable_sigmoid(ll_z)
+    # each head's logits are dropped before the next head's are built
+    ll_p = stable_sigmoid(ll_logits(lane_feats, params)[0])
     np.fill_diagonal(ll_p, 0.0)
-    return ll_p, stable_sigmoid(lt_z)
+    return ll_p, stable_sigmoid(lt_logits(lane_feats, traffic_feats, params)[0])
 
 
 def predict_records(detections: Sequence[DetectionRecord], params: TopoHeadParams) -> list[PredictionRecord]:

@@ -195,6 +195,28 @@ def test_validate_detection_rejects_bool_traffic_fields(fieldname, value, expect
         dataio.validate_detection(det)
 
 
+@pytest.mark.parametrize("category", [2.7, -0.5, float("nan"), "2", np.float64(2.5)])
+@pytest.mark.parametrize("kind", ["scene", "detection"])
+def test_validate_rejects_a_category_that_is_no_integer(kind, category):
+    # the loader's words for the same JSON value; an index cast would read 2.7 as 2
+    record = make_scene() if kind == "scene" else make_detection()
+    record.traffic[-1].category = category
+    validate = dataio.validate_scene if kind == "scene" else dataio.validate_detection
+    with pytest.raises(
+        ValidationError, match=f"field 'traffic.category': expected an integer, got {re.escape(repr(category))}$"
+    ):
+        validate(record)
+
+
+@pytest.mark.parametrize("category", [2.0, np.int64(2), np.uint8(2), np.float64(2.0)])
+def test_validate_accepts_integral_categories_of_any_number_type(category):
+    # as the loader reads a JSON 2.0 as category 2
+    det = make_detection()
+    det.traffic[-1].category = category
+    dataio.validate_detection(det)
+    assert dataio.category_indices(det.traffic).tolist() == [0, 2]
+
+
 @pytest.mark.parametrize("first_id", [0, 7])
 def test_a_control_point_count_error_names_where_the_count_came_from(tmp_path, first_id):
     # with GT ids 7, 8, 9 the bad lane is named by its id, the source by its place
@@ -460,6 +482,19 @@ def test_save_rejects_misshapen_probability_matrices(tmp_path, fieldname, shape)
     with pytest.raises(ValueError, match=f"field '{fieldname}': shape"):
         dataio.save_detections([make_prediction("s-1"), pred], p)
     assert dataio.load_detections(p) == [make_prediction("s-1")]
+
+
+def test_save_detections_writes_the_json_dumps_bytes(tmp_path):
+    # predictions skip the escaper for their base64 texts, and must still write
+    # what json.dumps writes; detections keep the plain path
+    empty = PredictionRecord('no lanes "q" \u00e9', [], [], np.zeros((0, 0)), np.zeros((0, 0)))
+    no_traffic = make_prediction("s-\u2603")
+    no_traffic.traffic, no_traffic.topo_lt_prob = [], np.zeros((3, 0))
+    records = [make_prediction('s"1\\'), empty, no_traffic, make_detection("d"), make_detection("f", with_feature=True)]
+    p = tmp_path / "pred.jsonl"
+    dataio.save_detections(records, p)
+    assert p.read_bytes() == "".join(json.dumps(dataio.detection_to_obj(r)) + "\n" for r in records).encode("utf-8")
+    assert dataio.load_detections(p) == records
 
 
 def test_prediction_roundtrip_is_bit_exact_at_query_budget(tmp_path):

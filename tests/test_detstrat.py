@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -47,6 +49,18 @@ def test_histogram_rejects_a_category_out_of_range(category):
     frames = [frame([0, 1]), frame([2, 3, category, 4], scene_id="g")]
     with pytest.raises(ValueError, match=rf"^scene 'g', traffic element 2: category {category} outside \[0, 12\]$"):
         category_histogram(frames)
+
+
+@pytest.mark.parametrize("category", [2.7, True, "2"])
+def test_histogram_rejects_a_category_that_is_no_integer(category):
+    # an int cast would count 2.7 as category 2
+    frames = [frame([0, 1]), frame([2, 3, category, 4], scene_id="g")]
+    with pytest.raises(ValueError, match=rf"^scene 'g', traffic element 2: expected an integer, got {re.escape(repr(category))}$"):
+        category_histogram(frames)
+
+
+def test_histogram_counts_integral_floats_as_the_loader_reads_them():
+    assert category_histogram([frame([2.0, 12, 2])]).counts.tolist() == [0, 0, 2] + [0] * 9 + [1]
 
 
 def test_histogram_counts_every_category_across_frames():

@@ -191,6 +191,76 @@ def test_focal_positive_and_zero_iff_pt_one():
     assert np.all(losses > 0)
 
 
+def oracle_focal_loss(prob, target, alpha=0.25, gamma=2.0):
+    """``focal_loss`` written out of place, one temporary per operation."""
+    p = np.asarray(prob, dtype=float)
+    t = np.asarray(target)
+    pos = t == 1
+    p_t = np.where(pos, p, 1.0 - p)
+    a_t = np.where(pos, alpha, 1.0 - alpha)
+    sign = np.where(pos, 1.0, -1.0)
+    log_pt = np.log(np.maximum(p_t, np.finfo(float).tiny))
+    one_m = 1.0 - p_t
+    loss = -a_t * one_m**gamma * log_pt
+    grad = -a_t * sign * (one_m ** (gamma + 1.0) - gamma * p_t * one_m**gamma * log_pt)
+    return loss, grad
+
+
+def assert_same_bits(got, want):
+    """Same type, shape and bytes: -0.0 is not 0.0, and a 0-d array is not a scalar."""
+    assert type(got) is type(want)
+    assert np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+# 0 and 1 (log floor, zero loss), the smallest subnormal, the double below 1
+FOCAL_EDGE_PROBS = [0.0, 1.0, 5e-324, np.nextafter(1.0, 0.0)]
+
+
+# 0, 0.5, 1 and 2 take numpy's ``**`` fast paths (ones, sqrt, copy, square); 2.5 and 3 take pow
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 2.0, 2.5, 3.0])
+@pytest.mark.parametrize("alpha", [0.25, 0.0, 1.0, 0, 1])
+def test_focal_equals_the_out_of_place_oracle_bit_for_bit(alpha, gamma):
+    rng = np.random.default_rng(int(10 * gamma) + int(100 * alpha))
+    p = np.concatenate([rng.random(500), rng.random(20) * 1e-300, FOCAL_EDGE_PROBS])
+    ints = rng.integers(0, 2, size=p.size)
+    cases = [
+        (p, ints),
+        (p, ints.astype(bool)),
+        (p, ints * 2 - 1),  # only 1 is positive
+        (p[:24].reshape(4, 6), ints[:6]),  # target broadcast along rows
+        (p[:6], ints[:20].reshape(5, 4)[:, :1]),  # both broadcast
+        (p[:30].reshape(5, 6), True),
+        (0.75, p[:9].round().astype(int)),
+        (np.empty((0, 3)), np.zeros(3, dtype=bool)),
+    ]
+    # scalars, whose ``**`` is C pow rather than the array fast paths
+    cases += [(float(v), k) for v in FOCAL_EDGE_PROBS + list(rng.random(60)) for k in (0, 1, True)]
+    cases += [(np.float64(0.3), np.int64(1)), (np.array(0.3), np.array(0))]
+    for prob, target in cases:
+        got, want = th.focal_loss(prob, target, alpha, gamma), oracle_focal_loss(prob, target, alpha, gamma)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
+
+
+def test_focal_frees_a_temporary_input_and_keeps_four_buffers():
+    # at ~300 lanes every (n, n) float buffer is 0.7 MiB; the out-of-place
+    # form held about twelve of them
+    n = 300
+    labels = np.random.default_rng(0).random((n, n)) < 0.05
+    tracemalloc.start()
+    try:
+        loss, grad = th.focal_loss(np.random.default_rng(1).random((n, n)), labels)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    buffer = 8 * n * n
+    # the input, dropped once p_t exists; then p_t, log p_t, 1 - p_t and its
+    # power; plus the two bool masks
+    assert peak < 4.5 * buffer, f"traced peak {peak / buffer:.2f} buffers"
+    assert loss.shape == grad.shape == (n, n)
+
+
 # ---------------------------------------------------------------------------
 # embeddings and pairwise logits
 
@@ -316,6 +386,21 @@ def test_out_of_range_category_is_rejected_by_train_and_predict(category):
     scenes, dets = make_training_set(rng, 2)
     dets[1].traffic[1].category = category
     message = f"traffic element 1: category {category} outside"
+    with pytest.raises(ValueError, match=message):
+        th.train(scenes, dets, cfg=small_config(epochs=1))
+    with pytest.raises(ValueError, match=message):
+        th.predict(dets[1], th.init_params(small_config()))
+
+
+@pytest.mark.parametrize("category", [2.7, True])
+def test_a_category_that_is_no_integer_is_rejected_by_traffic_inputs_train_and_predict(category):
+    # an int cast would one-hot 2.7 as category 2
+    rng = np.random.default_rng(24)
+    scenes, dets = make_training_set(rng, 2)
+    dets[1].traffic[1].category = category
+    message = f"^traffic element 1: expected an integer, got {category!r}$"
+    with pytest.raises(ValueError, match=message):
+        th.traffic_inputs(dets[1].traffic)
     with pytest.raises(ValueError, match=message):
         th.train(scenes, dets, cfg=small_config(epochs=1))
     with pytest.raises(ValueError, match=message):
@@ -495,6 +580,84 @@ def test_pair_heads_allocate_no_pair_sized_hidden_tensor():
         finally:
             tracemalloc.stop()
         assert peak < 64 * 2**20, f"traced peak {peak / 2**20:.0f} MiB"
+
+
+def query_budget_pair():
+    """The first scene of the benchmark's query-budget set-up at seed 0 and
+    its detection: 300 lanes (the budget) and 295 traffic elements."""
+    from lanetopo.synthgen import GeneratorConfig, NoiseModel, corrupt_scene, generate_scene
+
+    scene = generate_scene(GeneratorConfig(scenes=16, seed=0), 0)
+    det = corrupt_scene(scene, NoiseModel(ctrl_sigma=0.25, drop_prob=0.1, spurious_rate=280.0), [0, 10007, 0])
+    return scene, det
+
+
+def traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_one_head_at_a_time_bounds_the_query_budget_peak_memory():
+    # with both heads' terms alive at once and a focal loss of out-of-place
+    # temporaries, the step read 14.3 MiB and predict 4.65 MiB
+    scene, det = query_budget_pair()
+    assert (len(det.lanes), len(det.traffic)) == (300, 295)
+    params = th.init_params(th.HeadConfig())
+    targets = th.scene_targets(det, scene, params.config)
+    grads = th.TopoHeadParams(params.config)
+    step = traced_peak(lambda: th.scene_loss_and_grads(targets, params, grads=grads))
+    assert step < 10 * 2**20, f"scene_loss_and_grads traced peak {step / 2**20:.2f} MiB"
+    predict = traced_peak(lambda: th.predict(det, params))
+    assert predict < 4.6 * 2**20, f"predict traced peak {predict / 2**20:.2f} MiB"
+
+
+def both_heads_at_once(targets, params):
+    """``scene_loss_and_grads`` as it was before it took one head at a time:
+    both heads' logits, focal terms and gradients alive together, with the
+    out-of-place focal oracle. Returns the two losses and the gradient."""
+    cfg = params.config
+    n, t = targets.lt_labels.shape
+    lane_feats, lane_cache = th.embed_lanes(targets.lane_in, params)
+    traffic_feats, traffic_cache = th.embed_traffic_batch(targets.traffic_in, params)
+    ll_z, ll_cache = th.ll_logits(lane_feats, params)
+    lt_z, lt_cache = th.lt_logits(lane_feats, traffic_feats, params)
+    n_ll = int(targets.off_diag.sum())
+    ll_terms, ll_grad = oracle_focal_loss(th.stable_sigmoid(ll_z), targets.ll_labels, cfg.focal_alpha, cfg.focal_gamma)
+    lt_terms, lt_grad = oracle_focal_loss(th.stable_sigmoid(lt_z), targets.lt_labels, cfg.focal_alpha, cfg.focal_gamma)
+    loss_ll = float(ll_terms[targets.off_diag].mean()) if n_ll else 0.0
+    loss_lt = float(lt_terms.mean()) if n * t else 0.0
+    grads = th.TopoHeadParams(cfg)
+    dll = np.where(targets.off_diag, ll_grad, 0.0) / max(n_ll, 1)
+    g_left, g_right = th._pair_backward(params.ll_head, grads.ll_head, ll_cache, dll)
+    g_lanes, dfeat_traffic = th._pair_backward(params.lt_head, grads.lt_head, lt_cache, lt_grad / max(n * t, 1))
+    dfeat_lanes = g_left + g_right + g_lanes
+    th.mlp_backward(params.coord_embedder, lane_cache[0], dfeat_lanes, grads.coord_embedder)
+    th.mlp_backward(params.feat_embedder, lane_cache[1], dfeat_lanes, grads.feat_embedder)
+    th.mlp_backward(params.traffic_embedder, traffic_cache, dfeat_traffic, grads.traffic_embedder)
+    return loss_ll, loss_lt, grads.flat
+
+
+def test_scene_loss_and_grads_equal_both_heads_at_once_bit_for_bit():
+    rng = np.random.default_rng(27)
+    pairs = [random_scene_pair(rng, n_lanes=n, n_traffic=t, m=4) for n, t in ((6, 4), (1, 3), (5, 0), (2, 1))]
+    pairs.append(query_budget_pair())
+    for focal in ({}, {"focal_alpha": 0.5, "focal_gamma": 2.5}):
+        cfg = th.HeadConfig(**focal, seed=3)
+        params = th.init_params(cfg)
+        params.flat += rng.normal(scale=0.05, size=params.flat.size)  # off the init
+        grads = th.TopoHeadParams(cfg)
+        grads.flat.fill(np.nan)  # must be zeroed, not added into
+        for scene, det in pairs:
+            targets = th.scene_targets(det, scene, cfg)
+            loss_ll, loss_lt, want = both_heads_at_once(targets, params)
+            got = th.scene_loss_and_grads(targets, params, grads=grads)
+            assert got[:2] == (loss_ll, loss_lt)
+            assert got[2].flat.tobytes() == want.tobytes()
+            assert th.scene_loss_and_grads(targets, params, compute_grads=False) == (loss_ll, loss_lt, None)
 
 
 def test_init_params_views_hold_the_seeded_draws():
