@@ -582,9 +582,6 @@ def save_detections(records: Iterable[DetectionRecord], path) -> None:
         for record in records:
             obj = detection_to_obj(record)
             texts = [(name, obj.pop(name)) for name in ("topo_ll_prob", "topo_lt_prob") if name in obj]
-            if not texts:
-                fh.write(json.dumps(obj) + "\n")
-                continue
             fh.write(json.dumps(obj)[:-1])  # its closing brace follows the texts
             for name, text in texts:
                 fh.write(f', "{name}": "{text}"')

@@ -486,7 +486,7 @@ def test_save_rejects_misshapen_probability_matrices(tmp_path, fieldname, shape)
 
 def test_save_detections_writes_the_json_dumps_bytes(tmp_path):
     # predictions skip the escaper for their base64 texts, and must still write
-    # what json.dumps writes; detections keep the plain path
+    # what json.dumps writes, detection-only records included
     empty = PredictionRecord('no lanes "q" \u00e9', [], [], np.zeros((0, 0)), np.zeros((0, 0)))
     no_traffic = make_prediction("s-\u2603")
     no_traffic.traffic, no_traffic.topo_lt_prob = [], np.zeros((3, 0))
