@@ -18,11 +18,16 @@ update with a from-scratch AdamW.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
+import threading
 import time
-from collections import Counter
+from collections import Counter, deque
+from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
+from queue import SimpleQueue
 from typing import Callable, Sequence
 
 import numpy as np
@@ -283,10 +288,141 @@ def embed_traffic_batch(inputs: np.ndarray, params: TopoHeadParams):
 # scene one row per block
 _PAIR_BLOCK = 1 << 15
 
+# Inside train and predict, a kernel call of at least this many blocks shares
+# them with the helper thread: a ~300-lane scene's calls have ~300, a
+# default 16-20-lane scene's 1-2. On a 2-vCPU host whose second vCPU is often
+# time-sliced away, a training step that split every call of 4 or more
+# blocks ran 0.92-1.01x as fast from 24 to 150 lanes, and 1.22-1.44x at 300.
+_SPLIT_BLOCKS = 256
+
 
 def _pair_blocks(n: int, m: int, hidden: int):
     rows = max(1, _PAIR_BLOCK // max(m * hidden, 1))
-    return (slice(i, i + rows) for i in range(0, n, rows))
+    return (slice(i, min(i + rows, n)) for i in range(0, n, rows))
+
+
+@functools.cache
+def _openblas_threads():
+    """The ``(get, set)`` thread-count entry points of the OpenBLAS library
+    that numpy loaded, or None where they cannot be found."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    for path in sorted({line.split()[-1] for line in maps.splitlines() if "openblas" in line.lower()}):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "64_"), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            put = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                return get, put
+    return None
+
+
+class _PairThreads:
+    """The threading of one ``train`` or ``predict`` call.
+
+    OpenBLAS is held to one thread, so that its worker neither spins nor
+    competes with the helper, and the caller's count comes back on exit.
+    The helper thread starts with the first kernel call large enough to
+    split, and is joined on exit. The thread count is process-global, so
+    concurrent callers are not supported.
+    """
+
+    def __enter__(self):
+        self._helper = None
+        self._blas = _openblas_threads()
+        if self._blas is not None:
+            self._saved = self._blas[0]()
+            self._blas[1](1)
+        self._token = _PAIR_THREADS.set(self)
+        return self
+
+    def __exit__(self, *exc_info):
+        _PAIR_THREADS.reset(self._token)
+        try:
+            if self._helper is not None:
+                self._tasks.put(None)
+                self._helper.join()
+        finally:
+            if self._blas is not None:
+                self._blas[1](self._saved)
+
+    def split(self, first: Callable[[], None], second: Callable[[], None]) -> None:
+        """Run ``second`` on the helper thread while ``first`` runs here;
+        return once both have ended, raising the first one's error, else the second's."""
+        if self._helper is None:
+            self._tasks, self._ends = SimpleQueue(), SimpleQueue()
+            self._helper = threading.Thread(target=self._serve, name="lanetopo-pairs")
+            self._helper.start()
+        self._tasks.put(second)
+        try:
+            first()
+        finally:
+            error = self._ends.get()
+        if error is not None:
+            raise error
+
+    def _serve(self):
+        for task in iter(self._tasks.get, None):
+            try:
+                task()
+            except BaseException as exc:  # raised again by the caller, in split
+                error = exc
+            else:
+                error = None
+            del task  # it holds the kernel's arrays: drop them before the caller goes on
+            self._ends.put(error)
+
+
+_PAIR_THREADS: ContextVar[_PairThreads | None] = ContextVar("_PAIR_THREADS", default=None)
+
+
+def _pair_threaded(fn):
+    """Run every call of ``fn`` inside its own ``_PairThreads``."""
+
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        with _PairThreads():
+            return fn(*args, **kwargs)
+
+    return call
+
+
+def _blockwise(n: int, m: int, hidden: int, work: Callable[[slice, np.ndarray], None]) -> None:
+    """``work(rows, buffer)`` for every block of ``_pair_blocks(n, m, hidden)``,
+    ``buffer`` a float64 (block rows, m, hidden) scratch array that the block
+    may overwrite.
+
+    Inside ``train`` and ``predict``, from ``_SPLIT_BLOCKS`` blocks on, the
+    calling thread and the helper take blocks in turn from one queue, so a
+    helper that starts late takes fewer. The calling thread allocates both
+    threads' buffers. Each block writes only its own rows, so every result
+    keeps its bits.
+    """
+    blocks = deque(_pair_blocks(n, m, hidden))  # popleft is atomic: each block is taken once
+    threads = _PAIR_THREADS.get()
+    if threads is None or len(blocks) < _SPLIT_BLOCKS:
+        buffer = np.empty((blocks[0].stop if blocks else 0, m, hidden))
+        for rows in blocks:
+            work(rows, buffer[: rows.stop - rows.start])
+        return
+    buffers = np.empty((2, blocks[0].stop, m, hidden))
+
+    def run(buffer):
+        while True:
+            try:
+                rows = blocks.popleft()
+            except IndexError:  # every block taken
+                return
+            work(rows, buffer[: rows.stop - rows.start])
+
+    threads.split(lambda: run(buffers[0]), lambda: run(buffers[1]))
 
 
 def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols: slice, right_cols: slice):
@@ -301,10 +437,14 @@ def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols
     proj_l, proj_r = left @ w1[:, left_cols].T, right @ w1[:, right_cols].T
     shifted = proj_r + head.biases[0]
     out = np.empty((len(left), len(right)))
-    for rows in _pair_blocks(len(left), len(right), len(w2)):
-        hidden = proj_l[rows, None] + shifted
+
+    def block(rows, hidden):
+        np.maximum(np.add(proj_l[rows, None], shifted, out=hidden), 0.0, out=hidden)
         # einsum, not BLAS: a logit's bits must not depend on its position
-        out[rows] = np.einsum("kjh,h->kj", np.maximum(hidden, 0.0, out=hidden), w2) + b2
+        np.einsum("kjh,h->kj", hidden, w2, out=out[rows])
+        out[rows] += b2
+
+    _blockwise(len(left), len(right), len(w2), block)
     return out, {"proj": (proj_l, proj_r), "sides": ((left, left_cols), (right, right_cols))}
 
 
@@ -313,12 +453,16 @@ def _masked_sums(d: np.ndarray, near: np.ndarray, far: np.ndarray) -> np.ndarray
 
     A rounded sum of two doubles is 0 only when they cancel exactly, so
     ``near[i] + far[j] > 0`` holds exactly when ``near[i] > -far[j]``: the
-    mask is the forward's rectifier mask bit for bit, built without the sum.
+    mask is the forward's rectifier mask bit for bit, built without the sum,
+    as 0.0 / 1.0 so that ``matmul`` needs no cast of it.
     """
     out = np.empty_like(near)
     neg = -far
-    for rows in _pair_blocks(len(near), len(far), near.shape[1]):
-        out[rows] = np.matmul(d[rows, None, :], np.greater(near[rows, None], neg))[:, 0]
+
+    def block(rows, mask):
+        np.matmul(d[rows, None, :], np.greater(near[rows, None], neg, out=mask), out=out[rows, None])
+
+    _blockwise(len(near), *far.shape, block)
     return out
 
 
@@ -517,6 +661,7 @@ def _pair_by_scene_id(scenes, detections, what: str):
     return [(s, by_id[s.scene_id]) for s in scenes]
 
 
+@_pair_threaded
 def train(
     train_scenes: Sequence[SceneRecord],
     train_detections: Sequence[DetectionRecord],
@@ -532,6 +677,7 @@ def train(
     targets are built once, before the first epoch, in one stacked
     Hungarian solve. ``on_epoch(epoch, stats)`` runs as each epoch
     ends (``epoch`` counts from 0), after its entries are in ``stats``.
+    OpenBLAS runs on one thread inside the call (see ``_PairThreads``).
     """
     cfg = cfg or HeadConfig()
     if not train_scenes:
@@ -574,9 +720,11 @@ def train(
     return params, stats
 
 
+@_pair_threaded
 def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid probabilities for both edge spaces; the lane-lane diagonal
-    (self-loops) is forced to zero."""
+    (self-loops) is forced to zero. OpenBLAS runs on one thread inside the
+    call (see ``_PairThreads``)."""
     lane_feats, _ = embed_lanes(lane_inputs(detection.lanes, params.config), params)
     traffic_feats, _ = embed_traffic_batch(traffic_inputs(detection.traffic), params)
     # each head's logits are dropped before the next head's are built

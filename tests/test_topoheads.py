@@ -1,7 +1,13 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +24,7 @@ from lanetopo.dataio import (
     SceneRecord,
     TrafficElement,
     ValidationError,
+    load_detections,
     validate_detection,
 )
 from lanetopo.assoc import project_edges
@@ -658,6 +665,208 @@ def test_scene_loss_and_grads_equal_both_heads_at_once_bit_for_bit():
             assert got[:2] == (loss_ll, loss_lt)
             assert got[2].flat.tobytes() == want.tobytes()
             assert th.scene_loss_and_grads(targets, params, compute_grads=False) == (loss_ll, loss_lt, None)
+
+
+# ---------------------------------------------------------------------------
+# two threads for the pair kernels, OpenBLAS on one inside train and predict
+
+
+BLAS = th._openblas_threads()
+needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread-count entry points in this process")
+
+
+@pytest.fixture
+def splits(monkeypatch):
+    """The kernel calls that gave half of their blocks to the helper thread."""
+    calls = []
+    split = th._PairThreads.split
+
+    def counted(self, first, second):
+        calls.append(self)
+        return split(self, first, second)
+
+    monkeypatch.setattr(th._PairThreads, "split", counted)
+    return calls
+
+
+@pytest.fixture
+def caller_blas_threads():
+    """OpenBLAS at two threads for the test (the caller's count), restored after it."""
+    get, put = BLAS
+    saved = get()
+    put(2)
+    try:
+        yield get()
+    finally:
+        put(saved)
+
+
+def unsplit(monkeypatch):
+    monkeypatch.setattr(th, "_SPLIT_BLOCKS", 10**9)
+
+
+# 300 x 295: one-row blocks, as at the query budget; 17 x 295 with the
+# split size lowered to 4: 17 one-row blocks, and the transposed masked
+# sum 20 blocks of 15 rows
+SPLIT_SHAPES = [(300, 295), (17, 295)]
+
+
+def split_from(n, monkeypatch):
+    assert th._SPLIT_BLOCKS <= 295
+    if n < th._SPLIT_BLOCKS:
+        monkeypatch.setattr(th, "_SPLIT_BLOCKS", 4)
+
+
+@pytest.mark.parametrize("n, m", SPLIT_SHAPES)
+@pytest.mark.parametrize("name", ["ll_head", "lt_head"])
+def test_split_pair_kernels_give_the_unsplit_bytes(name, n, m, splits, monkeypatch):
+    split_from(n, monkeypatch)
+    cfg = th.HeadConfig(seed=30)
+    params = th.init_params(cfg)
+    rng = np.random.default_rng(30)
+    c, head = cfg.feature_dim, getattr(params, name)
+    cols = (slice(0, c), slice(c, 2 * c)) if name == "ll_head" else (slice(None), slice(None))
+    left, right, d = rng.normal(size=(n, c)), rng.normal(size=(m, c)), rng.normal(size=(n, m))
+
+    def kernels():
+        logits, cache = th._pair_logits(head, left, right, *cols)
+        proj_l, proj_r = cache["proj"]
+        shifted = proj_r + head.biases[0]
+        return logits, th._masked_sums(d, proj_l, shifted), th._masked_sums(d.T, shifted, proj_l)
+
+    alone = kernels()  # outside train and predict nothing splits
+    assert not splits
+    with th._PairThreads():
+        both = kernels()
+    assert len(splits) == 3
+    for a, b in zip(alone, both):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("n, m", SPLIT_SHAPES)
+def test_split_scene_step_and_predict_give_the_unsplit_bytes(n, m, splits, monkeypatch):
+    split_from(n, monkeypatch)
+    if n == 300:
+        scene, det = query_budget_pair()
+    else:
+        scene, det = random_scene_pair(np.random.default_rng(31), n_lanes=n, n_traffic=m, m=4)
+    assert (len(det.lanes), len(det.traffic)) == (n, m)
+    cfg = th.HeadConfig(seed=31)
+    params = th.init_params(cfg)
+    targets = th.scene_targets(det, scene, cfg)
+    loss_alone = th.scene_loss_and_grads(targets, params)
+    with th._PairThreads():
+        loss_both = th.scene_loss_and_grads(targets, params)
+    predicted_both = th.predict(det, params)
+    assert splits
+    assert loss_both[:2] == loss_alone[:2]
+    assert loss_both[2].flat.tobytes() == loss_alone[2].flat.tobytes()
+    splits.clear()
+    unsplit(monkeypatch)
+    predicted_alone = th.predict(det, params)
+    assert not splits
+    for a, b in zip(predicted_alone, predicted_both):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_an_error_on_the_helper_thread_reaches_the_caller_and_the_next_call_works(monkeypatch):
+    monkeypatch.setattr(th, "_SPLIT_BLOCKS", 4)
+    caller = threading.current_thread()
+    assert len(list(th._pair_blocks(9, 1, th._PAIR_BLOCK))) == 9  # one row each
+    taken = []
+
+    def helper_fails(rows, buffer):
+        if threading.current_thread() is not caller:
+            raise ZeroDivisionError(f"block {rows.start}")
+        time.sleep(0.01)  # leaves blocks for the helper
+
+    def caller_fails(rows, buffer):
+        if threading.current_thread() is caller:
+            taken.append(rows.start)
+            raise KeyError(rows.start)
+        time.sleep(0.01)
+        taken.append(rows.start)
+
+    cfg = th.HeadConfig(seed=32)
+    params = th.init_params(cfg)
+    feats = np.random.default_rng(32).normal(size=(17, cfg.feature_dim))
+    want = th.ll_logits(feats, params)[0]
+    with th._PairThreads():
+        with pytest.raises(ZeroDivisionError, match="block"):
+            th._blockwise(9, 1, th._PAIR_BLOCK, helper_fails)
+        assert th.ll_logits(feats, params)[0].tobytes() == want.tobytes()
+        # the caller's own error wins, raised only once the helper has taken
+        # and finished every other block
+        with pytest.raises(KeyError):
+            th._blockwise(9, 1, th._PAIR_BLOCK, caller_fails)
+        assert sorted(taken) == list(range(9))
+        assert th.ll_logits(feats, params)[0].tobytes() == want.tobytes()
+
+
+@needs_blas
+def test_train_and_predict_hold_openblas_to_one_thread_and_restore_the_callers_count(caller_blas_threads, monkeypatch):
+    get = BLAS[0]
+    scenes, dets = make_training_set(np.random.default_rng(33), 3)
+    during = []
+    params, _ = th.train(scenes, dets, cfg=small_config(epochs=2), on_epoch=lambda epoch, stats: during.append(get()))
+    assert during == [1, 1] and get() == caller_blas_threads
+    embed = th.embed_lanes
+    monkeypatch.setattr(th, "embed_lanes", lambda *args: (during.append(get()), embed(*args))[1])
+    th.predict(dets[0], params)
+    assert during[-1] == 1 and get() == caller_blas_threads
+    monkeypatch.setattr(th, "scene_loss_and_grads", lambda *args, **kwargs: (float("nan"), 0.0, None))
+    with pytest.raises(th.TrainingError):
+        th.train(scenes, dets, cfg=small_config())
+    assert get() == caller_blas_threads
+
+
+def test_a_default_sized_scene_starts_no_thread(splits):
+    scene, det = random_scene_pair(np.random.default_rng(34), n_lanes=16, n_traffic=16, m=4)
+    before = threading.active_count()
+    during = []
+    params, _ = th.train([scene], [det], cfg=th.HeadConfig(epochs=2), on_epoch=lambda e, s: during.append(threading.active_count()))
+    th.predict(det, params)
+    assert during == [before, before] and threading.active_count() == before
+    assert not splits
+
+
+@needs_blas
+def test_a_query_budget_train_call_does_not_depend_on_the_openblas_pin(caller_blas_threads, monkeypatch):
+    # the pin changes the BLAS thread count of every embedder and projection
+    # product; OpenBLAS splits those across threads at this size
+    assert caller_blas_threads > 1
+    scene, det = query_budget_pair()
+    cfg = th.HeadConfig(epochs=2, seed=35)
+    pinned, _ = th.train([scene], [det], cfg=cfg)
+    pinned_probs = th.predict(det, pinned)
+    monkeypatch.setattr(th, "_openblas_threads", lambda: None)
+    during = []
+    free, _ = th.train([scene], [det], cfg=cfg, on_epoch=lambda e, s: during.append(BLAS[0]()))
+    assert during == [caller_blas_threads] * 2
+    assert free.flat.tobytes() == pinned.flat.tobytes()
+    for a, b in zip(th.predict(det, free), pinned_probs):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_cli_runs_that_split_exit_cleanly_in_dev_mode(tmp_path):
+    # every warning an error, ResourceWarning included; nothing printed at shutdown
+    src = str(Path(th.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    data, run = tmp_path / "data", tmp_path / "run"
+    commands = [
+        ["generate", "--scenes", "5", "--seed", "0", "--spurious-rate", "280", "--split", "0.4,0.2,0.4", "--out", str(data)],
+        ["train", "--train-scenes", str(data / "train_scenes.jsonl"), "--train-detections", str(data / "train_detections.jsonl"),
+         "--epochs", "1", "--seed", "0", "--out", str(run)],
+        ["predict", "--params", str(run / "params.json"), "--detections", str(data / "test_detections.jsonl"),
+         "--out", str(run / "predictions.jsonl")],
+    ]
+    for args in commands:
+        proc = subprocess.run(
+            [sys.executable, "-X", "dev", "-W", "error", "-m", "lanetopo.cli", *args],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0 and proc.stderr == "", proc.stderr[-2000:]
+    assert len(load_detections(data / "test_detections.jsonl")[0].lanes) >= 250
 
 
 def test_init_params_views_hold_the_seeded_draws():
