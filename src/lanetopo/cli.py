@@ -141,13 +141,15 @@ def run_corrupt(opts: dict) -> int:
 def run_train(opts: dict) -> int:
     _require(opts, "seed", "train_scenes", "train_detections", "out")
     cfg = _config(topoheads.HeadConfig, opts)
-    train_scenes = dataio.load_scenes(opts["train_scenes"], control_points=cfg.control_points)
-    train_dets = dataio.load_detections(opts["train_detections"], control_points=cfg.control_points)
+    lanes = {"control_points": cfg.control_points}
+    dets = {**lanes, "feature_width": cfg.detector_feature_width}
+    train_scenes = dataio.load_scenes(opts["train_scenes"], **lanes)
+    train_dets = dataio.load_detections(opts["train_detections"], **dets)
     val_scenes, val_dets = [], []
     if opts.get("val_scenes"):
         _require(opts, "val_detections")
-        val_scenes = dataio.load_scenes(opts["val_scenes"], control_points=cfg.control_points)
-        val_dets = dataio.load_detections(opts["val_detections"], control_points=cfg.control_points)
+        val_scenes = dataio.load_scenes(opts["val_scenes"], **lanes)
+        val_dets = dataio.load_detections(opts["val_detections"], **dets)
 
     def print_epoch(e: int, stats: topoheads.TrainStats) -> None:
         line = (
@@ -171,7 +173,8 @@ def run_train(opts: dict) -> int:
 def run_predict(opts: dict) -> int:
     _require(opts, "params", "detections", "out")
     params = topoheads.load_params(opts["params"])
-    detections = dataio.load_detections(opts["detections"])
+    cfg = params.config
+    detections = dataio.load_detections(opts["detections"], cfg.control_points, cfg.detector_feature_width)
     records = topoheads.predict_records(detections, params)
     dataio.save_detections(records, opts["out"])
     print(f"predicted topology for {len(records)} scenes -> {opts['out']}")
@@ -300,9 +303,7 @@ def run_tta_merge(opts: dict) -> int:
             raise ValueError(f"{opts['input']}: entry {index}: {exc}") from exc
     cfg = _config(detstrat.TtaConfig, opts)
     merged = detstrat.tta_merge(per_scale, cfg)
-    Path(opts["out"]).write_text(
-        json.dumps([dataio.traffic_to_obj(te) for te in merged]) + "\n", encoding="utf-8"
-    )
+    Path(opts["out"]).write_text(dataio.traffic_json(merged) + "\n", encoding="utf-8")
     print(f"merged {sum(len(b) for _, b in per_scale)} boxes -> {len(merged)}")
     return 0
 

@@ -25,7 +25,9 @@ little-endian float64 bytes, so they round-trip bit-exactly. With numpy:
 from __future__ import annotations
 
 import base64
+import functools
 import json
+import math
 import numbers
 from dataclasses import dataclass, field
 from itertools import chain
@@ -210,9 +212,52 @@ def category_indices(elements: Sequence[TrafficElement]) -> np.ndarray:
     return np.array([te.category for te in elements], dtype=int)
 
 
+def _in_unit(values: np.ndarray) -> bool:
+    """Every entry in [0, 1]; NaN is not."""
+    return bool(np.all((values >= 0.0) & (values <= 1.0)))
+
+
+def _numbers(values: list) -> np.ndarray | None:
+    """In-memory scores or confidences as a float vector, or None where one
+    is a bool (an array would read True as 1.0), a string or an array."""
+    if any(isinstance(v, _BOOLS) for v in values):
+        return None
+    arr = np.array(values)
+    return arr if arr.dtype.kind in "iuf" and arr.shape == (len(values),) else None
+
+
+def _traffic_ok(boxes: np.ndarray, ids: list | None, categories: list, confidences: np.ndarray) -> bool:
+    """True when a record's traffic passes every check of
+    :func:`_check_traffic`, found in one batch on its stacked values: the
+    (t, 4) boxes, the ids (unique unless None), the categories (ints in
+    range) and the confidences (in [0, 1])."""
+    try:
+        as_box(boxes, batch=True)
+    except ValueError:
+        return False
+    return (
+        (ids is None or len(set(ids)) == len(ids))
+        and all(type(c) is int for c in categories)
+        and 0 <= min(categories) <= max(categories) < NUM_CATEGORIES
+        and _in_unit(confidences)
+    )
+
+
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
-    if elements:
-        _check_boxes(scene_id, elements)
+    """Each box, each element's id (unique, when ``require_ids``), category
+    and confidence. A record that fails the batch check is checked element by
+    element, so the message names the first bad entry."""
+    if not elements:
+        return
+    try:
+        confidences = _numbers([te.confidence for te in elements])
+        boxes = np.array([te.box for te in elements], dtype=float)
+        ids = [te.id for te in elements] if require_ids else None
+        if confidences is not None and _traffic_ok(boxes, ids, [te.category for te in elements], confidences):
+            return
+    except (TypeError, ValueError, OverflowError):  # ragged, not numeric, unhashable
+        pass
+    _check_boxes(scene_id, elements)
     seen = set()
     for te in elements:
         if require_ids:
@@ -230,35 +275,51 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             )
 
 
-def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool) -> bool:
-    """True when every lane passes the per-lane checks of
-    :func:`_check_lanes`, found in one batch: the stacked control points,
-    their count, and the ids (GT) or the class scores (detection). False
-    also when the lanes do not stack or a check cannot run; the per-lane
-    loop then decides."""
+def _lanes_ok(
+    pts: np.ndarray, control_points: int | None, ids=None, scores=None, features=None, feature_width: int | None = None
+) -> bool:
+    """True when a record's lanes pass every check of :func:`_check_lanes`,
+    found in one batch on their stacked values: the (L, M, 3) control
+    points and their count, and the ids (GT, unique) or the class scores
+    (detection, in [0, 1]) and, with ``feature_width``, the (L, width)
+    features."""
     try:
-        pts = as_control_points(np.array([lane.ctrl for lane in lanes], dtype=float), batch=True)
-        if control_points is not None and pts.shape[1] != control_points:
-            return False
+        as_control_points(pts, batch=True)
+    except ValueError:
+        return False
+    if control_points is not None and pts.shape[1] != control_points:
+        return False
+    if ids is not None:
+        return len(set(ids)) == len(ids)
+    if feature_width is not None and (features is None or features.shape != (len(pts), feature_width)):
+        return False
+    return _in_unit(scores)
+
+
+def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool, feature_width: int | None) -> bool:
+    """:func:`_lanes_ok` of in-memory lanes; False also when their values do
+    not stack or a check cannot run, and the per-lane loop then decides."""
+    try:
+        pts = np.array([lane.ctrl for lane in lanes], dtype=float)
         if gt:
-            return len({lane.id for lane in lanes}) == len(lanes)
-        scores = [lane.class_score for lane in lanes]
-        if any(isinstance(s, _BOOLS) for s in scores):  # an array would read True as 1.0
-            return False
-        scores = np.array(scores)
-        if scores.dtype.kind not in "iuf" or scores.shape != (len(lanes),):  # strings, objects, arrays
-            return False
-        return bool(np.all((scores >= 0.0) & (scores <= 1.0)))
+            return _lanes_ok(pts, control_points, ids=[lane.id for lane in lanes])
+        scores = _numbers([lane.class_score for lane in lanes])
+        features = None
+        if feature_width is not None and all(lane.feature is not None for lane in lanes):
+            features = np.array([lane.feature for lane in lanes], dtype=float)
+        return scores is not None and _lanes_ok(pts, control_points, None, scores, features, feature_width)
     except (TypeError, ValueError, OverflowError):
         return False
 
 
-def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt: bool) -> None:
+def _check_lanes(
+    scene_id: str, lanes: Sequence, control_points: int | None, gt: bool, feature_width: int | None = None
+) -> None:
     """Each lane's control points and their count, and each GT lane's id
-    (unique) or each detected lane's class score (in [0, 1]). A record that
-    fails the batch check is checked lane by lane, so the message names the
-    first bad entry."""
-    if _lanes_pass(lanes, control_points, gt):
+    (unique) or each detected lane's class score (in [0, 1]) and, with
+    ``feature_width``, its feature. A record that fails the batch check is
+    checked lane by lane, so the message names the first bad entry."""
+    if _lanes_pass(lanes, control_points, gt, feature_width):
         return
     seen = set()
     for idx, lane in enumerate(lanes):
@@ -273,10 +334,15 @@ def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt:
                 "lanes.ctrl",
                 f"lane {lane.id if gt else idx} has {pts.shape[0]} control points, expected {control_points}",
             )
-        if not gt and (isinstance(lane.class_score, _BOOLS) or not isinstance(lane.class_score, numbers.Real)):
+        if gt:
+            continue
+        if isinstance(lane.class_score, _BOOLS) or not isinstance(lane.class_score, numbers.Real):
             raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
-        if not gt and not (0.0 <= lane.class_score <= 1.0):
+        if not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
+        if feature_width is not None and np.shape(lane.feature) != (feature_width,):
+            got = "no feature" if lane.feature is None else f"a feature of shape {np.shape(lane.feature)}"
+            raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has {got}, expected width {feature_width}")
 
 
 def edge_positions(scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -307,17 +373,25 @@ def validate_scene(scene: SceneRecord, control_points: int | None = None) -> Non
     edge_positions(scene)
 
 
-def validate_detection(record: DetectionRecord, control_points: int | None = None) -> None:
+def validate_detection(
+    record: DetectionRecord, control_points: int | None = None, feature_width: int | None = None
+) -> None:
+    """Check every DetectionRecord invariant; with ``feature_width``, every
+    lane must carry a detector feature of that width."""
     if len(record.lanes) > DEFAULT_QUERY_BUDGET:
         raise ValidationError(
             record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {DEFAULT_QUERY_BUDGET}"
         )
-    _check_lanes(record.scene_id, record.lanes, control_points, gt=False)
+    _check_lanes(record.scene_id, record.lanes, control_points, False, feature_width)
     _check_traffic(record.scene_id, record.traffic, require_ids=False)
     if isinstance(record, PredictionRecord):
-        for name, mat in _prob_matrices(record):
-            if mat.size and not (np.all(mat >= 0.0) and np.all(mat <= 1.0)):
-                raise ValidationError(record.scene_id, name, "probabilities outside [0, 1]")
+        _check_probabilities(record)
+
+
+def _check_probabilities(record: PredictionRecord) -> None:
+    for name, mat in _prob_matrices(record):
+        if mat.size and not (np.all(mat >= 0.0) and np.all(mat <= 1.0)):
+            raise ValidationError(record.scene_id, name, "probabilities outside [0, 1]")
 
 
 def _prob_matrices(record: PredictionRecord):
@@ -331,16 +405,7 @@ def _prob_matrices(record: PredictionRecord):
 
 
 # ---------------------------------------------------------------------------
-# (de)serialization helpers
-
-
-def traffic_to_obj(te: TrafficElement) -> dict:
-    return {
-        "id": int(te.id),
-        "box": np.asarray(te.box, dtype=float).tolist(),
-        "category": int(te.category),
-        "confidence": float(te.confidence),
-    }
+# reading, one entry at a time: the path of a record that fails a batch check
 
 
 _NUMBER_TYPES = {int, float}  # exact types: a bool is an int subclass
@@ -368,12 +433,14 @@ def _leaves(value, ndim: int):
     return value
 
 
-def _field(obj: dict, name: str, convert=_reals):
+def _field(obj: dict, name: str, convert=_reals, take: bool = False):
     """``convert`` of the entry of the JSON object ``obj`` that the last part
-    of the dotted ``name`` keys; a missing or malformed entry is an error
-    naming the field (Python's and numpy's own text names none)."""
+    of the dotted ``name`` keys, with ``take`` removed from ``obj``; a
+    missing or malformed entry is an error naming the field (Python's and
+    numpy's own text names none)."""
+    key = name.rpartition(".")[2]
     try:
-        return convert(obj[name.rpartition(".")[2]])
+        return convert(obj.pop(key) if take else obj[key])
     except (KeyError, TypeError, ValueError) as exc:  # TypeError too when ``obj`` is no object
         raise ValueError(f"field {name!r}: {'missing' if isinstance(exc, KeyError) else exc}") from exc
 
@@ -425,24 +492,15 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
     scale = _field(obj, "scale", _real)
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
-    try:
-        _check_traffic("", traffic, require_ids=False)
-    except ValidationError as exc:
-        raise ValueError(f"field {exc.field!r}: {exc.message}") from exc
+    entries = _field(obj, "traffic", _array)
+    traffic = _traffic_batch(entries, require_ids=False)
+    if traffic is None:
+        traffic = [traffic_from_obj(te) for te in entries]
+        try:
+            _check_traffic("", traffic, require_ids=False)
+        except ValidationError as exc:
+            raise ValueError(f"field {exc.field!r}: {exc.message}") from exc
     return scale, traffic
-
-
-def scene_to_obj(scene: SceneRecord) -> dict:
-    return {
-        "scene_id": scene.scene_id,
-        "lanes": [
-            {"id": int(l.id), "ctrl": np.asarray(l.ctrl, dtype=float).tolist()} for l in scene.lanes
-        ],
-        "traffic": [traffic_to_obj(te) for te in scene.traffic],
-        "topo_ll": [[int(i), int(j)] for i, j in sorted(scene.topo_ll)],
-        "topo_lt": [[int(i), int(k)] for i, k in sorted(scene.topo_lt)],
-    }
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
@@ -453,27 +511,6 @@ def scene_from_obj(obj: dict) -> SceneRecord:
         for name in ("topo_ll", "topo_lt")
     )
     return SceneRecord(_field(obj, "scene_id", _text), lanes, traffic, topo_ll, topo_lt)
-
-
-def detection_to_obj(record: DetectionRecord) -> dict:
-    lanes = []
-    for lane in record.lanes:
-        entry = {
-            "ctrl": np.asarray(lane.ctrl, dtype=float).tolist(),
-            "class_score": float(lane.class_score),
-        }
-        if lane.feature is not None:
-            entry["feature"] = np.asarray(lane.feature, dtype=float).tolist()
-        lanes.append(entry)
-    obj = {
-        "scene_id": record.scene_id,
-        "lanes": lanes,
-        "traffic": [traffic_to_obj(te) for te in record.traffic],
-    }
-    if isinstance(record, PredictionRecord):
-        for name, mat in _prob_matrices(record):
-            obj[name] = base64.b64encode(np.asarray(mat, dtype="<f8").tobytes()).decode("ascii")
-    return obj
 
 
 def _matrix(text, shape: tuple[int, int]) -> np.ndarray:
@@ -497,6 +534,14 @@ def _feature(values) -> np.ndarray:
     return feat
 
 
+def _matrices(obj: dict, n: int, t: int, take: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """The (n, n) and (n, t) probability matrices of a prediction object."""
+    return (
+        _field(obj, "topo_ll_prob", functools.partial(_matrix, shape=(n, n)), take),
+        _field(obj, "topo_lt_prob", functools.partial(_matrix, shape=(n, t)), take),
+    )
+
+
 def detection_from_obj(obj: dict) -> DetectionRecord:
     lanes = [
         PredLane(
@@ -509,34 +554,306 @@ def detection_from_obj(obj: dict) -> DetectionRecord:
     traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
     scene_id = _field(obj, "scene_id", _text)
     if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
-        n, t = len(lanes), len(traffic)
-        ll = _field(obj, "topo_ll_prob", lambda text: _matrix(text, (n, n)))
-        lt = _field(obj, "topo_lt_prob", lambda text: _matrix(text, (n, t)))
-        return PredictionRecord(scene_id, lanes, traffic, topo_ll_prob=ll, topo_lt_prob=lt)
+        return PredictionRecord(scene_id, lanes, traffic, *_matrices(obj, len(lanes), len(traffic)))
     return DetectionRecord(scene_id, lanes, traffic)
+
+
+# ---------------------------------------------------------------------------
+# reading: each well-formed record parsed and checked whole
+
+
+_INT_TYPES = {int}
+
+
+def _stack(values: list, depth: int) -> np.ndarray | None:
+    """``values``, each a JSON number in arrays nested ``depth`` deep, as one
+    float array of ``depth + 1`` dimensions, after one scan of the leaf
+    types; None when a leaf is no number (bool, string and null included)
+    or the values do not stack."""
+    leaves = values
+    for _ in range(depth):
+        leaves = chain.from_iterable(leaves)
+    try:
+        if _NUMBER_TYPES.issuperset(map(type, leaves)):
+            stack = np.array(values, dtype=float)
+            if stack.ndim == depth + 1:
+                return stack
+    except (TypeError, ValueError, OverflowError):  # no array, ragged, an integer beyond the float range
+        pass
+    return None
+
+
+def _lanes_batch(entries, gt: bool, control_points: int | None, feature_width: int | None = None) -> list | None:
+    """The lanes of a record's JSON array, parsed and checked in one batch,
+    each with arrays of its own; None when a batch check fails."""
+    if type(entries) is not list:
+        return None
+    if not entries:
+        return []
+    try:
+        pts = _stack([e["ctrl"] for e in entries], 2)
+        if gt:
+            ids = [e["id"] for e in entries]
+        else:
+            scores = _stack([e["class_score"] for e in entries], 0)
+            features = [e["feature"] for e in entries if "feature" in e]
+    except (KeyError, TypeError):  # an entry that is no object, or a field missing
+        return None
+    if pts is None:
+        return None
+    if gt:
+        if not _INT_TYPES.issuperset(map(type, ids)) or not _lanes_ok(pts, control_points, ids=ids):
+            return None
+        return [GtLane(i, c.copy()) for i, c in zip(ids, pts)]
+    stacked = None
+    if features:  # every lane's, finite, or the per-item path decides
+        stacked = _stack(features, 1) if len(features) == len(entries) else None
+        if stacked is None or not np.isfinite(stacked).all():
+            return None
+    if (
+        len(entries) > DEFAULT_QUERY_BUDGET
+        or scores is None
+        or not _lanes_ok(pts, control_points, scores=scores, features=stacked, feature_width=feature_width)
+    ):
+        return None
+    features = [None] * len(entries) if stacked is None else [f.copy() for f in stacked]
+    return [PredLane(c.copy(), s, f) for c, s, f in zip(pts, scores.tolist(), features)]
+
+
+def _traffic_batch(entries, require_ids: bool) -> list | None:
+    """:func:`_lanes_batch` for traffic elements."""
+    if type(entries) is not list:
+        return None
+    if not entries:
+        return []
+    try:
+        ids = [e["id"] for e in entries]
+        categories = [e["category"] for e in entries]
+        boxes = _stack([e["box"] for e in entries], 1)
+        confidences = _stack([e["confidence"] for e in entries], 0)
+    except (KeyError, TypeError):
+        return None
+    if (
+        boxes is None
+        or confidences is None
+        or not _INT_TYPES.issuperset(map(type, ids))
+        or not _traffic_ok(boxes, ids if require_ids else None, categories, confidences)
+    ):
+        return None
+    return [TrafficElement(*e) for e in zip(ids, (b.copy() for b in boxes), categories, confidences.tolist())]
+
+
+def _edges(pairs) -> set | None:
+    """A JSON array of [int, int] pairs as a set of tuples, or None."""
+    if type(pairs) is list and all(type(p) is list and len(p) == 2 for p in pairs):
+        if _INT_TYPES.issuperset(map(type, chain.from_iterable(pairs))):
+            return set(map(tuple, pairs))
+    return None
+
+
+def _scene_batch(obj, control_points: int | None) -> SceneRecord | None:
+    """The record of a well-formed scene object, parsed and checked a whole
+    record at a time; None when any batch check fails, and the per-item path
+    then decides and names the first bad entry."""
+    try:
+        scene = SceneRecord(
+            obj["scene_id"],
+            _lanes_batch(obj["lanes"], True, control_points),
+            _traffic_batch(obj["traffic"], require_ids=True),
+            *(_edges(obj.get(name, [])) for name in ("topo_ll", "topo_lt")),
+        )
+    except (KeyError, TypeError):  # no object, or a field missing
+        return None
+    if type(scene.scene_id) is not str or None in (scene.lanes, scene.traffic, scene.topo_ll, scene.topo_lt):
+        return None
+    try:
+        edge_positions(scene)
+    except ValidationError:
+        return None
+    return scene
+
+
+def _detection_batch(obj, control_points: int | None, feature_width: int | None) -> DetectionRecord | None:
+    """:func:`_scene_batch` for a detection or prediction object. A
+    prediction's base64 texts are taken out of ``obj`` as they are decoded."""
+    try:
+        record = DetectionRecord(
+            obj["scene_id"],
+            _lanes_batch(obj["lanes"], False, control_points, feature_width),
+            _traffic_batch(obj["traffic"], require_ids=False),
+        )
+    except (KeyError, TypeError):
+        return None
+    if type(record.scene_id) is not str or record.lanes is None or record.traffic is None:
+        return None
+    if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
+        mats = _matrices(obj, len(record.lanes), len(record.traffic), take=True)
+        record = PredictionRecord(record.scene_id, record.lanes, record.traffic, *mats)
+        _check_probabilities(record)
+    return record
+
+
+# ---------------------------------------------------------------------------
+# writing: each record formatted whole from its values
+
+
+class _JsonFloat(float):
+    """A non-finite float whose repr is the token ``json.dumps`` writes."""
+
+    def __repr__(self):
+        return "NaN" if self != self else "Infinity" if self > 0 else "-Infinity"
+
+
+@functools.cache
+def _template(shape: tuple) -> str:
+    """The %-template of a float array of ``shape``: its nested lists as
+    ``json.dumps`` writes them, with ``%r`` for each value."""
+    return "[" + ", ".join([_template(shape[1:])] * shape[0]) + "]" if shape else "%r"
+
+
+def _floats(arrays: list) -> tuple[list, list]:
+    """The template and the flat float values of each of ``arrays``, as
+    ``np.asarray(a, dtype=float)`` reads it; one conversion when they stack."""
+    if not arrays:
+        return [], []
+    try:
+        stack = np.array(arrays, dtype=float)
+    except ValueError:  # ragged: one at a time
+        stack = None
+    if stack is not None:
+        return [_template(stack.shape[1:])] * len(arrays), stack.reshape(len(arrays), -1).tolist()
+    arrays = [np.asarray(a, dtype=float) for a in arrays]
+    return [_template(a.shape) for a in arrays], [a.ravel().tolist() for a in arrays]
+
+
+def _fill(template: str, values: list, *head: str) -> str:
+    """``template`` filled with ``head`` (its ``%s``) and ``values``, each
+    non-finite float written as ``json.dumps`` writes it."""
+    try:
+        finite = math.isfinite(sum(values))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        values = [_JsonFloat(v) if type(v) is float and not math.isfinite(v) else v for v in values]
+    return template % (*head, *values)
+
+
+def _traffic_template(elements: Sequence[TrafficElement], values: list) -> str:
+    """The template of a JSON array of ``elements``; their values are
+    appended to ``values``."""
+    parts = []
+    templates, boxes = _floats([te.box for te in elements])
+    for te, template, box in zip(elements, templates, boxes):
+        parts.append('{"id": %d, "box": ' + template + ', "category": %d, "confidence": %r}')
+        values.append(int(te.id))
+        values += box
+        values += (int(te.category), float(te.confidence))
+    return "[" + ", ".join(parts) + "]"
+
+
+def traffic_json(elements: Sequence[TrafficElement]) -> str:
+    """The JSON array of ``elements``, as one line of a ``tta-merge`` output."""
+    values = []
+    return _fill(_traffic_template(elements, values), values)
+
+
+def _scene_line(scene: SceneRecord) -> str:
+    values = []
+    templates, ctrls = _floats([lane.ctrl for lane in scene.lanes])
+    lanes = []
+    for lane, template, ctrl in zip(scene.lanes, templates, ctrls):
+        lanes.append('{"id": %d, "ctrl": ' + template + "}")
+        values.append(int(lane.id))
+        values += ctrl
+    traffic = _traffic_template(scene.traffic, values)
+    edges = []
+    for pairs in (scene.topo_ll, scene.topo_lt):
+        pairs = sorted(pairs)
+        edges.append("[" + ", ".join(["[%d, %d]"] * len(pairs)) + "]")
+        values += map(int, chain.from_iterable(pairs))
+    template = '{"scene_id": %s, "lanes": [' + ", ".join(lanes) + '], "traffic": ' + traffic
+    template += ', "topo_ll": ' + edges[0] + ', "topo_lt": ' + edges[1] + "}"
+    return _fill(template, values, json.dumps(scene.scene_id))
+
+
+def _detection_head(record: DetectionRecord) -> str:
+    """A detection line up to its closing brace."""
+    values = []
+    templates, ctrls = _floats([lane.ctrl for lane in record.lanes])
+    with_feature = [lane for lane in record.lanes if lane.feature is not None]
+    feature_templates, features = map(iter, _floats([lane.feature for lane in with_feature]))
+    lanes = []
+    for lane, template, ctrl in zip(record.lanes, templates, ctrls):
+        values += ctrl
+        values.append(float(lane.class_score))
+        if lane.feature is None:
+            lanes.append('{"ctrl": ' + template + ', "class_score": %r}')
+        else:
+            lanes.append('{"ctrl": ' + template + ', "class_score": %r, "feature": ' + next(feature_templates) + "}")
+            values += next(features)
+    traffic = _traffic_template(record.traffic, values)
+    template = '{"scene_id": %s, "lanes": [' + ", ".join(lanes) + '], "traffic": ' + traffic
+    return _fill(template, values, json.dumps(record.scene_id))
+
+
+def _detection_line(record: DetectionRecord) -> list[str]:
+    """A detection or prediction line as its parts. A prediction's base64
+    probability texts need no escaping, so they follow the head as the bytes
+    ``json.dumps`` would write, without its escaper's scan of ~1 MB per
+    ~300-lane record."""
+    parts = [_detection_head(record)]
+    if isinstance(record, PredictionRecord):
+        for name, mat in _prob_matrices(record):
+            parts.append(f', "{name}": "{base64.b64encode(np.asarray(mat, dtype="<f8").tobytes()).decode("ascii")}"')
+    parts.append("}\n")
+    return parts
+
+
+def scene_to_obj(scene: SceneRecord) -> dict:
+    """The JSON object of a scene line."""
+    return json.loads(_scene_line(scene))
+
+
+def detection_to_obj(record: DetectionRecord) -> dict:
+    """The JSON object of a detection or prediction line."""
+    return json.loads("".join(_detection_line(record)))
+
+
+def traffic_to_obj(te: TrafficElement) -> dict:
+    return json.loads(traffic_json([te]))[0]
 
 
 # ---------------------------------------------------------------------------
 # file I/O
 
 
-def _load_lines(path, parse_obj, validate, control_points: int | None):
-    """Parse and validate every non-blank line; a ``control_points`` of
-    None is set from the first lane of the file, and a count error then
-    names that lane."""
+def _load_lines(path, batch, parse_obj, validate, control_points: int | None):
+    """Parse and validate every non-blank line, each dropped once parsed:
+    ``batch(obj, control_points)`` is the record of a well-formed line, or
+    None, and then ``parse_obj`` and ``validate`` take it one entry at a time
+    and name the first bad one. A ``control_points`` of None is set from the
+    first lane of the file, and a count error then names that lane."""
     out = []
     source = ""
+    line_no = 0  # counted here: ``enumerate`` would hold on to the last line
     with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
+        for line in fh:
+            line_no += 1
             if not line.strip():
                 continue
             try:
-                record = parse_obj(json.loads(line))
+                obj = json.loads(line)
+                line = None
+                record = batch(obj, control_points)
+                per_item = record is None
+                if per_item:
+                    record = parse_obj(obj)
                 # a first lane with no point list infers nothing; its validation names it
                 if control_points is None and record.lanes and np.ndim(record.lanes[0].ctrl):
                     control_points = np.shape(record.lanes[0].ctrl)[0]
                     source = f" as the first lane of line {line_no}"
-                validate(record, control_points)
+                if per_item:
+                    validate(record, control_points)
             except ValidationError as exc:
                 message = exc.message
                 if source and exc.field == "lanes.ctrl" and message.endswith(f"control points, expected {control_points}"):
@@ -554,12 +871,20 @@ def load_scenes(path, control_points: int | None = None) -> list[SceneRecord]:
     When ``control_points`` is None, the count is inferred from the first
     lane and then enforced across the file.
     """
-    return _load_lines(path, scene_from_obj, validate_scene, control_points)
+    return _load_lines(path, _scene_batch, scene_from_obj, validate_scene, control_points)
 
 
-def load_detections(path, control_points: int | None = None) -> list[DetectionRecord]:
-    """:func:`load_scenes` for a detections or predictions file."""
-    return _load_lines(path, detection_from_obj, validate_detection, control_points)
+def load_detections(path, control_points: int | None = None, feature_width: int | None = None) -> list[DetectionRecord]:
+    """:func:`load_scenes` for a detections or predictions file; with
+    ``feature_width``, every lane must carry a detector feature of that
+    width."""
+    return _load_lines(
+        path,
+        lambda obj, cp: _detection_batch(obj, cp, feature_width),
+        detection_from_obj,
+        lambda record, cp: validate_detection(record, cp, feature_width),
+        control_points,
+    )
 
 
 def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
@@ -567,25 +892,18 @@ def save_scenes(scenes: Iterable[SceneRecord], path) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for scene in scenes:
-            fh.write(json.dumps(scene_to_obj(scene)) + "\n")
+            fh.write(_scene_line(scene) + "\n")
 
 
 def save_detections(records: Iterable[DetectionRecord], path) -> None:
-    """One JSON line per record. A prediction's base64 probability texts need
-    no escaping, so they go in after the JSON of the rest, as the bytes
-    ``json.dumps`` would write, without its escaper's scan of ~1 MB per
-    ~300-lane record. Each record is encoded whole before it is written, so
-    a misshapen matrix raises before any of its bytes reach the file."""
+    """One JSON line per record. Each record is formatted whole before it is
+    written, so a misshapen matrix raises before any of its bytes reach the
+    file."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for record in records:
-            obj = detection_to_obj(record)
-            texts = [(name, obj.pop(name)) for name in ("topo_ll_prob", "topo_lt_prob") if name in obj]
-            fh.write(json.dumps(obj)[:-1])  # its closing brace follows the texts
-            for name, text in texts:
-                fh.write(f', "{name}": "{text}"')
-            fh.write("}\n")
+            fh.writelines(_detection_line(record))
 
 
 def format_report_table(report: MetricReport) -> str:

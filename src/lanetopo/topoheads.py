@@ -735,9 +735,11 @@ def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndar
 
 def predict_records(detections: Sequence[DetectionRecord], params: TopoHeadParams) -> list[PredictionRecord]:
     """Prediction records for every detection, after checking that every
-    lane has the control-point count the parameters were trained for."""
+    lane has the control-point count and the detector feature width the
+    parameters were trained for."""
+    cfg = params.config
     for det in detections:
-        validate_detection(det, control_points=params.config.control_points)
+        validate_detection(det, cfg.control_points, cfg.detector_feature_width)
     return [PredictionRecord(d.scene_id, d.lanes, d.traffic, *predict(d, params)) for d in detections]
 
 

@@ -152,6 +152,46 @@ def test_predict_dimension_mismatch_exits_2(trained, tmp_path, capsys):
     assert "control points" in capsys.readouterr().err
 
 
+def test_predict_control_point_mismatch_names_the_file_line_and_field(trained, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    lanes = [dataio.PredLane(ctrl=np.zeros((4, 3)) + [k, 0.0, 0.0], class_score=1.0) for k in range(2)]
+    dets = [dataio.DetectionRecord("a", lanes, []), dataio.DetectionRecord("b", [lanes[0], dataio.PredLane(np.zeros((3, 3)), 1.0)], [])]
+    dataio.save_detections(dets, bad)
+    code = run(["predict", "--params", str(trained / "params.json"), "--detections", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:2: scene 'b', field 'lanes.ctrl': lane 1 has 3 control points, expected 4\n"
+
+
+@pytest.mark.parametrize(
+    "feature, got",
+    [(None, "no feature"), (np.ones(5), "a feature of shape (5,)")],
+    ids=["missing", "wrong-width"],
+)
+def test_predict_feature_mismatch_names_the_file_line_and_field(tmp_path, capsys, feature, got):
+    cfg = topoheads.HeadConfig(feature_dim=8, mlp_hidden=8, detector_feature_width=8)
+    topoheads.save_params(topoheads.init_params(cfg), tmp_path / "params.json")
+    lanes = [dataio.PredLane(np.zeros((4, 3)), 1.0, np.ones(8)), dataio.PredLane(np.ones((4, 3)), 1.0, feature)]
+    bad = tmp_path / "bad.jsonl"
+    dataio.save_detections([dataio.DetectionRecord("s", lanes, [])], bad)
+    code = run(["predict", "--params", str(tmp_path / "params.json"), "--detections", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:1: scene 's', field 'lanes.feature': lane 1 has {got}, expected width 8\n"
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_feature_width_names_the_detections_file(dataset, tmp_path, capsys):
+    # the generated detections carry no features
+    code = run(small_train_args(dataset, tmp_path / "run", ["--detector-feature-width", "8"]))
+    assert code == 2
+    err = capsys.readouterr().err
+    path = dataset / "train_detections.jsonl"
+    assert re.fullmatch(
+        rf"error: {re.escape(str(path))}:1: scene 'scene-\d+', field 'lanes.feature': lane 0 has no feature, expected width 8\n", err
+    ), err
+
+
 @pytest.mark.parametrize(
     "change, field",
     [

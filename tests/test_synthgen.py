@@ -185,6 +185,12 @@ DATASET_NOISE = NoiseModel(ctrl_sigma=0.25, drop_prob=0.1, spurious_rate=1.5)
 DATASET_FRACTIONS = (0.625, 0.0625, 0.3125)
 DATASET_DIGEST = "a32cf55e41c73906df0144e276d2441047255ea3b38eeecb03dddd2ab48c8a6d"
 
+# three scenes of the benchmark's query_budget set-up (~290 detected lanes
+# and ~290 boxes per line), one per split
+QUERY_DATASET_CONFIG = GeneratorConfig(scenes=3, seed=0)
+QUERY_DATASET_NOISE = NoiseModel(ctrl_sigma=0.25, drop_prob=0.1, spurious_rate=280.0)
+QUERY_DATASET_DIGEST = "454c1a692b0643d7c9772309c2ffd97f0290f28309b891064f3a788fa7c877e5"
+
 
 def generate_digest() -> str:
     """sha256 of every generated scene's ids, lane bytes, boxes, categories
@@ -203,10 +209,10 @@ def generate_digest() -> str:
     return h.hexdigest()
 
 
-def dataset_digest(out_dir) -> str:
+def dataset_digest(out_dir, cfg=DATASET_CONFIG, noise=DATASET_NOISE, fractions=DATASET_FRACTIONS) -> str:
     """sha256 of the names and bytes of the six files ``generate_dataset``
     writes for the pinned configuration."""
-    paths = synthgen.generate_dataset(DATASET_CONFIG, DATASET_NOISE, DATASET_FRACTIONS, out_dir)
+    paths = synthgen.generate_dataset(cfg, noise, fractions, out_dir)
     h = hashlib.sha256()
     for split in ("train", "val", "test"):
         for kind in ("scenes", "detections"):
@@ -222,6 +228,14 @@ def test_generate_scene_output_is_pinned():
 
 def test_generate_dataset_files_are_pinned(tmp_path):
     assert dataset_digest(tmp_path) == DATASET_DIGEST
+
+
+def query_dataset_digest(out_dir) -> str:
+    return dataset_digest(out_dir, QUERY_DATASET_CONFIG, QUERY_DATASET_NOISE, (1 / 3, 1 / 3, 1 / 3))
+
+
+def test_query_budget_dataset_files_are_pinned(tmp_path):
+    assert query_dataset_digest(tmp_path) == QUERY_DATASET_DIGEST
 
 
 def test_split_counts_exact_and_validated():
@@ -273,7 +287,11 @@ if __name__ == "__main__":
     if sys.argv[1:] != ["--record"]:
         sys.exit("usage: python tests/test_synthgen.py --record")
     with tempfile.TemporaryDirectory() as tmp:
-        pins = {"GENERATE_DIGEST": generate_digest(), "DATASET_DIGEST": dataset_digest(tmp)}
+        pins = {
+            "GENERATE_DIGEST": generate_digest(),
+            "DATASET_DIGEST": dataset_digest(tmp),
+            "QUERY_DATASET_DIGEST": query_dataset_digest(Path(tmp) / "query"),
+        }
     path = Path(__file__)
     text = path.read_text(encoding="utf-8")
     for name, value in pins.items():
