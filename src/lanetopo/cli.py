@@ -170,12 +170,19 @@ def run_train(opts: dict) -> int:
     return 0
 
 
+def _predictions(detections, params: topoheads.TopoHeadParams) -> list:
+    """The prediction record of each detection, without the check of
+    ``topoheads.predict_records``: a command checks its records once, where
+    they enter, against the params' control points and feature width."""
+    return [dataio.PredictionRecord(d.scene_id, d.lanes, d.traffic, *topoheads.predict(d, params)) for d in detections]
+
+
 def run_predict(opts: dict) -> int:
     _require(opts, "params", "detections", "out")
     params = topoheads.load_params(opts["params"])
     cfg = params.config
     detections = dataio.load_detections(opts["detections"], cfg.control_points, cfg.detector_feature_width)
-    records = topoheads.predict_records(detections, params)
+    records = _predictions(detections, params)
     dataio.save_detections(records, opts["out"])
     print(f"predicted topology for {len(records)} scenes -> {opts['out']}")
     return 0
@@ -222,7 +229,8 @@ def _levels(spec) -> list:
 def run_sweep(opts: dict) -> int:
     _require(opts, "params", "scenes_file", "out")
     params = topoheads.load_params(opts["params"])
-    scenes = dataio.load_scenes(opts["scenes_file"])
+    # corrupt_scene keeps a scene's control-point count, so this load is its detections' check too
+    scenes = dataio.load_scenes(opts["scenes_file"], params.config.control_points)
     if not scenes:
         raise ValueError(f"{opts['scenes_file']}: no scenes to evaluate")
     cfg = _config(metrics.DetMatchConfig, opts)
@@ -242,7 +250,7 @@ def run_sweep(opts: dict) -> int:
                 synthgen.corrupt_scene(s, noise, [seed, level_idx, rep, i])
                 for i, s in enumerate(scenes)
             ]
-            records = topoheads.predict_records(preds_in, params)
+            records = _predictions(preds_in, params)
             report = metrics.evaluate(records, scenes, cfg)
             per_seed.append(list(report.scores()))
         mean = np.mean(np.asarray(per_seed), axis=0)

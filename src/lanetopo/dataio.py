@@ -20,6 +20,13 @@ the padded standard base64 of the (n, n) / (n, t) matrices' row-major
 little-endian float64 bytes, so they round-trip bit-exactly. With numpy:
     lt = np.frombuffer(base64.b64decode(obj["topo_lt_prob"]), "<f8")
     lt = lt.reshape(len(obj["lanes"]), len(obj["traffic"]))
+
+Every line is read one way: ``json.loads``, then ``scene_from_obj`` /
+``detection_from_obj``, then the ``validate_scene`` / ``validate_detection``
+that records built in memory go through. The converters read each field of
+a record's lanes and traffic as one array, and go entry by entry only where
+that fails, to name the first bad entry; the validators check a record in
+one batch, and lane by lane only to name the first bad one.
 """
 
 from __future__ import annotations
@@ -185,20 +192,30 @@ def _check_boxes(scene_id: str, elements: Sequence[TrafficElement]) -> None:
 
 
 _BOOLS = (bool, np.bool_)  # rejected where a number is expected, as the loader rejects JSON true
+_NUMBER_TYPES = {int, float}  # the JSON numbers, exact types: a bool is an int subclass
+
+
+def _integer(value) -> int:
+    """An integer as an int, for the loader and the validators alike: a bool
+    is none, an integral float is one (2.0 reads as 2)."""
+    if type(value) is int:  # the common case first: an ABC check costs ~0.4 us
+        return value
+    if not isinstance(value, _BOOLS) and (
+        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
+    ):
+        return int(value)
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
 def _category_error(category) -> str | None:
     """Why ``category`` is no traffic category, in the loader's words, or
-    None: it must be an integer in [0, NUM_CATEGORIES). A bool is not one; an
-    integral float is, as the loader reads 2.0 as 2."""
-    if type(category) is not int and (  # the common case first: an ABC check costs ~0.4 us
-        isinstance(category, _BOOLS)
-        or not (isinstance(category, numbers.Integral) or isinstance(category, float) and category.is_integer())
-    ):
-        return f"expected an integer, got {category!r}"
-    if not 0 <= category < NUM_CATEGORIES:
-        return f"category {category} outside [0, {NUM_CATEGORIES - 1}]"
-    return None
+    None: it must be an integer in [0, NUM_CATEGORIES)."""
+    try:
+        if 0 <= _integer(category) < NUM_CATEGORIES:
+            return None
+    except ValueError as exc:
+        return str(exc)
+    return f"category {category} outside [0, {NUM_CATEGORIES - 1}]"
 
 
 def category_indices(elements: Sequence[TrafficElement]) -> np.ndarray:
@@ -220,43 +237,41 @@ def _in_unit(values: np.ndarray) -> bool:
 def _numbers(values: list) -> np.ndarray | None:
     """In-memory scores or confidences as a float vector, or None where one
     is a bool (an array would read True as 1.0), a string or an array."""
-    if any(isinstance(v, _BOOLS) for v in values):
+    if not _NUMBER_TYPES.issuperset(map(type, values)) and any(isinstance(v, _BOOLS) for v in values):
         return None
     arr = np.array(values)
     return arr if arr.dtype.kind in "iuf" and arr.shape == (len(values),) else None
 
 
-def _traffic_ok(boxes: np.ndarray, ids: list | None, categories: list, confidences: np.ndarray) -> bool:
+def _traffic_pass(elements: Sequence[TrafficElement], require_ids: bool) -> bool:
     """True when a record's traffic passes every check of
     :func:`_check_traffic`, found in one batch on its stacked values: the
-    (t, 4) boxes, the ids (unique unless None), the categories (ints in
-    range) and the confidences (in [0, 1])."""
+    (t, 4) boxes, the ids (unique, when ``require_ids``), the categories
+    (ints in range) and the confidences (in [0, 1]). False also when the
+    values do not stack or a check cannot run; the per-element loop then
+    decides."""
     try:
-        as_box(boxes, batch=True)
-    except ValueError:
+        as_box(np.array([te.box for te in elements], dtype=float), batch=True)
+        confidences = _numbers([te.confidence for te in elements])
+        ids = [te.id for te in elements]
+        categories = [te.category for te in elements]
+        return (
+            (not require_ids or len(set(ids)) == len(ids))
+            and {int}.issuperset(map(type, categories))
+            and 0 <= min(categories) <= max(categories) < NUM_CATEGORIES
+            and confidences is not None
+            and _in_unit(confidences)
+        )
+    except (TypeError, ValueError, OverflowError):  # ragged, not numeric, unhashable
         return False
-    return (
-        (ids is None or len(set(ids)) == len(ids))
-        and all(type(c) is int for c in categories)
-        and 0 <= min(categories) <= max(categories) < NUM_CATEGORIES
-        and _in_unit(confidences)
-    )
 
 
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
     """Each box, each element's id (unique, when ``require_ids``), category
     and confidence. A record that fails the batch check is checked element by
     element, so the message names the first bad entry."""
-    if not elements:
+    if not elements or _traffic_pass(elements, require_ids):
         return
-    try:
-        confidences = _numbers([te.confidence for te in elements])
-        boxes = np.array([te.box for te in elements], dtype=float)
-        ids = [te.id for te in elements] if require_ids else None
-        if confidences is not None and _traffic_ok(boxes, ids, [te.category for te in elements], confidences):
-            return
-    except (TypeError, ValueError, OverflowError):  # ragged, not numeric, unhashable
-        pass
     _check_boxes(scene_id, elements)
     seen = set()
     for te in elements:
@@ -275,39 +290,26 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             )
 
 
-def _lanes_ok(
-    pts: np.ndarray, control_points: int | None, ids=None, scores=None, features=None, feature_width: int | None = None
-) -> bool:
+def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool, feature_width: int | None) -> bool:
     """True when a record's lanes pass every check of :func:`_check_lanes`,
     found in one batch on their stacked values: the (L, M, 3) control
     points and their count, and the ids (GT, unique) or the class scores
     (detection, in [0, 1]) and, with ``feature_width``, the (L, width)
-    features."""
+    features. False also when the values do not stack or a check cannot
+    run; the per-lane loop then decides."""
     try:
-        as_control_points(pts, batch=True)
-    except ValueError:
-        return False
-    if control_points is not None and pts.shape[1] != control_points:
-        return False
-    if ids is not None:
-        return len(set(ids)) == len(ids)
-    if feature_width is not None and (features is None or features.shape != (len(pts), feature_width)):
-        return False
-    return _in_unit(scores)
-
-
-def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool, feature_width: int | None) -> bool:
-    """:func:`_lanes_ok` of in-memory lanes; False also when their values do
-    not stack or a check cannot run, and the per-lane loop then decides."""
-    try:
-        pts = np.array([lane.ctrl for lane in lanes], dtype=float)
+        pts = as_control_points(np.array([lane.ctrl for lane in lanes], dtype=float), batch=True)
+        if control_points is not None and pts.shape[1] != control_points:
+            return False
         if gt:
-            return _lanes_ok(pts, control_points, ids=[lane.id for lane in lanes])
-        scores = _numbers([lane.class_score for lane in lanes])
-        features = None
-        if feature_width is not None and all(lane.feature is not None for lane in lanes):
+            ids = [lane.id for lane in lanes]
+            return len(set(ids)) == len(ids)
+        if feature_width is not None:
             features = np.array([lane.feature for lane in lanes], dtype=float)
-        return scores is not None and _lanes_ok(pts, control_points, None, scores, features, feature_width)
+            if features.shape != (len(lanes), feature_width):
+                return False
+        scores = _numbers([lane.class_score for lane in lanes])
+        return scores is not None and _in_unit(scores)
     except (TypeError, ValueError, OverflowError):
         return False
 
@@ -340,9 +342,24 @@ def _check_lanes(
             raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
         if not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
-        if feature_width is not None and np.shape(lane.feature) != (feature_width,):
-            got = "no feature" if lane.feature is None else f"a feature of shape {np.shape(lane.feature)}"
-            raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has {got}, expected width {feature_width}")
+        if feature_width is not None:
+            _check_feature(scene_id, idx, lane.feature, feature_width)
+
+
+def _check_feature(scene_id: str, idx: int, feature, width: int) -> None:
+    """The ``lanes.feature`` rule: lane ``idx`` carries a vector of ``width``."""
+    if np.shape(feature) != (width,):
+        got = "no feature" if feature is None else f"a feature of shape {np.shape(feature)}"
+        raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has {got}, expected width {width}")
+
+
+def lane_features(record: DetectionRecord, width: int) -> np.ndarray:
+    """The detector features of ``record``'s lanes as one (n, width) matrix.
+    A lane without a feature of that width is the ValidationError that the
+    loader raises for it."""
+    for idx, lane in enumerate(record.lanes):
+        _check_feature(record.scene_id, idx, lane.feature, width)
+    return np.array([lane.feature for lane in record.lanes], dtype=float).reshape(len(record.lanes), width)
 
 
 def edge_positions(scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -405,19 +422,20 @@ def _prob_matrices(record: PredictionRecord):
 
 
 # ---------------------------------------------------------------------------
-# reading, one entry at a time: the path of a record that fails a batch check
+# reading: each field of a record's entries converted as one array; entry by
+# entry only where that fails, so the first bad entry is named
 
 
-_NUMBER_TYPES = {int, float}  # exact types: a bool is an int subclass
-
-
-def _reals(value) -> np.ndarray:
-    """A JSON number, or nested lists of them, as a float array; bools,
-    strings and null entries are rejected, not coerced."""
+def _reals(value, ndim: int | None = None) -> np.ndarray:
+    """A JSON number, or nested lists of them, as a float array, after one
+    scan of its leaf types; bools, strings and null entries are rejected,
+    not coerced, and with ``ndim`` so is an array of another rank."""
     try:
         arr = np.asarray(value, dtype=float)
     except OverflowError:
         raise ValueError("number outside the float range") from None
+    if ndim is not None and arr.ndim != ndim:
+        raise ValueError(f"expected {ndim} dimensions, got {arr.ndim}")
     if not _NUMBER_TYPES.issuperset(map(type, _leaves(value, arr.ndim))):
         bad = next(v for v in _leaves(value, arr.ndim) if type(v) not in _NUMBER_TYPES)
         raise ValueError(f"expected numbers, got {bad!r}")
@@ -469,13 +487,67 @@ def _array(value) -> list:
     raise ValueError(f"expected an array, got {type(value).__name__}")
 
 
-def _integer(value) -> int:
-    """A JSON integer; bools and non-integral numbers are rejected."""
-    if type(value) is int:  # exact type: a bool is an int subclass
-        return value
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    raise ValueError(f"expected an integer, got {value!r}")
+def _feature(values, ndim: int = 1) -> np.ndarray:
+    """A detector feature, or with ``ndim`` 2 a stack of them, of finite numbers."""
+    feat = _reals(values)
+    if feat.ndim != ndim or not np.all(np.isfinite(feat)):
+        raise ValueError("expected a list of finite numbers")
+    return feat
+
+
+def _entries(obj: dict, name: str, stacked, one) -> list:
+    """The JSON array ``obj[name]`` as a list of records: ``stacked`` of all
+    its entries, which reads each field as one array and gives each record
+    arrays of its own, or, where that fails, ``one`` of each entry, which
+    names the first bad one."""
+    entries = _field(obj, name, _array)
+    if entries:
+        try:
+            return stacked(entries)
+        except (KeyError, TypeError, ValueError):  # an entry that is no object, a field missing or malformed
+            pass
+    return [one(entry) for entry in entries]
+
+
+def _column(entries: list, key: str, ndim: int) -> np.ndarray:
+    """The ``key`` values of the JSON objects ``entries`` as one float array."""
+    return _reals([entry[key] for entry in entries], ndim)
+
+
+def _integers(values: list) -> list:
+    """:func:`_integer` of each of ``values``, after one scan of their types."""
+    return values if {int}.issuperset(map(type, values)) else [_integer(v) for v in values]
+
+
+def _gt_lanes(entries: list) -> list[GtLane]:
+    ids = _integers([entry["id"] for entry in entries])
+    return [GtLane(i, ctrl.copy()) for i, ctrl in zip(ids, _column(entries, "ctrl", 3))]
+
+
+def _gt_lane(obj: dict) -> GtLane:
+    return GtLane(id=_field(obj, "lanes.id", _integer), ctrl=_field(obj, "lanes.ctrl"))
+
+
+def _pred_lanes(entries: list) -> list[PredLane]:
+    pts, scores = _column(entries, "ctrl", 3), _column(entries, "class_score", 1).tolist()
+    features = [None] * len(entries)
+    if any("feature" in entry for entry in entries):  # then every lane's, or a KeyError
+        features = [feat.copy() for feat in _feature([entry["feature"] for entry in entries], 2)]
+    return [PredLane(ctrl.copy(), score, feat) for ctrl, score, feat in zip(pts, scores, features)]
+
+
+def _pred_lane(obj: dict) -> PredLane:
+    return PredLane(
+        ctrl=_field(obj, "lanes.ctrl"),  # first: a lane that is no object fails here, named
+        class_score=_field(obj, "lanes.class_score", _real),
+        feature=_field(obj, "lanes.feature", _feature) if "feature" in obj else None,
+    )
+
+
+def _traffic(entries: list) -> list[TrafficElement]:
+    ids, categories = (_integers([entry[key] for entry in entries]) for key in ("id", "category"))
+    boxes, confidences = _column(entries, "box", 2), _column(entries, "confidence", 1).tolist()
+    return [TrafficElement(*te) for te in zip(ids, (box.copy() for box in boxes), categories, confidences)]
 
 
 def traffic_from_obj(obj: dict) -> TrafficElement:
@@ -492,20 +564,17 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
     scale = _field(obj, "scale", _real)
-    entries = _field(obj, "traffic", _array)
-    traffic = _traffic_batch(entries, require_ids=False)
-    if traffic is None:
-        traffic = [traffic_from_obj(te) for te in entries]
-        try:
-            _check_traffic("", traffic, require_ids=False)
-        except ValidationError as exc:
-            raise ValueError(f"field {exc.field!r}: {exc.message}") from exc
+    traffic = _entries(obj, "traffic", _traffic, traffic_from_obj)
+    try:
+        _check_traffic("", traffic, require_ids=False)
+    except ValidationError as exc:
+        raise ValueError(f"field {exc.field!r}: {exc.message}") from exc
     return scale, traffic
 
 
 def scene_from_obj(obj: dict) -> SceneRecord:
-    lanes = [GtLane(id=_field(l, "lanes.id", _integer), ctrl=_field(l, "lanes.ctrl")) for l in _field(obj, "lanes", _array)]
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
+    lanes = _entries(obj, "lanes", _gt_lanes, _gt_lane)
+    traffic = _entries(obj, "traffic", _traffic, traffic_from_obj)
     topo_ll, topo_lt = (
         _field(obj, name, lambda pairs: {(_integer(i), _integer(j)) for i, j in _array(pairs)}) if name in obj else set()
         for name in ("topo_ll", "topo_lt")
@@ -527,170 +596,20 @@ def _matrix(text, shape: tuple[int, int]) -> np.ndarray:
     return np.frombuffer(raw, "<f8").reshape(shape).astype(float)
 
 
-def _feature(values) -> np.ndarray:
-    feat = _reals(values)
-    if feat.ndim != 1 or not np.all(np.isfinite(feat)):
-        raise ValueError("expected a list of finite numbers")
-    return feat
-
-
-def _matrices(obj: dict, n: int, t: int, take: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """The (n, n) and (n, t) probability matrices of a prediction object."""
-    return (
-        _field(obj, "topo_ll_prob", functools.partial(_matrix, shape=(n, n)), take),
-        _field(obj, "topo_lt_prob", functools.partial(_matrix, shape=(n, t)), take),
-    )
-
-
 def detection_from_obj(obj: dict) -> DetectionRecord:
-    lanes = [
-        PredLane(
-            ctrl=_field(l, "lanes.ctrl"),  # first: a lane that is no object fails here, named
-            class_score=_field(l, "lanes.class_score", _real),
-            feature=_field(l, "lanes.feature", _feature) if "feature" in l else None,
-        )
-        for l in _field(obj, "lanes", _array)
-    ]
-    traffic = [traffic_from_obj(te) for te in _field(obj, "traffic", _array)]
+    """The record of a detection or prediction object. A prediction's base64
+    texts are taken out of ``obj`` as they are decoded."""
+    lanes = _entries(obj, "lanes", _pred_lanes, _pred_lane)
+    traffic = _entries(obj, "traffic", _traffic, traffic_from_obj)
     scene_id = _field(obj, "scene_id", _text)
-    if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
-        return PredictionRecord(scene_id, lanes, traffic, *_matrices(obj, len(lanes), len(traffic)))
-    return DetectionRecord(scene_id, lanes, traffic)
-
-
-# ---------------------------------------------------------------------------
-# reading: each well-formed record parsed and checked whole
-
-
-_INT_TYPES = {int}
-
-
-def _stack(values: list, depth: int) -> np.ndarray | None:
-    """``values``, each a JSON number in arrays nested ``depth`` deep, as one
-    float array of ``depth + 1`` dimensions, after one scan of the leaf
-    types; None when a leaf is no number (bool, string and null included)
-    or the values do not stack."""
-    leaves = values
-    for _ in range(depth):
-        leaves = chain.from_iterable(leaves)
-    try:
-        if _NUMBER_TYPES.issuperset(map(type, leaves)):
-            stack = np.array(values, dtype=float)
-            if stack.ndim == depth + 1:
-                return stack
-    except (TypeError, ValueError, OverflowError):  # no array, ragged, an integer beyond the float range
-        pass
-    return None
-
-
-def _lanes_batch(entries, gt: bool, control_points: int | None, feature_width: int | None = None) -> list | None:
-    """The lanes of a record's JSON array, parsed and checked in one batch,
-    each with arrays of its own; None when a batch check fails."""
-    if type(entries) is not list:
-        return None
-    if not entries:
-        return []
-    try:
-        pts = _stack([e["ctrl"] for e in entries], 2)
-        if gt:
-            ids = [e["id"] for e in entries]
-        else:
-            scores = _stack([e["class_score"] for e in entries], 0)
-            features = [e["feature"] for e in entries if "feature" in e]
-    except (KeyError, TypeError):  # an entry that is no object, or a field missing
-        return None
-    if pts is None:
-        return None
-    if gt:
-        if not _INT_TYPES.issuperset(map(type, ids)) or not _lanes_ok(pts, control_points, ids=ids):
-            return None
-        return [GtLane(i, c.copy()) for i, c in zip(ids, pts)]
-    stacked = None
-    if features:  # every lane's, finite, or the per-item path decides
-        stacked = _stack(features, 1) if len(features) == len(entries) else None
-        if stacked is None or not np.isfinite(stacked).all():
-            return None
-    if (
-        len(entries) > DEFAULT_QUERY_BUDGET
-        or scores is None
-        or not _lanes_ok(pts, control_points, scores=scores, features=stacked, feature_width=feature_width)
-    ):
-        return None
-    features = [None] * len(entries) if stacked is None else [f.copy() for f in stacked]
-    return [PredLane(c.copy(), s, f) for c, s, f in zip(pts, scores.tolist(), features)]
-
-
-def _traffic_batch(entries, require_ids: bool) -> list | None:
-    """:func:`_lanes_batch` for traffic elements."""
-    if type(entries) is not list:
-        return None
-    if not entries:
-        return []
-    try:
-        ids = [e["id"] for e in entries]
-        categories = [e["category"] for e in entries]
-        boxes = _stack([e["box"] for e in entries], 1)
-        confidences = _stack([e["confidence"] for e in entries], 0)
-    except (KeyError, TypeError):
-        return None
-    if (
-        boxes is None
-        or confidences is None
-        or not _INT_TYPES.issuperset(map(type, ids))
-        or not _traffic_ok(boxes, ids if require_ids else None, categories, confidences)
-    ):
-        return None
-    return [TrafficElement(*e) for e in zip(ids, (b.copy() for b in boxes), categories, confidences.tolist())]
-
-
-def _edges(pairs) -> set | None:
-    """A JSON array of [int, int] pairs as a set of tuples, or None."""
-    if type(pairs) is list and all(type(p) is list and len(p) == 2 for p in pairs):
-        if _INT_TYPES.issuperset(map(type, chain.from_iterable(pairs))):
-            return set(map(tuple, pairs))
-    return None
-
-
-def _scene_batch(obj, control_points: int | None) -> SceneRecord | None:
-    """The record of a well-formed scene object, parsed and checked a whole
-    record at a time; None when any batch check fails, and the per-item path
-    then decides and names the first bad entry."""
-    try:
-        scene = SceneRecord(
-            obj["scene_id"],
-            _lanes_batch(obj["lanes"], True, control_points),
-            _traffic_batch(obj["traffic"], require_ids=True),
-            *(_edges(obj.get(name, [])) for name in ("topo_ll", "topo_lt")),
-        )
-    except (KeyError, TypeError):  # no object, or a field missing
-        return None
-    if type(scene.scene_id) is not str or None in (scene.lanes, scene.traffic, scene.topo_ll, scene.topo_lt):
-        return None
-    try:
-        edge_positions(scene)
-    except ValidationError:
-        return None
-    return scene
-
-
-def _detection_batch(obj, control_points: int | None, feature_width: int | None) -> DetectionRecord | None:
-    """:func:`_scene_batch` for a detection or prediction object. A
-    prediction's base64 texts are taken out of ``obj`` as they are decoded."""
-    try:
-        record = DetectionRecord(
-            obj["scene_id"],
-            _lanes_batch(obj["lanes"], False, control_points, feature_width),
-            _traffic_batch(obj["traffic"], require_ids=False),
-        )
-    except (KeyError, TypeError):
-        return None
-    if type(record.scene_id) is not str or record.lanes is None or record.traffic is None:
-        return None
-    if "topo_ll_prob" in obj or "topo_lt_prob" in obj:
-        mats = _matrices(obj, len(record.lanes), len(record.traffic), take=True)
-        record = PredictionRecord(record.scene_id, record.lanes, record.traffic, *mats)
-        _check_probabilities(record)
-    return record
+    if "topo_ll_prob" not in obj and "topo_lt_prob" not in obj:
+        return DetectionRecord(scene_id, lanes, traffic)
+    n, t = len(lanes), len(traffic)
+    ll, lt = (
+        _field(obj, name, functools.partial(_matrix, shape=shape), take=True)
+        for name, shape in (("topo_ll_prob", (n, n)), ("topo_lt_prob", (n, t)))
+    )
+    return PredictionRecord(scene_id, lanes, traffic, ll, lt)
 
 
 # ---------------------------------------------------------------------------
@@ -827,12 +746,12 @@ def traffic_to_obj(te: TrafficElement) -> dict:
 # file I/O
 
 
-def _load_lines(path, batch, parse_obj, validate, control_points: int | None):
+def _load_lines(path, parse_obj, validate, control_points: int | None):
     """Parse and validate every non-blank line, each dropped once parsed:
-    ``batch(obj, control_points)`` is the record of a well-formed line, or
-    None, and then ``parse_obj`` and ``validate`` take it one entry at a time
-    and name the first bad one. A ``control_points`` of None is set from the
-    first lane of the file, and a count error then names that lane."""
+    ``parse_obj`` converts its JSON object and ``validate`` checks the
+    record as it checks one built in memory. A ``control_points`` of None is
+    set from the first lane of the file, and a count error then names that
+    lane."""
     out = []
     source = ""
     line_no = 0  # counted here: ``enumerate`` would hold on to the last line
@@ -844,16 +763,12 @@ def _load_lines(path, batch, parse_obj, validate, control_points: int | None):
             try:
                 obj = json.loads(line)
                 line = None
-                record = batch(obj, control_points)
-                per_item = record is None
-                if per_item:
-                    record = parse_obj(obj)
+                record = parse_obj(obj)
                 # a first lane with no point list infers nothing; its validation names it
                 if control_points is None and record.lanes and np.ndim(record.lanes[0].ctrl):
                     control_points = np.shape(record.lanes[0].ctrl)[0]
                     source = f" as the first lane of line {line_no}"
-                if per_item:
-                    validate(record, control_points)
+                validate(record, control_points)
             except ValidationError as exc:
                 message = exc.message
                 if source and exc.field == "lanes.ctrl" and message.endswith(f"control points, expected {control_points}"):
@@ -871,20 +786,15 @@ def load_scenes(path, control_points: int | None = None) -> list[SceneRecord]:
     When ``control_points`` is None, the count is inferred from the first
     lane and then enforced across the file.
     """
-    return _load_lines(path, _scene_batch, scene_from_obj, validate_scene, control_points)
+    return _load_lines(path, scene_from_obj, validate_scene, control_points)
 
 
 def load_detections(path, control_points: int | None = None, feature_width: int | None = None) -> list[DetectionRecord]:
     """:func:`load_scenes` for a detections or predictions file; with
     ``feature_width``, every lane must carry a detector feature of that
     width."""
-    return _load_lines(
-        path,
-        lambda obj, cp: _detection_batch(obj, cp, feature_width),
-        detection_from_obj,
-        lambda record, cp: validate_detection(record, cp, feature_width),
-        control_points,
-    )
+    validate = functools.partial(validate_detection, feature_width=feature_width)
+    return _load_lines(path, detection_from_obj, validate, control_points)
 
 
 def save_scenes(scenes: Iterable[SceneRecord], path) -> None:

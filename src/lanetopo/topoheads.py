@@ -40,10 +40,10 @@ from .dataio import (
     NUM_CATEGORIES,
     DetectionRecord,
     PredictionRecord,
-    PredLane,
     SceneRecord,
     TrafficElement,
     category_indices,
+    lane_features,
     validate_detection,
 )
 from .settings import Settings, setting
@@ -239,17 +239,15 @@ def init_params(cfg: HeadConfig) -> TopoHeadParams:
 _IMAGE_EXTENT = np.array([IMAGE_WIDTH, IMAGE_HEIGHT, IMAGE_WIDTH, IMAGE_HEIGHT], dtype=float)
 
 
-def lane_inputs(lanes: Sequence[PredLane], cfg: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
+def lane_inputs(detection: DetectionRecord, cfg: HeadConfig) -> tuple[np.ndarray, np.ndarray]:
     """The two lane embedders' inputs: control points over ``coord_scale``,
-    (n, 3M), and the detector features or, without them, the surrogate of
-    coordinates plus class score."""
+    (n, 3M), and the detector features (see ``lane_features``) or, without
+    them, the surrogate of coordinates plus class score."""
+    lanes = detection.lanes
     n = len(lanes)
     coords = np.array([l.ctrl for l in lanes], dtype=float).reshape(n, 3 * cfg.control_points) / cfg.coord_scale
     if cfg.detector_feature_width:
-        for i, l in enumerate(lanes):
-            if l.feature is None or np.shape(l.feature) != (cfg.detector_feature_width,):
-                raise ValueError(f"lane {i}: detector feature of width {cfg.detector_feature_width} required")
-        feats = np.array([l.feature for l in lanes], dtype=float).reshape(n, cfg.detector_feature_width)
+        feats = lane_features(detection, cfg.detector_feature_width)
     else:
         feats = np.hstack([coords, np.array([l.class_score for l in lanes], dtype=float)[:, None]])
     return coords, feats
@@ -584,7 +582,7 @@ def scene_targets_batch(pairs: Sequence[tuple[SceneRecord, DetectionRecord]], cf
     matches = assoc.hungarian_solve_batch(costs)
     return [
         SceneTargets(
-            lane_inputs(det.lanes, cfg),
+            lane_inputs(det, cfg),
             traffic_inputs(det.traffic),
             *assoc.project_edges(matches[2 * i], matches[2 * i + 1], scene),
             ~np.eye(len(det.lanes), dtype=bool),
@@ -725,7 +723,7 @@ def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndar
     """Sigmoid probabilities for both edge spaces; the lane-lane diagonal
     (self-loops) is forced to zero. OpenBLAS runs on one thread inside the
     call (see ``_PairThreads``)."""
-    lane_feats, _ = embed_lanes(lane_inputs(detection.lanes, params.config), params)
+    lane_feats, _ = embed_lanes(lane_inputs(detection, params.config), params)
     traffic_feats, _ = embed_traffic_batch(traffic_inputs(detection.traffic), params)
     # each head's logits are dropped before the next head's are built
     ll_p = stable_sigmoid(ll_logits(lane_feats, params)[0])

@@ -3,8 +3,9 @@
 Writer: the bytes of every scene, detection and prediction line, and of a
 ``tta-merge`` output, equal ``json.dumps`` of the dict builders kept in
 ``reference_codec.py``. Loader: a record loads equal, with arrays of its
-own, whether it passes the batch checks or goes the per-item way, and a
-mutated line gets the same record or the same error either way.
+own, whether its fields convert as stacked arrays and pass the validators'
+batch checks, or go entry by entry through both, and a mutated line gets
+the same record or the same error either way.
 """
 
 from __future__ import annotations
@@ -129,9 +130,16 @@ def test_tta_merge_output_is_the_json_dumps_of_the_reference_objects(tmp_path):
     assert dataio.traffic_json([]) == "[]"
 
 
-def per_item():
-    """Every record takes the per-item path: no batch check passes."""
-    return mock.patch.multiple(dataio, _lanes_ok=lambda *a, **k: False, _traffic_ok=lambda *a, **k: False)
+def _unstacked(entries, key, ndim):
+    raise ValueError("forced per-entry conversion")
+
+
+def per_entry():
+    """Every record goes entry by entry: no field converts as one stacked
+    array, and no validator batch check passes."""
+    return mock.patch.multiple(
+        dataio, _column=_unstacked, _lanes_pass=lambda *a, **k: False, _traffic_pass=lambda *a, **k: False
+    )
 
 
 def query_budget_files(tmp_path):
@@ -158,30 +166,33 @@ def arrays_of(records):
         yield from (te.box for te in r.traffic)
 
 
-def test_per_item_path_loads_the_batched_records_each_with_arrays_of_its_own(tmp_path):
+def test_per_entry_conversion_loads_the_stacked_records_each_with_arrays_of_its_own(tmp_path):
     scene_path, det_path = query_budget_files(tmp_path)
-    batched = dataio.load_scenes(scene_path), dataio.load_detections(det_path)
-    with per_item():
+    stacked = dataio.load_scenes(scene_path), dataio.load_detections(det_path)
+    with per_entry():
         one_at_a_time = dataio.load_scenes(scene_path), dataio.load_detections(det_path)
-    assert one_at_a_time == batched
-    for scenes, dets in (batched, one_at_a_time):
+    assert one_at_a_time == stacked
+    for scenes, dets in (stacked, one_at_a_time):
         for arr in arrays_of([*scenes, *dets]):
             assert arr.base is None and arr.dtype == np.float64 and arr.flags.c_contiguous
         for te in (te for r in [*scenes, *dets] for te in r.traffic):
             assert (type(te.id), type(te.category), type(te.confidence)) == (int, int, float)
         for lane in (lane for d in dets for lane in d.lanes):
             assert type(lane.class_score) is float
-    # the batch path was taken: the files load in the batch helpers without a fallback
-    with mock.patch.object(dataio, "scene_from_obj", side_effect=AssertionError), mock.patch.object(dataio, "detection_from_obj", side_effect=AssertionError):
-        assert (dataio.load_scenes(scene_path), dataio.load_detections(det_path)) == batched
+    # the stacked conversions and the batch checks were taken: no entry is
+    # converted or checked on its own
+    with contextlib.ExitStack() as stack:
+        for name in ("_gt_lane", "_pred_lane", "traffic_from_obj", "_geometry"):
+            stack.enter_context(mock.patch.object(dataio, name, side_effect=AssertionError))
+        assert (dataio.load_scenes(scene_path), dataio.load_detections(det_path)) == stacked
 
 
-@pytest.mark.parametrize("path", ["batch", "per-item"])
+@pytest.mark.parametrize("path", ["stacked", "per-entry"])
 def test_loader_feature_width_is_checked_on_both_paths(tmp_path, path):
     _, det_path = query_budget_files(tmp_path)  # line 2 has features of width 6, line 1 none
     second = tmp_path / "second.jsonl"
     second.write_text("\n" + det_path.read_text().splitlines()[1] + "\n")
-    with per_item() if path == "per-item" else contextlib.nullcontext():
+    with per_entry() if path == "per-entry" else contextlib.nullcontext():
         with pytest.raises(dataio.ValidationError, match=r"d\.jsonl:1: scene '\S+', field 'lanes.feature': lane 0 has no feature, expected width 6$"):
             dataio.load_detections(det_path, feature_width=6)
         with pytest.raises(dataio.ValidationError, match=r"second\.jsonl:2: scene '\S+', field 'lanes.feature': lane 0 has a feature of shape \(6,\), expected width 4$"):
@@ -236,18 +247,18 @@ def test_mutated_line_loads_or_fails_the_same_on_both_paths(tmp_path_factory, da
     path = tmp_path_factory.mktemp("paths") / "records.jsonl"
     path.write_text(json.dumps(obj) + "\n", encoding="utf-8")
     load = dataio.load_scenes if kind == "scene" else dataio.load_detections
-    batched = _outcome(load, path)
-    with per_item():
-        assert _outcome(load, path) == batched
+    stacked = _outcome(load, path)
+    with per_entry():
+        assert _outcome(load, path) == stacked
 
 
-@pytest.mark.parametrize("path", ["batch", "per-item"])
+@pytest.mark.parametrize("path", ["stacked", "per-entry"])
 def test_loader_enforces_the_query_budget_on_both_paths(tmp_path, path):
     lane = PredLane(np.zeros((4, 3)) + [0.0, 0.0, 1.0], 0.5)
     file = tmp_path / "d.jsonl"
     for n, error in ((dataio.DEFAULT_QUERY_BUDGET, None), (dataio.DEFAULT_QUERY_BUDGET + 1, "301 lanes exceed query budget 300")):
         dataio.save_detections([DetectionRecord("ok", [lane], []), DetectionRecord("s", [lane] * n, [])], file)
-        with per_item() if path == "per-item" else contextlib.nullcontext():
+        with per_entry() if path == "per-entry" else contextlib.nullcontext():
             if error is None:
                 assert len(dataio.load_detections(file)[1].lanes) == n
             else:

@@ -20,6 +20,8 @@ from lanetopo.dataio import (
     ValidationError,
 )
 
+import reference_codec
+
 
 def make_scene(scene_id="s0", rng=None):
     rng = rng or np.random.default_rng(0)
@@ -493,7 +495,7 @@ def test_save_detections_writes_the_json_dumps_bytes(tmp_path):
     records = [make_prediction('s"1\\'), empty, no_traffic, make_detection("d"), make_detection("f", with_feature=True)]
     p = tmp_path / "pred.jsonl"
     dataio.save_detections(records, p)
-    assert p.read_bytes() == "".join(json.dumps(dataio.detection_to_obj(r)) + "\n" for r in records).encode("utf-8")
+    assert p.read_bytes() == "".join(json.dumps(reference_codec.detection_to_obj(r)) + "\n" for r in records).encode("utf-8")
     assert dataio.load_detections(p) == records
 
 

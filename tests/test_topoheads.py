@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -25,6 +26,7 @@ from lanetopo.dataio import (
     TrafficElement,
     ValidationError,
     load_detections,
+    save_detections,
     validate_detection,
 )
 from lanetopo.assoc import project_edges
@@ -273,7 +275,7 @@ def test_focal_frees_a_temporary_input_and_keeps_four_buffers():
 
 
 def embed_one_lane(lane, params):
-    feats, _ = th.embed_lanes(th.lane_inputs([lane], params.config), params)
+    feats, _ = th.embed_lanes(th.lane_inputs(DetectionRecord("s", [lane], []), params.config), params)
     return feats[0]
 
 
@@ -339,6 +341,25 @@ def test_embed_lane_detector_feature_path():
     assert out == pytest.approx(expected[0])
     with pytest.raises(ValueError):
         embed_one_lane(PredLane(ctrl=np.zeros((3, 3)), class_score=1.0, feature=np.zeros(4)), params)
+
+
+@pytest.mark.parametrize("feature, got", [(None, "no feature"), (np.ones(4), "a feature of shape (4,)")])
+def test_train_and_predict_name_a_wrong_feature_as_the_loader_does(tmp_path, feature, got):
+    cfg = small_config(detector_feature_width=5)
+    scene, det = random_scene_pair(np.random.default_rng(4), n_lanes=3, m=cfg.control_points)
+    for lane in det.lanes:
+        lane.feature = np.ones(5)
+    det.lanes[1].feature = feature
+    path = tmp_path / "d.jsonl"
+    save_detections([det], path)
+    with pytest.raises(ValidationError) as loaded:
+        load_detections(path, cfg.control_points, cfg.detector_feature_width)
+    want = f"scene 's', field 'lanes.feature': lane 1 has {got}, expected width 5"
+    assert str(loaded.value) == f"{path}:1: {want}"
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        th.predict(det, th.init_params(cfg))
+    with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+        th.train([scene], [det], cfg=cfg)
 
 
 def test_embed_traffic_zero_params_and_onehot_block():
