@@ -132,7 +132,8 @@ def run_corrupt(opts: dict) -> int:
     scenes = dataio.load_scenes(opts["scenes_file"])
     noise = _config(synthgen.NoiseModel, opts)
     seed = _at_least(opts, "seed", 0)
-    detections = [synthgen.corrupt_scene(s, noise, [seed, i]) for i, s in enumerate(scenes)]
+    control_points = next((len(lane.ctrl) for s in scenes for lane in s.lanes), 4)  # as load_scenes inferred it
+    detections = [synthgen.corrupt_scene(s, noise, [seed, i], control_points) for i, s in enumerate(scenes)]
     dataio.save_detections(detections, opts["out"])
     print(f"corrupted {len(detections)} scenes -> {opts['out']}")
     return 0
@@ -229,8 +230,10 @@ def _levels(spec) -> list:
 def run_sweep(opts: dict) -> int:
     _require(opts, "params", "scenes_file", "out")
     params = topoheads.load_params(opts["params"])
-    # corrupt_scene keeps a scene's control-point count, so this load is its detections' check too
-    scenes = dataio.load_scenes(opts["scenes_file"], params.config.control_points)
+    # corrupt_scene keeps a scene's control-point count, and gives a lane-less
+    # scene the params' count, so this load is its detections' check too
+    control_points = params.config.control_points
+    scenes = dataio.load_scenes(opts["scenes_file"], control_points)
     if not scenes:
         raise ValueError(f"{opts['scenes_file']}: no scenes to evaluate")
     cfg = _config(metrics.DetMatchConfig, opts)
@@ -247,7 +250,7 @@ def run_sweep(opts: dict) -> int:
         per_seed = []
         for rep in range(seeds):
             preds_in = [
-                synthgen.corrupt_scene(s, noise, [seed, level_idx, rep, i])
+                synthgen.corrupt_scene(s, noise, [seed, level_idx, rep, i], control_points)
                 for i, s in enumerate(scenes)
             ]
             records = _predictions(preds_in, params)

@@ -44,6 +44,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .geometry import as_box, as_control_points
+from .settings import is_real
 
 NUM_CATEGORIES = 13
 CATEGORY_NAMES = (
@@ -191,7 +192,6 @@ def _check_boxes(scene_id: str, elements: Sequence[TrafficElement]) -> None:
             _geometry(as_box, te.box, scene_id, "traffic.box")
 
 
-_BOOLS = (bool, np.bool_)  # rejected where a number is expected, as the loader rejects JSON true
 _NUMBER_TYPES = {int, float}  # the JSON numbers, exact types: a bool is an int subclass
 
 
@@ -200,9 +200,7 @@ def _integer(value) -> int:
     is none, an integral float is one (2.0 reads as 2)."""
     if type(value) is int:  # the common case first: an ABC check costs ~0.4 us
         return value
-    if not isinstance(value, _BOOLS) and (
-        isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()
-    ):
+    if is_real(value) and (isinstance(value, numbers.Integral) or isinstance(value, float) and value.is_integer()):
         return int(value)
     raise ValueError(f"expected an integer, got {value!r}")
 
@@ -236,11 +234,10 @@ def _in_unit(values: np.ndarray) -> bool:
 
 def _numbers(values: list) -> np.ndarray | None:
     """In-memory scores or confidences as a float vector, or None where one
-    is a bool (an array would read True as 1.0), a string or an array."""
-    if not _NUMBER_TYPES.issuperset(map(type, values)) and any(isinstance(v, _BOOLS) for v in values):
-        return None
-    arr = np.array(values)
-    return arr if arr.dtype.kind in "iuf" and arr.shape == (len(values),) else None
+    is no real number (see ``is_real``); the per-entry check then names it."""
+    if _NUMBER_TYPES.issuperset(map(type, values)) or all(map(is_real, values)):
+        return np.array(values, dtype=float)
+    return None
 
 
 def _traffic_pass(elements: Sequence[TrafficElement], require_ids: bool) -> bool:
@@ -282,7 +279,7 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
         why = _category_error(te.category)
         if why:
             raise ValidationError(scene_id, "traffic.category", why)
-        if isinstance(te.confidence, _BOOLS):
+        if not is_real(te.confidence):
             raise ValidationError(scene_id, "traffic.confidence", f"expected a number, got {te.confidence!r}")
         if not (0.0 <= te.confidence <= 1.0):
             raise ValidationError(
@@ -306,7 +303,7 @@ def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool, feature_w
             return len(set(ids)) == len(ids)
         if feature_width is not None:
             features = np.array([lane.feature for lane in lanes], dtype=float)
-            if features.shape != (len(lanes), feature_width):
+            if features.shape != (len(lanes), feature_width) or not np.isfinite(features).all():
                 return False
         scores = _numbers([lane.class_score for lane in lanes])
         return scores is not None and _in_unit(scores)
@@ -338,7 +335,7 @@ def _check_lanes(
             )
         if gt:
             continue
-        if isinstance(lane.class_score, _BOOLS) or not isinstance(lane.class_score, numbers.Real):
+        if not is_real(lane.class_score):
             raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
         if not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
@@ -347,10 +344,17 @@ def _check_lanes(
 
 
 def _check_feature(scene_id: str, idx: int, feature, width: int) -> None:
-    """The ``lanes.feature`` rule: lane ``idx`` carries a vector of ``width``."""
+    """The ``lanes.feature`` rule: lane ``idx`` carries a vector of ``width``
+    finite numbers."""
     if np.shape(feature) != (width,):
         got = "no feature" if feature is None else f"a feature of shape {np.shape(feature)}"
         raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has {got}, expected width {width}")
+    try:
+        finite = np.isfinite(np.asarray(feature, dtype=float)).all()
+    except (TypeError, ValueError):  # an entry that is no number
+        finite = False
+    if not finite:
+        raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has a feature that is not {width} finite numbers")
 
 
 def lane_features(record: DetectionRecord, width: int) -> np.ndarray:

@@ -348,10 +348,15 @@ def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricRepor
     """All five scores plus breakdowns; vertex APs pool across scenes.
 
     An evaluation over zero scenes has nothing to score and raises
-    ``ValueError`` rather than reporting vacuous perfect scores.
+    ``ValueError`` rather than reporting vacuous perfect scores, as does a
+    record without probability matrices of its shape, in [0, 1].
     """
     if not gts:
         raise ValueError("no scenes to evaluate")
+    for p in predictions:
+        if not isinstance(p, dataio.PredictionRecord):
+            raise ValueError(f"scene {p.scene_id!r}: record carries no topology probabilities")
+        dataio._check_probabilities(p)
     cfg = cfg or DetMatchConfig()
     detl, lane_breakdown, lane_match = det_l(predictions, gts, cfg)
     dett, traffic_breakdown, traffic_match = det_t(predictions, gts, cfg)
@@ -375,7 +380,4 @@ def evaluate_files(predictions_path, scenes_path, cfg: DetMatchConfig | None = N
     gts = dataio.load_scenes(scenes_path)
     if not gts:
         raise ValueError(f"{scenes_path}: no scenes to evaluate")
-    for p in predictions:
-        if not isinstance(p, dataio.PredictionRecord):
-            raise ValueError(f"scene {p.scene_id!r}: record carries no topology probabilities")
     return evaluate(predictions, gts, cfg)

@@ -20,6 +20,12 @@ import numbers
 from dataclasses import field, fields
 
 
+def is_real(value) -> bool:
+    """A real number that is no bool: numpy's scalars count, an array or a
+    string does not (numpy's bool is no ``numbers.Real``)."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 class Rule:
     """One field's kind and interval, e.g. ``Rule(int, "[1, inf)")``."""
 
@@ -31,7 +37,7 @@ class Rule:
         self.open_lo, self.open_hi = interval[0] == "(", interval[-1] == ")"
 
     def _holds(self, v) -> bool:
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral if self.kind is int else numbers.Real):
+        if not is_real(v) or self.kind is int and not isinstance(v, numbers.Integral):
             return False
         if not isinstance(v, numbers.Integral) and not math.isfinite(v):
             return False

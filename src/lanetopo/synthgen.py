@@ -227,11 +227,12 @@ def _spurious_box(rng, next_id: int) -> TrafficElement:
     )
 
 
-def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed) -> DetectionRecord:
+def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed, control_points: int = 4) -> DetectionRecord:
     """Emulate an imperfect detector on one scene, deterministically.
 
     With the all-zero NoiseModel the output is the ground truth with
-    confidence 1.0 for every entity.
+    confidence 1.0 for every entity. Spurious lanes take the scene's
+    control-point count, or ``control_points`` when it has no lane.
     """
     rng = np.random.default_rng(seed)
     lanes: list[PredLane] = []
@@ -243,7 +244,7 @@ def corrupt_scene(scene: SceneRecord, noise: NoiseModel, seed) -> DetectionRecor
             continue
         ctrl = lane.ctrl + noise.ctrl_sigma * jitter
         lanes.append(PredLane(ctrl=ctrl, class_score=min(max(1.0 - noise.conf_noise * u_conf, 0.0), 1.0)))
-    m = scene.lanes[0].ctrl.shape[0] if scene.lanes else 4
+    m = scene.lanes[0].ctrl.shape[0] if scene.lanes else control_points
     extent = float(np.max(np.abs(np.concatenate([l.ctrl for l in scene.lanes])[:, :2]))) if scene.lanes else 50.0
     lanes += _spurious_lanes(rng, rng.poisson(noise.spurious_rate), extent, np.linspace(0.0, 1.0, m))
     lanes = lanes[:DEFAULT_QUERY_BUDGET]
@@ -310,7 +311,7 @@ def generate_dataset(
     if len(counts) != 3:
         raise ValueError(f"split fractions (train, val, test) must be 3 numbers, got {len(counts)}")
     scenes = [generate_scene(cfg, i) for i in range(cfg.scenes)]
-    detections = [corrupt_scene(s, noise, [cfg.seed, 10007, i]) for i, s in enumerate(scenes)]
+    detections = [corrupt_scene(s, noise, [cfg.seed, 10007, i], cfg.control_points) for i, s in enumerate(scenes)]
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

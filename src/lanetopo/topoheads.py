@@ -18,16 +18,15 @@ update with a from-scratch AdamW.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
 import threading
 import time
 from collections import Counter, deque
-from contextvars import ContextVar
 from dataclasses import dataclass, field, asdict, fields
 from pathlib import Path
-from queue import SimpleQueue
 from typing import Callable, Sequence
 
 import numpy as np
@@ -286,11 +285,11 @@ def embed_traffic_batch(inputs: np.ndarray, params: TopoHeadParams):
 # scene one row per block
 _PAIR_BLOCK = 1 << 15
 
-# Inside train and predict, a kernel call of at least this many blocks shares
-# them with the helper thread: a ~300-lane scene's calls have ~300, a
-# default 16-20-lane scene's 1-2. On a 2-vCPU host whose second vCPU is often
-# time-sliced away, a training step that split every call of 4 or more
-# blocks ran 0.92-1.01x as fast from 24 to 150 lanes, and 1.22-1.44x at 300.
+# A kernel call of at least this many blocks shares them with a helper
+# thread: a ~300-lane scene's calls have ~300, a default 16-20-lane scene's
+# 1-2. On a 2-vCPU host whose second vCPU is often time-sliced away, a
+# training step that split every call of 4 or more blocks ran 0.92-1.01x as
+# fast from 24 to 150 lanes, and 1.22-1.44x at 300.
 _SPLIT_BLOCKS = 256
 
 
@@ -322,74 +321,23 @@ def _openblas_threads():
     return None
 
 
-class _PairThreads:
-    """The threading of one ``train`` or ``predict`` call.
-
-    OpenBLAS is held to one thread, so that its worker neither spins nor
-    competes with the helper, and the caller's count comes back on exit.
-    The helper thread starts with the first kernel call large enough to
-    split, and is joined on exit. The thread count is process-global, so
-    concurrent callers are not supported.
-    """
-
-    def __enter__(self):
-        self._helper = None
-        self._blas = _openblas_threads()
-        if self._blas is not None:
-            self._saved = self._blas[0]()
-            self._blas[1](1)
-        self._token = _PAIR_THREADS.set(self)
-        return self
-
-    def __exit__(self, *exc_info):
-        _PAIR_THREADS.reset(self._token)
-        try:
-            if self._helper is not None:
-                self._tasks.put(None)
-                self._helper.join()
-        finally:
-            if self._blas is not None:
-                self._blas[1](self._saved)
-
-    def split(self, first: Callable[[], None], second: Callable[[], None]) -> None:
-        """Run ``second`` on the helper thread while ``first`` runs here;
-        return once both have ended, raising the first one's error, else the second's."""
-        if self._helper is None:
-            self._tasks, self._ends = SimpleQueue(), SimpleQueue()
-            self._helper = threading.Thread(target=self._serve, name="lanetopo-pairs")
-            self._helper.start()
-        self._tasks.put(second)
-        try:
-            first()
-        finally:
-            error = self._ends.get()
-        if error is not None:
-            raise error
-
-    def _serve(self):
-        for task in iter(self._tasks.get, None):
-            try:
-                task()
-            except BaseException as exc:  # raised again by the caller, in split
-                error = exc
-            else:
-                error = None
-            del task  # it holds the kernel's arrays: drop them before the caller goes on
-            self._ends.put(error)
-
-
-_PAIR_THREADS: ContextVar[_PairThreads | None] = ContextVar("_PAIR_THREADS", default=None)
-
-
-def _pair_threaded(fn):
-    """Run every call of ``fn`` inside its own ``_PairThreads``."""
-
-    @functools.wraps(fn)
-    def call(*args, **kwargs):
-        with _PairThreads():
-            return fn(*args, **kwargs)
-
-    return call
+@contextlib.contextmanager
+def _one_blas_thread():
+    """OpenBLAS held to one thread, so that its workers neither spin nor
+    compete with the pair kernels' helper thread; the caller's count comes
+    back on exit, on error too. The count is process-global, so concurrent
+    callers are not supported."""
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, put = blas
+    saved = get()
+    put(1)
+    try:
+        yield
+    finally:
+        put(saved)
 
 
 def _blockwise(n: int, m: int, hidden: int, work: Callable[[slice, np.ndarray], None]) -> None:
@@ -397,20 +345,15 @@ def _blockwise(n: int, m: int, hidden: int, work: Callable[[slice, np.ndarray], 
     ``buffer`` a float64 (block rows, m, hidden) scratch array that the block
     may overwrite.
 
-    Inside ``train`` and ``predict``, from ``_SPLIT_BLOCKS`` blocks on, the
-    calling thread and the helper take blocks in turn from one queue, so a
-    helper that starts late takes fewer. The calling thread allocates both
-    threads' buffers. Each block writes only its own rows, so every result
-    keeps its bits.
+    From ``_SPLIT_BLOCKS`` blocks on, a helper thread started here and the
+    calling thread take blocks in turn from one deque, so a helper that
+    starts late takes fewer; the helper is joined before the call returns,
+    which raises the caller's error first, else the helper's. Each block
+    writes only its own rows, so every result keeps its bits.
     """
     blocks = deque(_pair_blocks(n, m, hidden))  # popleft is atomic: each block is taken once
-    threads = _PAIR_THREADS.get()
-    if threads is None or len(blocks) < _SPLIT_BLOCKS:
-        buffer = np.empty((blocks[0].stop if blocks else 0, m, hidden))
-        for rows in blocks:
-            work(rows, buffer[: rows.stop - rows.start])
-        return
-    buffers = np.empty((2, blocks[0].stop, m, hidden))
+    split = len(blocks) >= _SPLIT_BLOCKS
+    buffers = np.empty((1 + split, blocks[0].stop if blocks else 0, m, hidden))
 
     def run(buffer):
         while True:
@@ -420,7 +363,25 @@ def _blockwise(n: int, m: int, hidden: int, work: Callable[[slice, np.ndarray], 
                 return
             work(rows, buffer[: rows.stop - rows.start])
 
-    threads.split(lambda: run(buffers[0]), lambda: run(buffers[1]))
+    if not split:
+        run(buffers[0])
+        return
+    errors = []
+
+    def helper():
+        try:
+            run(buffers[1])
+        except BaseException as exc:  # raised again by the caller, below
+            errors.append(exc)
+
+    thread = threading.Thread(target=helper, name="lanetopo-pairs")
+    thread.start()
+    try:
+        run(buffers[0])
+    finally:
+        thread.join()
+    if errors:
+        raise errors[0]
 
 
 def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols: slice, right_cols: slice):
@@ -659,7 +620,7 @@ def _pair_by_scene_id(scenes, detections, what: str):
     return [(s, by_id[s.scene_id]) for s in scenes]
 
 
-@_pair_threaded
+@_one_blas_thread()
 def train(
     train_scenes: Sequence[SceneRecord],
     train_detections: Sequence[DetectionRecord],
@@ -675,7 +636,7 @@ def train(
     targets are built once, before the first epoch, in one stacked
     Hungarian solve. ``on_epoch(epoch, stats)`` runs as each epoch
     ends (``epoch`` counts from 0), after its entries are in ``stats``.
-    OpenBLAS runs on one thread inside the call (see ``_PairThreads``).
+    OpenBLAS runs on one thread inside the call (see ``_one_blas_thread``).
     """
     cfg = cfg or HeadConfig()
     if not train_scenes:
@@ -718,11 +679,11 @@ def train(
     return params, stats
 
 
-@_pair_threaded
+@_one_blas_thread()
 def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndarray, np.ndarray]:
     """Sigmoid probabilities for both edge spaces; the lane-lane diagonal
     (self-loops) is forced to zero. OpenBLAS runs on one thread inside the
-    call (see ``_PairThreads``)."""
+    call (see ``_one_blas_thread``)."""
     lane_feats, _ = embed_lanes(lane_inputs(detection, params.config), params)
     traffic_feats, _ = embed_traffic_batch(traffic_inputs(detection.traffic), params)
     # each head's logits are dropped before the next head's are built

@@ -399,6 +399,39 @@ def test_sweep_single_zero_level_equals_evaluate(dataset, trained, tmp_path, cap
     assert (out / "sweep.csv").exists()
 
 
+@pytest.fixture()
+def five_point_laneless(tmp_path):
+    """A 5-point scenes file whose second scene has no lane, and params
+    trained for 5 points."""
+    data = tmp_path / "data5"
+    assert run(["generate", "--scenes", "4", "--seed", "2", "--lanes", "3,4", "--traffic", "2,3", "--control-points", "5", "--out", str(data)]) == 0
+    scenes = dataio.load_scenes(data / "train_scenes.jsonl")
+    scenes[1] = dataio.SceneRecord(scenes[1].scene_id, [], scenes[1].traffic)
+    path = tmp_path / "laneless.jsonl"
+    dataio.save_scenes(scenes, path)
+    out = tmp_path / "run5"
+    assert run(small_train_args(data, out, ("--control-points", "5"))) == 0
+    return path, out / "params.json"
+
+
+def test_corrupt_gives_a_laneless_scene_the_files_control_point_count(five_point_laneless, tmp_path, capsys):
+    scenes, params = five_point_laneless
+    dets, preds = tmp_path / "det.jsonl", tmp_path / "pred.jsonl"
+    assert run(["corrupt", "--scenes-file", str(scenes), "--seed", "1", "--spurious-rate", "3", "--out", str(dets)]) == 0
+    laneless = dataio.load_detections(dets, 5)[1]
+    assert laneless.lanes and all(lane.ctrl.shape == (5, 3) for lane in laneless.lanes)
+    assert run(["predict", "--params", str(params), "--detections", str(dets), "--out", str(preds)]) == 0
+    assert "error" not in capsys.readouterr().err
+
+
+def test_sweep_gives_a_laneless_scene_the_params_control_point_count(five_point_laneless, tmp_path, capsys):
+    scenes, params = five_point_laneless
+    levels = json.dumps([{"spurious_rate": 3.0}])
+    code = run(["sweep", "--params", str(params), "--scenes-file", str(scenes), "--out", str(tmp_path / "sweep"), "--seeds", "1", "--levels", levels])
+    assert code == 0, capsys.readouterr().err
+    assert len(json.loads((tmp_path / "sweep" / "sweep.json").read_text())["levels"]) == 1
+
+
 def test_sweep_high_noise_degrades_detection(dataset, trained, tmp_path, capsys):
     out = tmp_path / "sweep2"
     code = run(

@@ -262,6 +262,30 @@ def test_class_score_out_of_range():
         dataio.validate_detection(det)
 
 
+@pytest.mark.parametrize("value", ["0.5", None, [0.5], np.array([0.5]), True, np.True_])
+def test_a_confidence_that_is_no_number_is_named_as_a_class_score_is(value):
+    det = make_detection()
+    det.lanes[1].class_score = value
+    with pytest.raises(ValidationError) as score:
+        dataio.validate_detection(det)
+    det = make_detection()
+    det.traffic[1].confidence = value
+    with pytest.raises(ValidationError) as confidence:
+        dataio.validate_detection(det)
+    scene = SceneRecord("s0", [], det.traffic)
+    with pytest.raises(ValidationError) as in_scene:
+        dataio.validate_scene(scene)
+    assert (score.value.field, confidence.value.field, in_scene.value.field) == ("lanes.class_score", "traffic.confidence", "traffic.confidence")
+    assert score.value.message == confidence.value.message == in_scene.value.message == f"expected a number, got {value!r}"
+
+
+@pytest.mark.parametrize("value", [0.5, np.float32(0.25), np.float64(1.0), 1, np.int64(0)])
+def test_numpy_and_integer_confidences_are_numbers(value):
+    det = make_detection()
+    det.traffic[1].confidence = value
+    dataio.validate_detection(det)
+
+
 def test_query_budget_enforced():
     det = make_detection()
     det.lanes = [det.lanes[0]] * dataio.DEFAULT_QUERY_BUDGET

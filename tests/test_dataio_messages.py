@@ -1,7 +1,8 @@
 """Error-message parity for record checks, entry by entry.
 
 One bad entry is put at lane 0, 10 or 19 of a 20-lane scene or detection
-record, which is then checked two ways: in memory with
+record, or at traffic element 0, 10 or the last of its 17, which is then
+checked two ways: in memory with
 ``validate_scene`` / ``validate_detection`` (control_points=4), and
 through a JSONL file with ``load_scenes`` / ``load_detections``. The full
 text of each error, or null where the record is accepted, is compared
@@ -77,6 +78,46 @@ def _flat(ctrl):
     ctrl[:] = [v for point in ctrl for v in point]
 
 
+def _element(obj, idx) -> int:
+    """The traffic position for lane position ``idx``: the last for 19."""
+    return min(idx, len(obj["traffic"]) - 1)
+
+
+def _set_traffic(key, value):
+    def mutate(obj, idx):
+        obj["traffic"][_element(obj, idx)][key] = value
+
+    return mutate
+
+
+def _box(edit):
+    def mutate(obj, idx):
+        edit(obj["traffic"][_element(obj, idx)]["box"])
+
+    return mutate
+
+
+def _short_box(box):
+    del box[3]
+
+
+def _inverted_box(box):
+    box[0], box[2] = box[2], box[0]
+
+
+def _nan_box(box):
+    box[1] = math.nan
+
+
+def _string_box(box):
+    box[2] = "x"
+
+
+def _duplicate_traffic_id(obj, idx):
+    traffic, k = obj["traffic"], _element(obj, idx)
+    traffic[k]["id"] = traffic[(k + 1) % len(traffic)]["id"]
+
+
 def _duplicate_id(obj, idx):
     obj["lanes"][idx]["id"] = obj["lanes"][(idx + 1) % LANES]["id"]
 
@@ -134,9 +175,31 @@ COMMON = {
     "wrong_m_everywhere": _every_lane(_three_points),
     "nan_everywhere": _every_lane(_nan),
 }
+TRAFFIC = {
+    "box_short": _box(_short_box),
+    "box_inverted": _box(_inverted_box),
+    "box_nan": _box(_nan_box),
+    "box_string": _box(_string_box),
+    "traffic_id_duplicate": _duplicate_traffic_id,
+    "traffic_id_fraction": _set_traffic("id", 2.5),
+    "traffic_id_true": _set_traffic("id", True),
+    "category_above": _set_traffic("category", 13),
+    "category_negative": _set_traffic("category", -1),
+    "category_fraction": _set_traffic("category", 2.5),
+    "category_true": _set_traffic("category", True),
+    "category_string": _set_traffic("category", "2"),
+    "confidence_nan": _set_traffic("confidence", math.nan),
+    "confidence_negative": _set_traffic("confidence", -0.1),
+    "confidence_above": _set_traffic("confidence", 1.5),
+    "confidence_true": _set_traffic("confidence", True),
+    "confidence_string": _set_traffic("confidence", "0.5"),
+    "confidence_null": _set_traffic("confidence", None),
+    "confidence_list": _set_traffic("confidence", [0.5]),
+}
 CASES = {
     "scene": {
         **COMMON,
+        **TRAFFIC,
         "duplicate_id": _duplicate_id,
         "duplicate_id_then_nan": _two(_duplicate_id, _later_nan),
         "unknown_ll": _unknown_ll,
@@ -151,6 +214,7 @@ CASES = {
         "score_string": _set("class_score", "0.5"),
         "score_then_nan": _two(_set("class_score", -0.1), _later_nan),
         "wrong_m_then_nan": _two(_ctrl(_three_points), _later_nan),
+        **TRAFFIC,
     },
 }
 

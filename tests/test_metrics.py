@@ -493,6 +493,25 @@ def test_evaluate_names_an_unknown_topology_id(field, kind):
         evaluate(preds, scenes)
 
 
+@pytest.mark.parametrize("field", ["topo_ll_prob", "topo_lt_prob"])
+@pytest.mark.parametrize("value", [np.nan, 7.0, -0.5])
+def test_evaluate_rejects_probabilities_outside_the_unit_interval(field, value):
+    cfg = GeneratorConfig(scenes=2, seed=17)
+    scenes = [generate_scene(cfg, i) for i in range(2)]
+    preds = [perfect_prediction(s) for s in scenes]
+    getattr(preds[1], field)[0, 1] = value
+    with pytest.raises(ValidationError, match=f"^scene 'scene-00001', field '{field}': probabilities outside \\[0, 1\\]$"):
+        evaluate(preds, scenes)
+
+
+def test_evaluate_rejects_a_misshapen_probability_matrix():
+    scene = generate_scene(GeneratorConfig(scenes=1, seed=17), 0)
+    pred = perfect_prediction(scene)
+    pred.topo_lt_prob = pred.topo_lt_prob[:, :-1]
+    with pytest.raises(ValidationError, match="field 'topo_lt_prob': shape"):
+        evaluate([pred], [scene])
+
+
 def test_evaluate_rejects_zero_scenes():
     with pytest.raises(ValueError, match="no scenes"):
         evaluate([], [])

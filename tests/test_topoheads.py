@@ -362,6 +362,35 @@ def test_train_and_predict_name_a_wrong_feature_as_the_loader_does(tmp_path, fea
         th.train([scene], [det], cfg=cfg)
 
 
+@pytest.mark.parametrize("feature", [[1.0, np.nan, 2.0], [1.0, np.inf, 2.0], [1.0, "x", 2.0]], ids=["nan", "inf", "string"])
+def test_validation_train_and_predict_reject_a_non_finite_feature(feature):
+    cfg = small_config(detector_feature_width=3)
+    scene, det = random_scene_pair(np.random.default_rng(5), n_lanes=3, m=cfg.control_points)
+    for lane in det.lanes:
+        lane.feature = np.ones(3)
+    det.lanes[1].feature = feature
+    params = th.init_params(cfg)
+    want = "scene 's', field 'lanes.feature': lane 1 has a feature that is not 3 finite numbers"
+    for call in (
+        lambda: validate_detection(det, feature_width=3),
+        lambda: th.predict_records([det], params),
+        lambda: th.predict(det, params),
+        lambda: th.train([scene], [det], cfg=cfg),
+    ):
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            call()
+
+
+@pytest.mark.parametrize("confidence", ["0.5", np.array([0.5])])
+def test_predict_records_names_a_confidence_that_is_no_number(confidence):
+    cfg = small_config()
+    params = th.init_params(cfg)
+    _, det = random_scene_pair(np.random.default_rng(21), n_lanes=3, n_traffic=2, m=cfg.control_points)
+    det.traffic[1].confidence = confidence
+    with pytest.raises(ValidationError, match=r"field 'traffic.confidence': expected a number, got"):
+        th.predict_records([det], params)
+
+
 def test_embed_traffic_zero_params_and_onehot_block():
     cfg = small_config()
     zero = th.TopoHeadParams(cfg)
@@ -698,15 +727,16 @@ needs_blas = pytest.mark.skipif(BLAS is None, reason="no OpenBLAS thread-count e
 
 @pytest.fixture
 def splits(monkeypatch):
-    """The kernel calls that gave half of their blocks to the helper thread."""
+    """The helper threads that kernel calls started, one per call that split."""
     calls = []
-    split = th._PairThreads.split
 
-    def counted(self, first, second):
-        calls.append(self)
-        return split(self, first, second)
+    class Counted(threading.Thread):
+        def start(self):
+            if self.name == "lanetopo-pairs":
+                calls.append(self)
+            super().start()
 
-    monkeypatch.setattr(th._PairThreads, "split", counted)
+    monkeypatch.setattr(th.threading, "Thread", Counted)
     return calls
 
 
@@ -755,10 +785,11 @@ def test_split_pair_kernels_give_the_unsplit_bytes(name, n, m, splits, monkeypat
         shifted = proj_r + head.biases[0]
         return logits, th._masked_sums(d, proj_l, shifted), th._masked_sums(d.T, shifted, proj_l)
 
-    alone = kernels()  # outside train and predict nothing splits
+    with monkeypatch.context() as unsplit_here:
+        unsplit(unsplit_here)
+        alone = kernels()
     assert not splits
-    with th._PairThreads():
-        both = kernels()
+    both = kernels()
     assert len(splits) == 3
     for a, b in zip(alone, both):
         assert a.tobytes() == b.tobytes()
@@ -775,9 +806,10 @@ def test_split_scene_step_and_predict_give_the_unsplit_bytes(n, m, splits, monke
     cfg = th.HeadConfig(seed=31)
     params = th.init_params(cfg)
     targets = th.scene_targets(det, scene, cfg)
-    loss_alone = th.scene_loss_and_grads(targets, params)
-    with th._PairThreads():
-        loss_both = th.scene_loss_and_grads(targets, params)
+    with monkeypatch.context() as unsplit_here:
+        unsplit(unsplit_here)
+        loss_alone = th.scene_loss_and_grads(targets, params)
+    loss_both = th.scene_loss_and_grads(targets, params)
     predicted_both = th.predict(det, params)
     assert splits
     assert loss_both[:2] == loss_alone[:2]
@@ -812,16 +844,28 @@ def test_an_error_on_the_helper_thread_reaches_the_caller_and_the_next_call_work
     params = th.init_params(cfg)
     feats = np.random.default_rng(32).normal(size=(17, cfg.feature_dim))
     want = th.ll_logits(feats, params)[0]
-    with th._PairThreads():
-        with pytest.raises(ZeroDivisionError, match="block"):
-            th._blockwise(9, 1, th._PAIR_BLOCK, helper_fails)
-        assert th.ll_logits(feats, params)[0].tobytes() == want.tobytes()
-        # the caller's own error wins, raised only once the helper has taken
-        # and finished every other block
-        with pytest.raises(KeyError):
-            th._blockwise(9, 1, th._PAIR_BLOCK, caller_fails)
-        assert sorted(taken) == list(range(9))
-        assert th.ll_logits(feats, params)[0].tobytes() == want.tobytes()
+    with pytest.raises(ZeroDivisionError, match="block"):
+        th._blockwise(9, 1, th._PAIR_BLOCK, helper_fails)
+    assert th.ll_logits(feats, params)[0].tobytes() == want.tobytes()
+    # the caller's own error wins, raised only once the helper has taken
+    # and finished every other block
+    with pytest.raises(KeyError):
+        th._blockwise(9, 1, th._PAIR_BLOCK, caller_fails)
+    assert sorted(taken) == list(range(9))
+    assert th.ll_logits(feats, params)[0].tobytes() == want.tobytes()
+
+
+def test_every_block_is_taken_once_under_a_short_switch_interval():
+    taken = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # the two threads take turns as often as the interpreter allows
+    try:
+        for _ in range(5):
+            taken.clear()
+            th._blockwise(2000, 1, th._PAIR_BLOCK, lambda rows, buffer: taken.append(rows.start))
+            assert sorted(taken) == list(range(2000))
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @needs_blas
@@ -849,6 +893,17 @@ def test_a_default_sized_scene_starts_no_thread(splits):
     th.predict(det, params)
     assert during == [before, before] and threading.active_count() == before
     assert not splits
+
+
+def test_no_thread_outlives_a_query_budget_train_or_predict_call(splits):
+    scene, det = query_budget_pair()
+    before = threading.enumerate()
+    params, _ = th.train([scene], [det], cfg=th.HeadConfig(epochs=1, seed=36))
+    # one step: both heads' logits and their two masked sums each split
+    assert len(splits) == 6 and threading.enumerate() == before
+    th.predict(det, params)
+    assert len(splits) == 8 and threading.enumerate() == before
+    assert not any(thread.is_alive() for thread in splits)
 
 
 @needs_blas
