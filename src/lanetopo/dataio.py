@@ -243,7 +243,7 @@ def _numbers(values: list) -> np.ndarray | None:
 def _traffic_pass(elements: Sequence[TrafficElement], require_ids: bool) -> bool:
     """True when a record's traffic passes every check of
     :func:`_check_traffic`, found in one batch on its stacked values: the
-    (t, 4) boxes, the ids (unique, when ``require_ids``), the categories
+    (t, 4) boxes, the ids (ints, unique when ``require_ids``), the categories
     (ints in range) and the confidences (in [0, 1]). False also when the
     values do not stack or a check cannot run; the per-element loop then
     decides."""
@@ -253,7 +253,8 @@ def _traffic_pass(elements: Sequence[TrafficElement], require_ids: bool) -> bool
         ids = [te.id for te in elements]
         categories = [te.category for te in elements]
         return (
-            (not require_ids or len(set(ids)) == len(ids))
+            {int}.issuperset(map(type, ids))
+            and (not require_ids or len(set(ids)) == len(ids))
             and {int}.issuperset(map(type, categories))
             and 0 <= min(categories) <= max(categories) < NUM_CATEGORIES
             and confidences is not None
@@ -264,14 +265,15 @@ def _traffic_pass(elements: Sequence[TrafficElement], require_ids: bool) -> bool
 
 
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
-    """Each box, each element's id (unique, when ``require_ids``), category
-    and confidence. A record that fails the batch check is checked element by
-    element, so the message names the first bad entry."""
+    """Each box, each element's id (an integer, unique when ``require_ids``),
+    category and confidence. A record that fails the batch check is checked
+    element by element, so the message names the first bad entry."""
     if not elements or _traffic_pass(elements, require_ids):
         return
     _check_boxes(scene_id, elements)
     seen = set()
     for te in elements:
+        _geometry(_integer, te.id, scene_id, "traffic.id")
         if require_ids:
             if te.id in seen:
                 raise ValidationError(scene_id, "traffic.id", f"duplicate id {te.id}")
@@ -287,42 +289,36 @@ def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_id
             )
 
 
-def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool, feature_width: int | None) -> bool:
+def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool) -> bool:
     """True when a record's lanes pass every check of :func:`_check_lanes`,
     found in one batch on their stacked values: the (L, M, 3) control
-    points and their count, and the ids (GT, unique) or the class scores
-    (detection, in [0, 1]) and, with ``feature_width``, the (L, width)
-    features. False also when the values do not stack or a check cannot
-    run; the per-lane loop then decides."""
+    points and their count, and the ids (GT, unique ints) or the class
+    scores (detection, in [0, 1]). False also when the values do not stack
+    or a check cannot run; the per-lane loop then decides."""
     try:
         pts = as_control_points(np.array([lane.ctrl for lane in lanes], dtype=float), batch=True)
         if control_points is not None and pts.shape[1] != control_points:
             return False
         if gt:
             ids = [lane.id for lane in lanes]
-            return len(set(ids)) == len(ids)
-        if feature_width is not None:
-            features = np.array([lane.feature for lane in lanes], dtype=float)
-            if features.shape != (len(lanes), feature_width) or not np.isfinite(features).all():
-                return False
+            return {int}.issuperset(map(type, ids)) and len(set(ids)) == len(ids)
         scores = _numbers([lane.class_score for lane in lanes])
         return scores is not None and _in_unit(scores)
     except (TypeError, ValueError, OverflowError):
         return False
 
 
-def _check_lanes(
-    scene_id: str, lanes: Sequence, control_points: int | None, gt: bool, feature_width: int | None = None
-) -> None:
-    """Each lane's control points and their count, and each GT lane's id
-    (unique) or each detected lane's class score (in [0, 1]) and, with
-    ``feature_width``, its feature. A record that fails the batch check is
-    checked lane by lane, so the message names the first bad entry."""
-    if _lanes_pass(lanes, control_points, gt, feature_width):
+def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt: bool) -> None:
+    """Each lane's control points and their count, and each GT lane's id (an
+    integer, unique) or each detected lane's class score (in [0, 1]). A
+    record that fails the batch check is checked lane by lane, so the
+    message names the first bad entry."""
+    if _lanes_pass(lanes, control_points, gt):
         return
     seen = set()
     for idx, lane in enumerate(lanes):
         if gt:
+            _geometry(_integer, lane.id, scene_id, "lanes.id")
             if lane.id in seen:
                 raise ValidationError(scene_id, "lanes.id", f"duplicate id {lane.id}")
             seen.add(lane.id)
@@ -339,31 +335,53 @@ def _check_lanes(
             raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
         if not (0.0 <= lane.class_score <= 1.0):
             raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
-        if feature_width is not None:
-            _check_feature(scene_id, idx, lane.feature, feature_width)
 
 
-def _check_feature(scene_id: str, idx: int, feature, width: int) -> None:
-    """The ``lanes.feature`` rule: lane ``idx`` carries a vector of ``width``
-    finite numbers."""
-    if np.shape(feature) != (width,):
-        got = "no feature" if feature is None else f"a feature of shape {np.shape(feature)}"
-        raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has {got}, expected width {width}")
+def _shape(value) -> tuple | None:
+    """``np.shape(value)``, or None where ``value`` is ragged."""
     try:
-        finite = np.isfinite(np.asarray(feature, dtype=float)).all()
-    except (TypeError, ValueError):  # an entry that is no number
-        finite = False
-    if not finite:
-        raise ValidationError(scene_id, "lanes.feature", f"lane {idx} has a feature that is not {width} finite numbers")
+        return np.shape(value)
+    except ValueError:
+        return None
 
 
-def lane_features(record: DetectionRecord, width: int) -> np.ndarray:
-    """The detector features of ``record``'s lanes as one (n, width) matrix.
-    A lane without a feature of that width is the ValidationError that the
-    loader raises for it."""
-    for idx, lane in enumerate(record.lanes):
-        _check_feature(record.scene_id, idx, lane.feature, width)
-    return np.array([lane.feature for lane in record.lanes], dtype=float).reshape(len(record.lanes), width)
+def lane_features(record: DetectionRecord, width: int | None = None) -> np.ndarray | None:
+    """The ``lanes.feature`` rule, and the detector features of ``record``'s
+    lanes as one (n, width) matrix: every lane carries a vector of ``width``
+    finite numbers (no bools), or, with ``width`` None, every lane carries
+    one of the width of the first lane's that does, or none does (None is
+    returned then). A lane that breaks the rule is the ValidationError that
+    the loader raises for it, naming the first bad lane."""
+    features = [lane.feature for lane in record.lanes]
+    if width is None and all(f is None for f in features):
+        return None
+    if all(isinstance(f, np.ndarray) and f.dtype.kind in "iuf" for f in features):  # the loader's: one batch
+        stack = np.array(features, dtype=float) if len({f.shape for f in features}) == 1 else None
+        if stack is not None and stack.ndim == 2 and width in (None, stack.shape[1]) and np.isfinite(stack).all():
+            return stack
+
+    def fail(idx: int, message: str):
+        raise ValidationError(record.scene_id, "lanes.feature", f"lane {idx} has {message}")
+
+    source = ""
+    if width is None:  # the first lane that carries a feature sets it
+        first = next(idx for idx, f in enumerate(features) if f is not None)
+        shape = _shape(features[first])
+        if shape is None or len(shape) != 1:
+            fail(first, "a feature that is not a vector of finite numbers")
+        width, source = shape[0], f" as on lane {first}"
+    for idx, feature in enumerate(features):
+        shape = _shape(feature)
+        if feature is None or shape is not None and shape != (width,):
+            got = "no feature" if feature is None else f"a feature of shape {shape}"
+            fail(idx, f"{got}, expected width {width}{source}")
+        if isinstance(feature, np.ndarray):
+            numeric = feature.dtype.kind in "iuf"
+        else:  # a bool or a string is no number here, as in the loader
+            numeric = shape is not None and all(map(is_real, feature))
+        if not (numeric and np.isfinite(np.asarray(feature, dtype=float)).all()):
+            fail(idx, f"a feature that is not {width} finite numbers")
+    return np.array(features, dtype=float).reshape(len(features), width)
 
 
 def edge_positions(scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
@@ -397,13 +415,15 @@ def validate_scene(scene: SceneRecord, control_points: int | None = None) -> Non
 def validate_detection(
     record: DetectionRecord, control_points: int | None = None, feature_width: int | None = None
 ) -> None:
-    """Check every DetectionRecord invariant; with ``feature_width``, every
-    lane must carry a detector feature of that width."""
+    """Check every DetectionRecord invariant; every lane must carry a
+    detector feature of ``feature_width``, or, where that is None, of one
+    width or none (see ``lane_features``)."""
     if len(record.lanes) > DEFAULT_QUERY_BUDGET:
         raise ValidationError(
             record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {DEFAULT_QUERY_BUDGET}"
         )
-    _check_lanes(record.scene_id, record.lanes, control_points, False, feature_width)
+    _check_lanes(record.scene_id, record.lanes, control_points, gt=False)
+    lane_features(record, feature_width)
     _check_traffic(record.scene_id, record.traffic, require_ids=False)
     if isinstance(record, PredictionRecord):
         _check_probabilities(record)
@@ -794,9 +814,9 @@ def load_scenes(path, control_points: int | None = None) -> list[SceneRecord]:
 
 
 def load_detections(path, control_points: int | None = None, feature_width: int | None = None) -> list[DetectionRecord]:
-    """:func:`load_scenes` for a detections or predictions file; with
-    ``feature_width``, every lane must carry a detector feature of that
-    width."""
+    """:func:`load_scenes` for a detections or predictions file. Each
+    record's lanes carry detector features as ``lane_features`` rules: of
+    ``feature_width`` each, or, where that is None, of one width or none."""
     validate = functools.partial(validate_detection, feature_width=feature_width)
     return _load_lines(path, detection_from_obj, validate, control_points)
 

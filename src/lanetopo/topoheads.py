@@ -280,17 +280,21 @@ def embed_traffic_batch(inputs: np.ndarray, params: TopoHeadParams):
     return mlp_forward(params.traffic_embedder, inputs)
 
 
-# hidden (forward) or mask (backward) entries per block of pair rows (256 KiB
-# as float64, cache-resident): a 16-lane scene is one block, a ~300 x 300
-# scene one row per block
-_PAIR_BLOCK = 1 << 15
+# hidden (forward) or mask (backward) entries per block of pair rows: 1 MiB
+# as float64, half of one core's 2 MiB L2. A 16-20-lane scene's call is one
+# block, a ~300 x 300 call about 100 blocks of three rows.
+_PAIR_BLOCK = 1 << 17
 
-# A kernel call of at least this many blocks shares them with a helper
-# thread: a ~300-lane scene's calls have ~300, a default 16-20-lane scene's
-# 1-2. On a 2-vCPU host whose second vCPU is often time-sliced away, a
-# training step that split every call of 4 or more blocks ran 0.92-1.01x as
-# fast from 24 to 150 lanes, and 1.22-1.44x at 300.
-_SPLIT_BLOCKS = 256
+# A kernel call of at least this many pairs, n * m, shares its blocks with a
+# helper thread, whatever the hidden width H: from 223 rows at 295 columns,
+# or 219 columns at 300 rows, so a ~300-lane scene's calls split and a
+# default 16-20-lane scene's never do. On a 2-vCPU host whose second vCPU
+# is often time-sliced away, a training step that split every call of 4 or
+# more one-row blocks ran 0.92-1.01x as fast from 24 to 150 lanes, and
+# 1.22-1.44x at 300 (H = 128). With both vCPUs running, from H = 3 to 128,
+# a step split from 256 x 256 pairs on was never slower (parity at H = 3,
+# 1.16-1.55x from H = 8), and one of 120 x 120 pairs at H = 8 ran 0.83x.
+_SPLIT_PAIRS = 1 << 16
 
 
 def _pair_blocks(n: int, m: int, hidden: int):
@@ -345,14 +349,14 @@ def _blockwise(n: int, m: int, hidden: int, work: Callable[[slice, np.ndarray], 
     ``buffer`` a float64 (block rows, m, hidden) scratch array that the block
     may overwrite.
 
-    From ``_SPLIT_BLOCKS`` blocks on, a helper thread started here and the
-    calling thread take blocks in turn from one deque, so a helper that
+    From ``_SPLIT_PAIRS`` pairs (n * m) on, a helper thread started here and
+    the calling thread take blocks in turn from one deque, so a helper that
     starts late takes fewer; the helper is joined before the call returns,
     which raises the caller's error first, else the helper's. Each block
     writes only its own rows, so every result keeps its bits.
     """
     blocks = deque(_pair_blocks(n, m, hidden))  # popleft is atomic: each block is taken once
-    split = len(blocks) >= _SPLIT_BLOCKS
+    split = n * m >= _SPLIT_PAIRS
     buffers = np.empty((1 + split, blocks[0].stop if blocks else 0, m, hidden))
 
     def run(buffer):
@@ -390,11 +394,13 @@ def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols
     The head's first layer sees row i of ``left`` through its input
     columns ``left_cols`` and row j of ``right`` through ``right_cols``, so
     it is the broadcast sum of two per-side projections. The hidden layer
-    is built a block of left rows at a time and never kept.
+    is built a block of left rows at a time and never kept. The cache holds
+    ``proj_l`` and ``shifted``, the right side's projection plus the first
+    bias, built in place: the backward needs no other form of it.
     """
     w1, w2, b2 = head.weights[0], head.weights[1][0], head.biases[1][0]
-    proj_l, proj_r = left @ w1[:, left_cols].T, right @ w1[:, right_cols].T
-    shifted = proj_r + head.biases[0]
+    proj_l, shifted = left @ w1[:, left_cols].T, right @ w1[:, right_cols].T
+    shifted += head.biases[0]
     out = np.empty((len(left), len(right)))
 
     def block(rows, hidden):
@@ -404,7 +410,7 @@ def _pair_logits(head: MlpParams, left: np.ndarray, right: np.ndarray, left_cols
         out[rows] += b2
 
     _blockwise(len(left), len(right), len(w2), block)
-    return out, {"proj": (proj_l, proj_r), "sides": ((left, left_cols), (right, right_cols))}
+    return out, {"proj": (proj_l, shifted), "sides": ((left, left_cols), (right, right_cols))}
 
 
 def _masked_sums(d: np.ndarray, near: np.ndarray, far: np.ndarray) -> np.ndarray:
@@ -432,11 +438,11 @@ def _pair_backward(head: MlpParams, head_grads: MlpParams, cache: dict, dlogits:
     Only the rectifier mask of each pair enters, never its hidden value.
     With G_l[i] = sum_j dlogits[i, j] * mask[i, j] and G_r[j] the same sum
     over i (see _masked_sums), relu(a + b) = (a + b) * mask gives
-    dw2 = sum_i proj_l[i] * G_l[i] + sum_j shifted[j] * G_r[j].
+    dw2 = sum_i proj_l[i] * G_l[i] + sum_j shifted[j] * G_r[j], where
+    shifted = proj_r + b1 comes from the forward's cache.
     """
-    (proj_l, proj_r), ((left, left_cols), (right, right_cols)) = cache["proj"], cache["sides"]
+    (proj_l, shifted), ((left, left_cols), (right, right_cols)) = cache["proj"], cache["sides"]
     w1, w2 = head.weights[0], head.weights[1][0]
-    shifted = proj_r + head.biases[0]
     g_left = _masked_sums(dlogits, proj_l, shifted)
     g_right = _masked_sums(dlogits.T, shifted, proj_l)
     head_grads.weights[1][0] += np.einsum("ih,ih->h", proj_l, g_left) + np.einsum("jh,jh->h", shifted, g_right)
@@ -684,9 +690,10 @@ def predict(detection: DetectionRecord, params: TopoHeadParams) -> tuple[np.ndar
     """Sigmoid probabilities for both edge spaces; the lane-lane diagonal
     (self-loops) is forced to zero. OpenBLAS runs on one thread inside the
     call (see ``_one_blas_thread``)."""
-    lane_feats, _ = embed_lanes(lane_inputs(detection, params.config), params)
-    traffic_feats, _ = embed_traffic_batch(traffic_inputs(detection.traffic), params)
-    # each head's logits are dropped before the next head's are built
+    # the embedders' backward caches are dropped before the pair kernels run,
+    # and each head's logits before the next head's are built
+    lane_feats = embed_lanes(lane_inputs(detection, params.config), params)[0]
+    traffic_feats = embed_traffic_batch(traffic_inputs(detection.traffic), params)[0]
     ll_p = stable_sigmoid(ll_logits(lane_feats, params)[0])
     np.fill_diagonal(ll_p, 0.0)
     return ll_p, stable_sigmoid(lt_logits(lane_feats, traffic_feats, params)[0])

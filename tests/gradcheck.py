@@ -81,12 +81,12 @@ def min_abs_preactivation(targets, params):
     traffic_feats, traffic_cache = th.embed_traffic_batch(targets.traffic_in, params)
     _, ll_cache = th.ll_logits(lane_feats, params)
     _, lt_cache = th.lt_logits(lane_feats, traffic_feats, params)
-    # the pair heads keep only their per-side projections: rebuild the
-    # hidden pre-activation of every pair from them and the first bias
+    # the pair heads keep only their per-side projections, the right one
+    # shifted by the first bias: rebuild the hidden pre-activation of every pair
     pres = []
-    for head, cache in ((params.ll_head, ll_cache), (params.lt_head, lt_cache)):
-        proj_l, proj_r = cache["proj"]
-        pres.append(proj_l[:, None, :] + (proj_r + head.biases[0]))
+    for cache in (ll_cache, lt_cache):
+        proj_l, shifted = cache["proj"]
+        pres.append(proj_l[:, None, :] + shifted)
     for cache in (*lane_cache, traffic_cache):
         pres.extend(cache["pre"][:-1])  # last layer is identity, no kink
     smallest = np.inf

@@ -181,6 +181,20 @@ def test_predict_feature_mismatch_names_the_file_line_and_field(tmp_path, capsys
     assert not (tmp_path / "o").exists()
 
 
+def test_predict_rejects_features_on_some_lanes_only_naming_the_file_line_and_field(tmp_path, capsys):
+    # params trained without detector features: the features would go unused
+    topoheads.save_params(topoheads.init_params(topoheads.HeadConfig(feature_dim=8, mlp_hidden=8)), tmp_path / "params.json")
+    lanes = [dataio.PredLane(np.zeros((4, 3)) + k, 1.0) for k in range(4)]
+    odd = [dataio.PredLane(lane.ctrl, 1.0, np.ones(3) if k % 2 else None) for k, lane in enumerate(lanes)]
+    bad = tmp_path / "bad.jsonl"
+    dataio.save_detections([dataio.DetectionRecord("a", lanes, []), dataio.DetectionRecord("b", odd, [])], bad)
+    code = run(["predict", "--params", str(tmp_path / "params.json"), "--detections", str(bad), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}:2: scene 'b', field 'lanes.feature': lane 0 has no feature, expected width 3 as on lane 1\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_train_feature_width_names_the_detections_file(dataset, tmp_path, capsys):
     # the generated detections carry no features
     code = run(small_train_args(dataset, tmp_path / "run", ["--detector-feature-width", "8"]))

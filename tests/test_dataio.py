@@ -286,6 +286,58 @@ def test_numpy_and_integer_confidences_are_numbers(value):
     dataio.validate_detection(det)
 
 
+@pytest.mark.parametrize(
+    "value, accepted",
+    [(2.5, False), (True, False), (np.True_, False), ("2", False), (None, False), (3.0, True), (np.int64(3), True)],
+    ids=repr,
+)
+@pytest.mark.parametrize("where", ["scene lanes", "scene traffic", "detection traffic"])
+def test_an_in_memory_id_that_is_no_integer_is_rejected_and_an_accepted_one_loads_back_equal(tmp_path, where, value, accepted):
+    # the writer formats ids with %d: a fraction accepted here would be saved as another id
+    kind, entries = where.split()
+    if kind == "scene":
+        record, validate, save, load = make_scene(), dataio.validate_scene, dataio.save_scenes, dataio.load_scenes
+        record.topo_ll, record.topo_lt = set(), set()
+    else:
+        record, validate, save, load = make_detection(), dataio.validate_detection, dataio.save_detections, dataio.load_detections
+    getattr(record, entries)[1].id = value
+    if not accepted:
+        with pytest.raises(ValidationError) as info:
+            validate(record)
+        assert (info.value.field, info.value.message) == (f"{entries}.id", f"expected an integer, got {value!r}")
+        return
+    validate(record)
+    save([record], tmp_path / "r.jsonl")
+    assert load(tmp_path / "r.jsonl") == [record]
+
+
+@pytest.mark.parametrize(
+    "feature",
+    [[[1.0, 2.0], [3.0]], [True, 0, 1], np.array([True, False, True]), ["1", "2", "3"], [1.0, None, 2.0]],
+    ids=["ragged", "bools", "bool-array", "strings", "none-entry"],
+)
+@pytest.mark.parametrize("width", [3, None])
+def test_an_in_memory_feature_that_is_no_vector_of_numbers_is_named(feature, width):
+    det = make_detection()
+    for lane in det.lanes:
+        lane.feature = np.ones(3)
+    det.lanes[1].feature = feature
+    with pytest.raises(ValidationError) as info:
+        dataio.validate_detection(det, 4, width)
+    assert (info.value.field, info.value.message) == ("lanes.feature", "lane 1 has a feature that is not 3 finite numbers")
+
+
+@pytest.mark.parametrize("feature", [[1, 2.0, np.float32(3.0)], np.arange(3), np.ones(3, dtype=np.float32), (0.5, 1, 2)])
+def test_in_memory_features_of_ints_floats_and_numpy_numbers_pass(feature):
+    det = make_detection()
+    for lane in det.lanes:
+        lane.feature = np.ones(3)
+    det.lanes[1].feature = feature
+    dataio.validate_detection(det, 4, 3)
+    dataio.validate_detection(det, 4)
+    assert dataio.lane_features(det, 3)[1].tolist() == [float(v) for v in feature]
+
+
 def test_query_budget_enforced():
     det = make_detection()
     det.lanes = [det.lanes[0]] * dataio.DEFAULT_QUERY_BUDGET

@@ -154,6 +154,17 @@ def _two(*mutations):
     return mutate
 
 
+def _features(edit):
+    """A width-3 feature on every lane, then ``edit`` of lane ``idx``'s entry."""
+
+    def mutate(obj, idx):
+        for lane in obj["lanes"]:
+            lane["feature"] = [0.5, 1.0, 1.5]
+        edit(obj["lanes"][idx])
+
+    return mutate
+
+
 def _not_object(obj, idx):
     obj["lanes"][idx] = 5
 
@@ -202,6 +213,8 @@ CASES = {
         **TRAFFIC,
         "duplicate_id": _duplicate_id,
         "duplicate_id_then_nan": _two(_duplicate_id, _later_nan),
+        "lane_id_fraction": _set("id", 2.5),
+        "lane_id_true": _set("id", True),
         "unknown_ll": _unknown_ll,
         "unknown_lt": _unknown_lt,
     },
@@ -214,6 +227,11 @@ CASES = {
         "score_string": _set("class_score", "0.5"),
         "score_then_nan": _two(_set("class_score", -0.1), _later_nan),
         "wrong_m_then_nan": _two(_ctrl(_three_points), _later_nan),
+        "feature_one_lane": _set("feature", [0.5, 1.0, 1.5]),
+        "feature_missing": _features(lambda lane: lane.pop("feature")),
+        "feature_short": _features(lambda lane: lane.update(feature=[0.5, 1.0])),
+        "feature_true": _features(lambda lane: lane.update(feature=[0.5, True, 1.5])),
+        "feature_ragged": _features(lambda lane: lane.update(feature=[[0.5, 1.0], [1.5]])),
         **TRAFFIC,
     },
 }
@@ -230,7 +248,7 @@ def _in_memory(kind: str, obj):
         if kind == "scene":
             lanes = [GtLane(l["id"], l["ctrl"]) for l in obj["lanes"]]
             return SceneRecord(obj["scene_id"], lanes, _traffic(obj), set(map(tuple, obj["topo_ll"])), set(map(tuple, obj["topo_lt"])))
-        lanes = [PredLane(l["ctrl"], l["class_score"]) for l in obj["lanes"]]
+        lanes = [PredLane(l["ctrl"], l["class_score"], l.get("feature")) for l in obj["lanes"]]
         return DetectionRecord(obj["scene_id"], lanes, _traffic(obj))
     except (KeyError, TypeError):
         return None

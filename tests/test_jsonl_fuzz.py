@@ -28,7 +28,8 @@ def _valid_lines() -> dict:
     gen = synthgen.GeneratorConfig(scenes=1, seed=3, lanes_per_scene=(3, 3), traffic_per_scene=(2, 2))
     scene = synthgen.generate_scene(gen, 0)
     det = synthgen.corrupt_scene(scene, synthgen.NoiseModel(), 0)
-    det.lanes[0].feature = np.array([0.25, -1.5, 3.0])
+    for k, lane in enumerate(det.lanes):  # every lane or none: one feature width per record
+        lane.feature = np.array([0.25, -1.5, 3.0]) * (k + 1)
     n, t = len(det.lanes), len(det.traffic)
     rng = np.random.default_rng(0)
     pred = PredictionRecord(det.scene_id, det.lanes, det.traffic, rng.uniform(size=(n, n)), rng.uniform(size=(n, t)))

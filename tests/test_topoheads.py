@@ -381,6 +381,30 @@ def test_validation_train_and_predict_reject_a_non_finite_feature(feature):
             call()
 
 
+@pytest.mark.parametrize(
+    "widths, want",
+    [
+        ((None, 3, None), "lane 0 has no feature, expected width 3 as on lane 1"),
+        ((3, 3, 4), "lane 2 has a feature of shape (4,), expected width 3 as on lane 0"),
+    ],
+    ids=["some-lanes", "two-widths"],
+)
+def test_mixed_features_are_rejected_under_params_trained_without_them(tmp_path, widths, want):
+    cfg = small_config()
+    _, det = random_scene_pair(np.random.default_rng(6), n_lanes=3, m=cfg.control_points)
+    for lane, width in zip(det.lanes, widths):
+        lane.feature = None if width is None else np.ones(width)
+    want = f"scene 's', field 'lanes.feature': {want}"
+    path = tmp_path / "d.jsonl"
+    save_detections([det], path)
+    with pytest.raises(ValidationError) as loaded:
+        load_detections(path, cfg.control_points, cfg.detector_feature_width)
+    assert str(loaded.value) == f"{path}:1: {want}"
+    for call in (lambda: validate_detection(det), lambda: th.predict_records([det], th.init_params(cfg))):
+        with pytest.raises(ValidationError, match=f"^{re.escape(want)}$"):
+            call()
+
+
 @pytest.mark.parametrize("confidence", ["0.5", np.array([0.5])])
 def test_predict_records_names_a_confidence_that_is_no_number(confidence):
     cfg = small_config()
@@ -556,8 +580,8 @@ def test_pair_kernel_across_blocks_matches_dense_heads():
 @pytest.mark.parametrize("n, m", [(8, 300), (300, 8), (1, 1), (1, 7), (7, 1), (0, 5), (5, 0), (0, 0)])
 @pytest.mark.parametrize("name", ["ll_head", "lt_head"])
 def test_pair_backward_matches_dense_head_at_kinks_ragged_blocks_and_empty_sides(name, n, m):
-    # default width: at 8 x 300 the 8-row side takes one-row blocks and the
-    # 300-row side (the transposed sum) blocks of 32 rows, the last ragged
+    # default width: at 8 x 300 the 8-row side takes blocks of 3 rows and the
+    # 300-row side (the transposed sum) blocks of 128 rows, the last of each ragged
     cfg = th.HeadConfig(seed=18)
     params = th.init_params(cfg)
     rng = np.random.default_rng(18)
@@ -565,8 +589,7 @@ def test_pair_backward_matches_dense_head_at_kinks_ragged_blocks_and_empty_sides
     cols = (slice(0, c), slice(c, 2 * c)) if name == "ll_head" else (slice(None), slice(None))
     left, right = rng.normal(size=(n, c)), rng.normal(size=(m, c))
     _, cache = th._pair_logits(head, left, right, *cols)
-    proj_l, proj_r = cache["proj"]
-    shifted = proj_r + head.biases[0]
+    proj_l, shifted = cache["proj"]
     # exact-zero pre-activations: unit h of pair (i, partner[i]) for about half the units
     planted = np.zeros(proj_l.shape, dtype=bool)
     if m:
@@ -753,19 +776,19 @@ def caller_blas_threads():
 
 
 def unsplit(monkeypatch):
-    monkeypatch.setattr(th, "_SPLIT_BLOCKS", 10**9)
+    monkeypatch.setattr(th, "_SPLIT_PAIRS", 10**18)
 
 
-# 300 x 295: one-row blocks, as at the query budget; 17 x 295 with the
-# split size lowered to 4: 17 one-row blocks, and the transposed masked
-# sum 20 blocks of 15 rows
+# 300 x 295: blocks of 3 rows, as at the query budget; 17 x 295 with the
+# split size lowered to 4: 6 blocks of 3 rows, the last ragged, and the
+# transposed masked sum 5 blocks of 60 rows
 SPLIT_SHAPES = [(300, 295), (17, 295)]
 
 
 def split_from(n, monkeypatch):
-    assert th._SPLIT_BLOCKS <= 295
-    if n < th._SPLIT_BLOCKS:
-        monkeypatch.setattr(th, "_SPLIT_BLOCKS", 4)
+    assert th._SPLIT_PAIRS <= 300 * 295
+    if n * 295 < th._SPLIT_PAIRS:
+        monkeypatch.setattr(th, "_SPLIT_PAIRS", 4)
 
 
 @pytest.mark.parametrize("n, m", SPLIT_SHAPES)
@@ -781,8 +804,7 @@ def test_split_pair_kernels_give_the_unsplit_bytes(name, n, m, splits, monkeypat
 
     def kernels():
         logits, cache = th._pair_logits(head, left, right, *cols)
-        proj_l, proj_r = cache["proj"]
-        shifted = proj_r + head.biases[0]
+        proj_l, shifted = cache["proj"]
         return logits, th._masked_sums(d, proj_l, shifted), th._masked_sums(d.T, shifted, proj_l)
 
     with monkeypatch.context() as unsplit_here:
@@ -823,7 +845,7 @@ def test_split_scene_step_and_predict_give_the_unsplit_bytes(n, m, splits, monke
 
 
 def test_an_error_on_the_helper_thread_reaches_the_caller_and_the_next_call_works(monkeypatch):
-    monkeypatch.setattr(th, "_SPLIT_BLOCKS", 4)
+    monkeypatch.setattr(th, "_SPLIT_PAIRS", 4)
     caller = threading.current_thread()
     assert len(list(th._pair_blocks(9, 1, th._PAIR_BLOCK))) == 9  # one row each
     taken = []
@@ -904,6 +926,53 @@ def test_no_thread_outlives_a_query_budget_train_or_predict_call(splits):
     th.predict(det, params)
     assert len(splits) == 8 and threading.enumerate() == before
     assert not any(thread.is_alive() for thread in splits)
+
+
+@pytest.mark.parametrize("split", [True, False], ids=["split", "unsplit"])
+def test_a_query_budget_step_and_predict_keep_their_bytes_at_the_old_block_size(split, splits, monkeypatch):
+    scene, det = query_budget_pair()
+    cfg = th.HeadConfig(seed=37)
+    params = th.init_params(cfg)
+    params.flat += np.random.default_rng(37).normal(scale=0.05, size=params.flat.size)  # off the init
+    targets = th.scene_targets(det, scene, cfg)
+    if not split:
+        unsplit(monkeypatch)
+
+    def outputs():
+        loss_ll, loss_lt, grads = th.scene_loss_and_grads(targets, params)
+        return [np.array([loss_ll, loss_lt]).tobytes(), grads.flat.tobytes(), *(p.tobytes() for p in th.predict(det, params))]
+
+    now = outputs()
+    with monkeypatch.context() as old:
+        old.setattr(th, "_PAIR_BLOCK", 1 << 15)  # one-row blocks at 300 x 295
+        assert outputs() == now
+    # a step's six kernel calls and a prediction's two, both times
+    assert len(splits) == (16 if split else 0)
+
+
+@pytest.mark.parametrize("hidden", [8, 64, 128])
+@pytest.mark.parametrize("block", [1 << 15, 1 << 17], ids=["2^15", "2^17"])
+def test_the_split_follows_the_pair_count_alone(block, hidden, splits, monkeypatch):
+    monkeypatch.setattr(th, "_PAIR_BLOCK", block)
+    for n, m, split in ((223, 295, True), (222, 295, False), (300, 219, True), (300, 218, False), (256, 256, True), (255, 256, False)):
+        splits.clear()
+        th._blockwise(n, m, hidden, lambda rows, buffer: None)
+        assert len(splits) == split, (n, m)
+
+
+def test_a_query_budget_step_splits_its_six_kernel_calls_and_smaller_scenes_start_no_thread(splits):
+    cfg = th.HeadConfig(seed=38)
+    params = th.init_params(cfg)
+    scene, det = query_budget_pair()
+    th.scene_loss_and_grads(th.scene_targets(det, scene, cfg), params)
+    assert len(splits) == 6
+    splits.clear()
+    rng = np.random.default_rng(38)
+    for n in (17, 150):
+        scene, det = random_scene_pair(rng, n_lanes=n, n_traffic=n, m=cfg.control_points)
+        th.scene_loss_and_grads(th.scene_targets(det, scene, cfg), params)
+        th.predict(det, params)
+    assert not splits
 
 
 @needs_blas
