@@ -25,8 +25,9 @@ Every line is read one way: ``json.loads``, then ``scene_from_obj`` /
 ``detection_from_obj``, then the ``validate_scene`` / ``validate_detection``
 that records built in memory go through. The converters read each field of
 a record's lanes and traffic as one array, and go entry by entry only where
-that fails, to name the first bad entry; the validators check a record in
-one batch, and lane by lane only to name the first bad one.
+that fails, to name the first bad entry. The validators run one rule per field,
+in field order (boxes first), each on the entries before the first bad one so
+far, so the error names the first bad entry at its first bad field.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .geometry import as_box, as_control_points
+from .geometry import array_shape, as_box, as_control_points, float_array
 from .settings import is_real
 
 NUM_CATEGORIES = 13
@@ -166,33 +167,12 @@ class MetricReport:
 
 
 # ---------------------------------------------------------------------------
-# validation
-
-
-def _geometry(check, value, scene_id: str, fieldname: str) -> np.ndarray:
-    """``check(value)``, its ValueError raised as a ValidationError naming the field."""
-    try:
-        return check(value)
-    except ValueError as exc:
-        raise ValidationError(scene_id, fieldname, str(exc)) from exc
-
-
-def _check_boxes(scene_id: str, elements: Sequence[TrafficElement]) -> None:
-    """Every box of a record in one batch check; boxes that do not stack into
-    an (n, 4) matrix are checked one at a time, so the message names the
-    shape of the first wrong one."""
-    try:
-        boxes = np.array([te.box for te in elements], dtype=float).reshape(len(elements), -1)
-    except (TypeError, ValueError):  # ragged or not numeric
-        boxes = None
-    if boxes is not None and boxes.shape[1] == 4:
-        _geometry(lambda b: as_box(b, batch=True), boxes, scene_id, "traffic.box")
-    else:
-        for te in elements:
-            _geometry(as_box, te.box, scene_id, "traffic.box")
-
+# validation: one rule per field. A rule checks the values of one field of a record's entries (the
+# shape and count rules take them ``_stacked``) in one batch, and goes entry by entry only to find
+# its own first bad entry: it returns (position, message in the loader's words), or None.
 
 _NUMBER_TYPES = {int, float}  # the JSON numbers, exact types: a bool is an int subclass
+_CATEGORIES = frozenset(range(NUM_CATEGORIES))
 
 
 def _integer(value) -> int:
@@ -205,144 +185,122 @@ def _integer(value) -> int:
     raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _category_error(category) -> str | None:
-    """Why ``category`` is no traffic category, in the loader's words, or
-    None: it must be an integer in [0, NUM_CATEGORIES)."""
+def _first(check, values):
+    """(position, message) of the first of ``values`` that ``check`` raises a ValueError for, or None."""
+    for k, value in enumerate(values):
+        try:
+            check(value)
+        except ValueError as exc:
+            return k, str(exc)
+    return None
+
+
+def _ids(values: list, unique: bool):
+    """Each an integer, and with ``unique`` none repeated."""
+    if {int}.issuperset(map(type, values)) and (not unique or len(set(values)) == len(values)):
+        return None
+    seen = set()
+
+    def check(value):
+        if _integer(value) in seen and unique:
+            raise ValueError(f"duplicate id {value}")
+        seen.add(value)
+
+    return _first(check, values)
+
+
+def _stacked(values: list):
+    """``values`` as one float array, or the list itself where they do not stack."""
     try:
-        if 0 <= _integer(category) < NUM_CATEGORIES:
+        return np.array(values, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # ragged, not numeric or beyond the float range
+        return values
+
+
+def _shapes(values, check):
+    """Each passes ``check``, ``as_control_points`` or ``as_box``."""
+    if isinstance(values, np.ndarray) and len(values):
+        try:
+            check(values, batch=True)
             return None
-    except ValueError as exc:
-        return str(exc)
-    return f"category {category} outside [0, {NUM_CATEGORIES - 1}]"
+        except ValueError:
+            pass
+    return _first(check, values)
+
+
+def _counts(values, count: int | None, names: Sequence | None):
+    """Each lane's (M, 3) control points number ``count`` (any, if None); ``names[k]`` names lane k."""
+    if count is None or (isinstance(values, np.ndarray) and values.shape[1:2] == (count,)) or set(map(len, values)) <= {count}:
+        return None
+    k = next(k for k, value in enumerate(values) if len(value) != count)
+    return k, f"lane {k if names is None else names[k]} has {len(values[k])} control points, expected {count}"
+
+
+def _categories(values: list):
+    """Each an integer in [0, NUM_CATEGORIES)."""
+    if {int}.issuperset(map(type, values)) and _CATEGORIES.issuperset(values):
+        return None
+
+    def check(value):
+        if _integer(value) not in _CATEGORIES:
+            raise ValueError(f"category {value} outside [0, {NUM_CATEGORIES - 1}]")
+
+    return _first(check, values)
+
+
+def _unit(values: list, noun: str):
+    """Each a real number (see ``is_real``) in [0, 1]; NaN is not."""
+    if _NUMBER_TYPES.issuperset(map(type, values)) or all(map(is_real, values)):
+        scores = _stacked(values)
+        if isinstance(scores, np.ndarray) and ((scores >= 0.0) & (scores <= 1.0)).all():
+            return None
+    for k, value in enumerate(values):
+        if not is_real(value):
+            return k, f"expected a number, got {value!r}"
+        if not 0.0 <= value <= 1.0:
+            return k, f"{noun} {value} outside [0, 1]"
+    return None
+
+
+def _check(scene_id: str, *rules) -> None:
+    """Run each ``(field, rule, values, *args)`` in field order, each on the entries before the first
+    bad one found so far, and raise the ValidationError of the first bad entry at its first bad field."""
+    end = fault = None
+    for fieldname, rule, values, *args in rules:
+        found = rule(values if end is None else values[:end], *args)
+        if found:
+            end, fault = found[0], (fieldname, found[1])
+    if fault:
+        raise ValidationError(scene_id, *fault)
 
 
 def category_indices(elements: Sequence[TrafficElement]) -> np.ndarray:
     """The elements' categories as an int array of one-hot positions. One that
     is no integer in [0, NUM_CATEGORIES) raises a ValueError naming the
     element, where an index cast would truncate 2.7 or wrap -1."""
-    for k, te in enumerate(elements):
-        why = _category_error(te.category)
-        if why:
-            raise ValueError(f"traffic element {k}: {why}")
-    return np.array([te.category for te in elements], dtype=int)
-
-
-def _in_unit(values: np.ndarray) -> bool:
-    """Every entry in [0, 1]; NaN is not."""
-    return bool(np.all((values >= 0.0) & (values <= 1.0)))
-
-
-def _numbers(values: list) -> np.ndarray | None:
-    """In-memory scores or confidences as a float vector, or None where one
-    is no real number (see ``is_real``); the per-entry check then names it."""
-    if _NUMBER_TYPES.issuperset(map(type, values)) or all(map(is_real, values)):
-        return np.array(values, dtype=float)
-    return None
-
-
-def _traffic_pass(elements: Sequence[TrafficElement], require_ids: bool) -> bool:
-    """True when a record's traffic passes every check of
-    :func:`_check_traffic`, found in one batch on its stacked values: the
-    (t, 4) boxes, the ids (ints, unique when ``require_ids``), the categories
-    (ints in range) and the confidences (in [0, 1]). False also when the
-    values do not stack or a check cannot run; the per-element loop then
-    decides."""
-    try:
-        as_box(np.array([te.box for te in elements], dtype=float), batch=True)
-        confidences = _numbers([te.confidence for te in elements])
-        ids = [te.id for te in elements]
-        categories = [te.category for te in elements]
-        return (
-            {int}.issuperset(map(type, ids))
-            and (not require_ids or len(set(ids)) == len(ids))
-            and {int}.issuperset(map(type, categories))
-            and 0 <= min(categories) <= max(categories) < NUM_CATEGORIES
-            and confidences is not None
-            and _in_unit(confidences)
-        )
-    except (TypeError, ValueError, OverflowError):  # ragged, not numeric, unhashable
-        return False
+    categories = [te.category for te in elements]
+    found = _categories(categories)
+    if found:
+        raise ValueError("traffic element %d: %s" % found)
+    return np.array(categories, dtype=int)
 
 
 def _check_traffic(scene_id: str, elements: Sequence[TrafficElement], require_ids: bool):
-    """Each box, each element's id (an integer, unique when ``require_ids``),
-    category and confidence. A record that fails the batch check is checked
-    element by element, so the message names the first bad entry."""
-    if not elements or _traffic_pass(elements, require_ids):
-        return
-    _check_boxes(scene_id, elements)
-    seen = set()
-    for te in elements:
-        _geometry(_integer, te.id, scene_id, "traffic.id")
-        if require_ids:
-            if te.id in seen:
-                raise ValidationError(scene_id, "traffic.id", f"duplicate id {te.id}")
-            seen.add(te.id)
-        why = _category_error(te.category)
-        if why:
-            raise ValidationError(scene_id, "traffic.category", why)
-        if not is_real(te.confidence):
-            raise ValidationError(scene_id, "traffic.confidence", f"expected a number, got {te.confidence!r}")
-        if not (0.0 <= te.confidence <= 1.0):
-            raise ValidationError(
-                scene_id, "traffic.confidence", f"confidence {te.confidence} outside [0, 1]"
-            )
+    """Every box first; then each element's id (an integer, unique when
+    ``require_ids``), category and confidence."""
+    _check(scene_id, ("traffic.box", _shapes, _stacked([te.box for te in elements]), as_box))
+    _check(
+        scene_id,
+        ("traffic.id", _ids, [te.id for te in elements], require_ids),
+        ("traffic.category", _categories, [te.category for te in elements]),
+        ("traffic.confidence", _unit, [te.confidence for te in elements], "confidence"),
+    )
 
 
-def _lanes_pass(lanes: Sequence, control_points: int | None, gt: bool) -> bool:
-    """True when a record's lanes pass every check of :func:`_check_lanes`,
-    found in one batch on their stacked values: the (L, M, 3) control
-    points and their count, and the ids (GT, unique ints) or the class
-    scores (detection, in [0, 1]). False also when the values do not stack
-    or a check cannot run; the per-lane loop then decides."""
-    try:
-        pts = as_control_points(np.array([lane.ctrl for lane in lanes], dtype=float), batch=True)
-        if control_points is not None and pts.shape[1] != control_points:
-            return False
-        if gt:
-            ids = [lane.id for lane in lanes]
-            return {int}.issuperset(map(type, ids)) and len(set(ids)) == len(ids)
-        scores = _numbers([lane.class_score for lane in lanes])
-        return scores is not None and _in_unit(scores)
-    except (TypeError, ValueError, OverflowError):
-        return False
-
-
-def _check_lanes(scene_id: str, lanes: Sequence, control_points: int | None, gt: bool) -> None:
-    """Each lane's control points and their count, and each GT lane's id (an
-    integer, unique) or each detected lane's class score (in [0, 1]). A
-    record that fails the batch check is checked lane by lane, so the
-    message names the first bad entry."""
-    if _lanes_pass(lanes, control_points, gt):
-        return
-    seen = set()
-    for idx, lane in enumerate(lanes):
-        if gt:
-            _geometry(_integer, lane.id, scene_id, "lanes.id")
-            if lane.id in seen:
-                raise ValidationError(scene_id, "lanes.id", f"duplicate id {lane.id}")
-            seen.add(lane.id)
-        pts = _geometry(as_control_points, lane.ctrl, scene_id, "lanes.ctrl")
-        if control_points is not None and pts.shape[0] != control_points:
-            raise ValidationError(
-                scene_id,
-                "lanes.ctrl",
-                f"lane {lane.id if gt else idx} has {pts.shape[0]} control points, expected {control_points}",
-            )
-        if gt:
-            continue
-        if not is_real(lane.class_score):
-            raise ValidationError(scene_id, "lanes.class_score", f"expected a number, got {lane.class_score!r}")
-        if not (0.0 <= lane.class_score <= 1.0):
-            raise ValidationError(scene_id, "lanes.class_score", f"score {lane.class_score} outside [0, 1]")
-
-
-def _shape(value) -> tuple | None:
-    """``np.shape(value)``, or None where ``value`` is ragged."""
-    try:
-        return np.shape(value)
-    except ValueError:
-        return None
+def _ctrl_rules(lanes: Sequence, control_points: int | None, names: Sequence | None = None) -> tuple:
+    """The shape and count rules of ``lanes``' control points, ``names[k]`` naming lane k."""
+    ctrls = _stacked([lane.ctrl for lane in lanes])
+    return ("lanes.ctrl", _shapes, ctrls, as_control_points), ("lanes.ctrl", _counts, ctrls, control_points, names)
 
 
 def lane_features(record: DetectionRecord, width: int | None = None) -> np.ndarray | None:
@@ -366,12 +324,12 @@ def lane_features(record: DetectionRecord, width: int | None = None) -> np.ndarr
     source = ""
     if width is None:  # the first lane that carries a feature sets it
         first = next(idx for idx, f in enumerate(features) if f is not None)
-        shape = _shape(features[first])
+        shape = array_shape(features[first])
         if shape is None or len(shape) != 1:
             fail(first, "a feature that is not a vector of finite numbers")
         width, source = shape[0], f" as on lane {first}"
     for idx, feature in enumerate(features):
-        shape = _shape(feature)
+        shape = array_shape(feature)
         if feature is None or shape is not None and shape != (width,):
             got = "no feature" if feature is None else f"a feature of shape {shape}"
             fail(idx, f"{got}, expected width {width}{source}")
@@ -407,7 +365,8 @@ def edge_positions(scene: SceneRecord) -> tuple[np.ndarray, np.ndarray]:
 
 def validate_scene(scene: SceneRecord, control_points: int | None = None) -> None:
     """Check every SceneRecord invariant; raise ValidationError on the first hit."""
-    _check_lanes(scene.scene_id, scene.lanes, control_points, gt=True)
+    ids = [lane.id for lane in scene.lanes]
+    _check(scene.scene_id, ("lanes.id", _ids, ids, True), *_ctrl_rules(scene.lanes, control_points, ids))
     _check_traffic(scene.scene_id, scene.traffic, require_ids=True)
     edge_positions(scene)
 
@@ -422,7 +381,8 @@ def validate_detection(
         raise ValidationError(
             record.scene_id, "lanes", f"{len(record.lanes)} lanes exceed query budget {DEFAULT_QUERY_BUDGET}"
         )
-    _check_lanes(record.scene_id, record.lanes, control_points, gt=False)
+    scores = [lane.class_score for lane in record.lanes]
+    _check(record.scene_id, *_ctrl_rules(record.lanes, control_points), ("lanes.class_score", _unit, scores, "score"))
     lane_features(record, feature_width)
     _check_traffic(record.scene_id, record.traffic, require_ids=False)
     if isinstance(record, PredictionRecord):
@@ -454,10 +414,9 @@ def _reals(value, ndim: int | None = None) -> np.ndarray:
     """A JSON number, or nested lists of them, as a float array, after one
     scan of its leaf types; bools, strings and null entries are rejected,
     not coerced, and with ``ndim`` so is an array of another rank."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except OverflowError:
-        raise ValueError("number outside the float range") from None
+    arr = float_array(value)
+    if arr is None:
+        raise ValueError("expected lists of equal length, got a ragged list")
     if ndim is not None and arr.ndim != ndim:
         raise ValueError(f"expected {ndim} dimensions, got {arr.ndim}")
     if not _NUMBER_TYPES.issuperset(map(type, _leaves(value, arr.ndim))):
@@ -588,11 +547,16 @@ def tta_entry_from_obj(obj) -> tuple[float, list[TrafficElement]]:
     if not isinstance(obj, dict):
         raise ValueError(f"expected an object with 'scale' and 'traffic', got {obj!r}")
     scale = _field(obj, "scale", _real)
+    if not 0.0 < scale < math.inf:
+        raise ValueError(f"field 'scale': expected a finite positive number, got {scale!r}")
     traffic = _entries(obj, "traffic", _traffic, traffic_from_obj)
     try:
         _check_traffic("", traffic, require_ids=False)
     except ValidationError as exc:
         raise ValueError(f"field {exc.field!r}: {exc.message}") from exc
+    with np.errstate(over="ignore"):
+        if _shapes(np.reshape([te.box for te in traffic], (-1, 4)) / scale, as_box):
+            raise ValueError(f"field 'scale': {scale!r} rescales a box out of the float range")
     return scale, traffic
 
 

@@ -58,8 +58,8 @@ def tta_merge(
     cfg = cfg or TtaConfig()
     pooled: list[TrafficElement] = []
     for scale, boxes in per_scale_boxes:
-        if scale <= 0:
-            raise ValueError(f"scale must be positive, got {scale}")
+        if not 0.0 < scale < np.inf:
+            raise ValueError(f"scale must be a finite positive number, got {scale}")
         for te in boxes:
             pooled.append(
                 TrafficElement(

@@ -37,15 +37,37 @@ def _is_batch(a, b, item_ndim: int) -> bool:
     return batch_a
 
 
+def array_shape(value) -> tuple | None:
+    """``np.shape(value)``, or None where ``value`` is ragged (of unequal lengths)."""
+    try:
+        return np.shape(value)
+    except ValueError:
+        return None
+
+
+def float_array(value) -> np.ndarray | None:
+    """``np.asarray(value, dtype=float)``, or None where ``value`` is ragged; an
+    integer beyond the float range is a ValueError."""
+    try:
+        return np.asarray(value, dtype=float)
+    except OverflowError:
+        raise ValueError("number outside the float range") from None
+    except ValueError:
+        if array_shape(value) is not None:  # stacks, so a value is not numeric
+            raise
+    return None
+
+
 def as_control_points(ctrl, batch: bool = False) -> np.ndarray:
     """Coerce to a (M, 3) float array of control points, M >= 2, all finite;
     with ``batch``, to an (L, M, 3) stack of such lanes."""
-    pts = np.asarray(ctrl, dtype=float)
-    if pts.ndim != 2 + batch or pts.shape[-1] != 3:
-        raise ValueError(f"control points must have shape {'(L, M, 3)' if batch else '(M, 3)'}, got {pts.shape}")
+    pts = float_array(ctrl)
+    if pts is None or pts.ndim != 2 + batch or pts.shape[-1] != 3:
+        got = "a ragged list" if pts is None else pts.shape
+        raise ValueError(f"control points must have shape {'(L, M, 3)' if batch else '(M, 3)'}, got {got}")
     if pts.shape[-2] < 2:
         raise ValueError("a lane needs at least 2 control points")
-    if not np.all(np.isfinite(pts)):
+    if not np.isfinite(pts).all():
         raise ValueError("control points must be finite")
     return pts
 
@@ -53,11 +75,11 @@ def as_control_points(ctrl, batch: bool = False) -> np.ndarray:
 def as_box(box, batch: bool = False) -> np.ndarray:
     """Coerce to a (4,) float array (x1, y1, x2, y2) with x1 < x2 and y1 < y2;
     with ``batch``, to an (n, 4) or (..., n, 4) stack of such boxes."""
-    b = np.asarray(box, dtype=float)
-    if not batch:
+    b = float_array(box)
+    if b is not None and not batch:
         b = b.reshape(-1)
-    if b.shape[-1:] != (4,) or (b.ndim < 2 if batch else b.ndim != 1):
-        raise ValueError(f"box must have 4 coordinates, got {b.shape}")
+    if b is None or b.shape[-1:] != (4,) or (b.ndim < 2 if batch else b.ndim != 1):
+        raise ValueError(f"box must have 4 coordinates, got {'a ragged list' if b is None else b.shape}")
     if not np.isfinite(b).all():
         raise ValueError("box coordinates must be finite")
     flat = b.reshape(-1, 4)

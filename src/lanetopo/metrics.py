@@ -118,6 +118,15 @@ def _padded_stack(flat: np.ndarray, group: np.ndarray, rank: np.ndarray, shape, 
     return out
 
 
+def _checked(aligned, owner: np.ndarray, fieldname: str, dtype, rule, values: list, *args) -> np.ndarray:
+    """``values``, gathered across the aligned scenes at positions ``owner``, as a ``dtype`` array once
+    the ``dataio`` rule passes them; else the loader's ValidationError for the first bad one."""
+    found = rule(values, *args)
+    if found:
+        raise dataio.ValidationError(aligned[owner[found[0]]][0].scene_id, fieldname, found[1])
+    return np.array(values, dtype=dtype)
+
+
 def _by_scene(aligned, flat_match: np.ndarray, counts: np.ndarray) -> dict:
     """``{scene_id: match}`` from the concatenated per-scene matches of
     the aligned scenes, whose lengths are ``counts``."""
@@ -132,7 +141,8 @@ def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
     lanes), one ``frechet_distance`` call on the (pred, GT) pairs whose
     end points lie within the loosest threshold (the Frechet distance of
     any other pair exceeds every threshold, see ``frechet_lower_bound``),
-    and one greedy pass over the +inf-padded (threshold, scene) stack.
+    and one greedy pass over the +inf-padded (threshold, scene) stack. A bad
+    class score is the loader's ValidationError.
 
     Returns (score, per-threshold breakdown, ``{scene_id: match}`` at the
     loosest threshold, each match the GT index of every predicted lane in
@@ -145,7 +155,8 @@ def det_l(predictions, gts, cfg: DetMatchConfig | None = None):
     m = np.array([len(gt.lanes) for gt, _ in aligned], dtype=int)
     p_scene, p_idx = _flat(n)
     g_scene, g_idx = _flat(m)
-    conf = np.array([lane.class_score for _, pred in aligned for lane in pred.lanes], dtype=float)
+    scores = [lane.class_score for _, pred in aligned for lane in pred.lanes]
+    conf = _checked(aligned, p_scene, "lanes.class_score", float, dataio._unit, scores, "score")
     rank = _rank_within(p_scene, -conf, p_idx)
     shape = (len(aligned), n.max(initial=0), m.max(initial=0))
     dist = np.full(shape, np.inf)
@@ -176,7 +187,8 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     One ``box_iou`` call scores the padded (group, pred, GT) stack of every
     (scene, attribute) group, and one greedy pass matches each group on its
     -IoU matrix (IoU is a similarity: negating it and its threshold is
-    exact), its padding at +inf.
+    exact), its padding at +inf. A bad category (either side) or confidence
+    is the loader's ValidationError.
 
     Returns (score, per-attribute breakdown, ``{scene_id: match}``, each
     match the GT index of every predicted element in input order, -1 for a
@@ -190,9 +202,9 @@ def det_t(predictions, gts, cfg: DetMatchConfig | None = None):
     g_scene, g_idx = _flat(m)
     pred_te = [te for _, pred in aligned for te in pred.traffic]
     gt_te = [te for gt, _ in aligned for te in gt.traffic]
-    p_cat = np.array([te.category for te in pred_te], dtype=int)
-    g_cat = np.array([te.category for te in gt_te], dtype=int)
-    conf = np.array([te.confidence for te in pred_te], dtype=float)
+    p_cat = _checked(aligned, p_scene, "traffic.category", int, dataio._categories, [te.category for te in pred_te])
+    g_cat = _checked(aligned, g_scene, "traffic.category", int, dataio._categories, [te.category for te in gt_te])
+    conf = _checked(aligned, p_scene, "traffic.confidence", float, dataio._unit, [te.confidence for te in pred_te], "confidence")
     # one group per (scene, attribute) present on either side, in that order
     cats = np.concatenate([p_cat, g_cat])
     lo = cats.min(initial=0)
@@ -349,7 +361,8 @@ def evaluate(predictions, gts, cfg: DetMatchConfig | None = None) -> MetricRepor
 
     An evaluation over zero scenes has nothing to score and raises
     ``ValueError`` rather than reporting vacuous perfect scores, as does a
-    record without probability matrices of its shape, in [0, 1].
+    record without probability matrices of its shape, in [0, 1], or with a
+    value that ``det_l`` / ``det_t`` reject.
     """
     if not gts:
         raise ValueError("no scenes to evaluate")

@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import re
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -619,6 +621,21 @@ GOOD_BOX = {"id": 0, "box": [10.0, 10.0, 50.0, 50.0], "category": 2, "confidence
         pytest.param([{"scale": 1.0, "traffic": []}, {"traffic": []}], "entry 1: field 'scale': missing", id="no-scale"),
         pytest.param([{"scale": 1.0}], "entry 0: field 'traffic': missing", id="no-traffic"),
         pytest.param([{"scale": True, "traffic": []}], "entry 0: field 'scale': expected a number", id="scale-true"),
+        pytest.param(
+            [{"scale": math.nan, "traffic": [GOOD_BOX]}],
+            "entry 0: field 'scale': expected a finite positive number, got nan",
+            id="scale-nan",
+        ),
+        pytest.param(
+            [{"scale": 1.0, "traffic": []}, {"scale": math.inf, "traffic": [GOOD_BOX]}],
+            "entry 1: field 'scale': expected a finite positive number, got inf",
+            id="scale-infinity",
+        ),
+        pytest.param(
+            [{"scale": 1e-320, "traffic": [GOOD_BOX]}],
+            "entry 0: field 'scale': 1e-320 rescales a box out of the float range",
+            id="scale-1e-320",
+        ),
         pytest.param([{"scale": 1.0, "traffic": [5]}], "entry 0: field 'traffic.id'", id="element-not-object"),
         pytest.param(
             [{"scale": 1.0, "traffic": [{**GOOD_BOX, "box": [1.0, 2.0, 3.0]}]}],
@@ -631,7 +648,9 @@ GOOD_BOX = {"id": 0, "box": [10.0, 10.0, 50.0, 50.0], "category": 2, "confidence
 def test_tta_merge_rejects_bad_entries_naming_index_and_field(tmp_path, capsys, payload, message):
     inp = tmp_path / "tta.json"
     inp.write_text(json.dumps(payload))
-    assert run(["tta-merge", "--input", str(inp), "--out", str(tmp_path / "merged.json")]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning is no message
+        assert run(["tta-merge", "--input", str(inp), "--out", str(tmp_path / "merged.json")]) == 2
     err = capsys.readouterr().err
     assert f"{inp}: {message}" in err, err
     assert not (tmp_path / "merged.json").exists()

@@ -21,7 +21,7 @@ import pytest
 
 import reference_codec
 import test_jsonl_fuzz
-from lanetopo import dataio, detstrat, synthgen
+from lanetopo import dataio, detstrat, geometry, synthgen
 from lanetopo.cli import main
 from lanetopo.dataio import DetectionRecord, GtLane, PredictionRecord, PredLane, SceneRecord, TrafficElement
 
@@ -135,11 +135,9 @@ def _unstacked(entries, key, ndim):
 
 
 def per_entry():
-    """Every record goes entry by entry: no field converts as one stacked
-    array, and no validator batch check passes."""
-    return mock.patch.multiple(
-        dataio, _column=_unstacked, _lanes_pass=lambda *a, **k: False, _traffic_pass=lambda *a, **k: False
-    )
+    """Every record is converted entry by entry: no field converts as one
+    stacked array."""
+    return mock.patch.object(dataio, "_column", _unstacked)
 
 
 def query_budget_files(tmp_path):
@@ -182,9 +180,15 @@ def test_per_entry_conversion_loads_the_stacked_records_each_with_arrays_of_its_
     # the stacked conversions and the batch checks were taken: no entry is
     # converted or checked on its own
     with contextlib.ExitStack() as stack:
-        for name in ("_gt_lane", "_pred_lane", "traffic_from_obj", "_geometry"):
+        for name in ("_gt_lane", "_pred_lane", "traffic_from_obj"):
             stack.enter_context(mock.patch.object(dataio, name, side_effect=AssertionError))
+        checks = [
+            stack.enter_context(mock.patch.object(dataio, name, wraps=getattr(geometry, name)))
+            for name in ("as_control_points", "as_box")
+        ]
         assert (dataio.load_scenes(scene_path), dataio.load_detections(det_path)) == stacked
+    for check in checks:
+        assert check.call_args_list and all(call.kwargs == {"batch": True} for call in check.call_args_list)
 
 
 @pytest.mark.parametrize("path", ["stacked", "per-entry"])

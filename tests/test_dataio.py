@@ -526,6 +526,19 @@ def test_traffic_box_errors_name_the_field(box, message, count):
         assert info.value.field == "traffic.box" and info.value.message.startswith(message)
 
 
+@pytest.mark.parametrize("kind", ["scene", "detection"])
+@pytest.mark.parametrize("fieldname", ["lanes.ctrl", "traffic.box"])
+def test_an_in_memory_integer_beyond_the_float_range_is_named_as_the_loader_names_it(kind, fieldname):
+    record = make_scene() if kind == "scene" else make_detection()
+    if fieldname == "lanes.ctrl":
+        record.lanes[1].ctrl = [[0.0, 0.0, 0.0], [10**400, 1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0, 8.0]]
+    else:
+        record.traffic[1].box = [5.0, 5.0, 10**400, 40.0]
+    with pytest.raises(ValidationError) as info:
+        (dataio.validate_scene if kind == "scene" else dataio.validate_detection)(record)
+    assert (info.value.field, info.value.message) == (fieldname, "number outside the float range")
+
+
 @pytest.mark.parametrize(
     "fieldname, value, message",
     [

@@ -9,7 +9,10 @@ text of each error, or null where the record is accepted, is compared
 with ``dataio_messages.json``; the file's path reads ``<path>`` there.
 
 Re-record (only when a change of messages is intended and explained):
-``PYTHONPATH=src python tests/test_dataio_messages.py --record``.
+``PYTHONPATH=src python tests/test_dataio_messages.py --record KEY_PREFIX ...``
+rewrites the table when only keys that start with a given prefix changed,
+and otherwise exits 1 and writes nothing; with no prefix, any change is
+written.
 """
 
 from __future__ import annotations
@@ -255,9 +258,16 @@ def _in_memory(kind: str, obj):
 
 
 def messages(kind: str, case: str, idx: int, tmp: Path) -> dict:
+    return outcomes(kind, [(CASES[kind][case], idx)], tmp)
+
+
+def outcomes(kind: str, faults, tmp: Path) -> dict:
+    """The validate and load outcomes of the record with each ``(mutate,
+    position)`` of ``faults`` applied."""
     scene_obj, det_obj = _objs()
     obj = scene_obj if kind == "scene" else det_obj
-    CASES[kind][case](obj, idx)
+    for mutate, idx in faults:
+        mutate(obj, idx)
     out = {}
     record = _in_memory(kind, obj)
     if record is not None:
@@ -282,6 +292,42 @@ def _key(kind, case, idx) -> str:
     return f"{kind}/{case}/{idx}"
 
 
+def _repeated_id(entries):
+    def mutate(obj, idx):
+        obj[entries][idx]["id"] = obj[entries][idx - 1]["id"]
+
+    return mutate
+
+
+# Faults the converters accept, each under its own rule, by record kind and
+# entry list: ids are checked on GT lanes, unique traffic ids are required
+# in scenes, class scores are on detected lanes.
+NAN_CTRL, THREE_POINTS = _ctrl(_nan), _ctrl(_three_points)
+BOX_NAN, CATEGORY_13, CONFIDENCE_1_5 = _box(_nan_box), _set_traffic("category", 13), _set_traffic("confidence", 1.5)
+FAULTS = {
+    ("scene", "lanes"): {"repeated_id": _repeated_id("lanes"), "nan_ctrl": NAN_CTRL, "three_points": THREE_POINTS},
+    ("detection", "lanes"): {"nan_ctrl": NAN_CTRL, "three_points": THREE_POINTS, "score_-0.1": _set("class_score", -0.1)},
+    ("scene", "traffic"): {
+        "box_nan": BOX_NAN,
+        "repeated_id": _repeated_id("traffic"),
+        "category_13": CATEGORY_13,
+        "confidence_1.5": CONFIDENCE_1_5,
+    },
+    ("detection", "traffic"): {"box_nan": BOX_NAN, "category_13": CATEGORY_13, "confidence_1.5": CONFIDENCE_1_5},
+}
+FAULT_PAIRS = [(*where, a, b) for where, faults in FAULTS.items() for a in faults for b in faults if a != b]
+
+
+@pytest.mark.parametrize("kind,entries,first,second", FAULT_PAIRS, ids=["/".join(p) for p in FAULT_PAIRS])
+def test_two_faults_name_the_first_bad_entry_and_a_box_fault_goes_first(kind, entries, first, second, tmp_path):
+    faults = FAULTS[kind, entries]
+    at_3, at_11 = (faults[first], 3), (faults[second], 11)
+    alone_3, alone_11 = outcomes(kind, [at_3], tmp_path), outcomes(kind, [at_11], tmp_path)
+    assert None not in (*alone_3.values(), *alone_11.values()) and alone_3 != alone_11
+    want = alone_11 if second == "box_nan" else alone_3  # every box is checked before any other field
+    assert outcomes(kind, [at_3, at_11], tmp_path) == want
+
+
 PARAMS = [(kind, case, idx) for kind, cases in CASES.items() for case in cases for idx in POSITIONS]
 
 
@@ -291,14 +337,29 @@ def test_error_message_matches_recorded(kind, case, idx, tmp_path):
     assert messages(kind, case, idx, tmp_path) == recorded[_key(kind, case, idx)]
 
 
-if __name__ == "__main__":
-    if sys.argv[1:] != ["--record"]:
-        sys.exit("usage: python tests/test_dataio_messages.py --record")
+def record(prefixes: list[str]) -> int:
+    """Re-record the table; with ``prefixes``, refuse (write nothing, return
+    1) when a key that matches none of them changed."""
     with tempfile.TemporaryDirectory() as tmp:
         table = {_key(*p): messages(*p, Path(tmp)) for p in PARAMS}
     old = json.loads(RECORDED.read_text(encoding="utf-8")) if RECORDED.exists() else {}
-    for key in sorted(table.keys() | old.keys()):
-        for entry in ("validate", "load"):
-            if old.get(key, {}).get(entry, "<absent>") != table.get(key, {}).get(entry, "<absent>"):
-                print(f"changed: {key} {entry}")
+    changed = [
+        (key, entry)
+        for key in sorted(table.keys() | old.keys())
+        for entry in ("validate", "load")
+        if old.get(key, {}).get(entry, "<absent>") != table.get(key, {}).get(entry, "<absent>")
+    ]
+    unnamed = [(key, entry) for key, entry in changed if prefixes and not key.startswith(tuple(prefixes))]
+    for key, entry in changed:
+        print(f"{'changed, not named' if (key, entry) in unnamed else 'changed'}: {key} {entry}")
+    if unnamed:
+        print(f"{len(unnamed)} entries changed outside {' '.join(prefixes)}: nothing written", file=sys.stderr)
+        return 1
     RECORDED.write_text(json.dumps(table, indent=1) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    if sys.argv[1:2] != ["--record"]:
+        sys.exit("usage: python tests/test_dataio_messages.py --record [KEY_PREFIX ...]")
+    sys.exit(record(sys.argv[2:]))

@@ -128,7 +128,8 @@ def test_tta_idempotent_and_no_high_iou_survivors():
 
 
 def test_tta_rejects_bad_scale_and_config():
-    with pytest.raises(ValueError):
-        tta_merge([(0.0, [element()])])
+    for scale in (0.0, -1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="scale must be a finite positive number"):
+            tta_merge([(scale, [element()])])
     with pytest.raises(ValueError, match="TtaConfig.merge_iou"):
         TtaConfig(merge_iou=0.0)

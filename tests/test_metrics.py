@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import reference_metrics
 
-from lanetopo import metrics
+from lanetopo import dataio, metrics
 from lanetopo.dataio import (
     GtLane,
     PredictionRecord,
@@ -333,10 +333,10 @@ def test_evaluate_invariant_to_scene_and_prediction_order():
     preds = []
     for s in scenes:
         p = perfect_prediction(s)
-        # distinct confidences, mild jitter
+        # distinct confidences in [0, 1], mild jitter
         for i, lane in enumerate(p.lanes):
             lane.ctrl = lane.ctrl + rng.normal(scale=0.2, size=lane.ctrl.shape)
-            lane.class_score = float(0.99 - 0.07 * i)
+            lane.class_score = 0.99 / (i + 1)
         preds.append(p)
     base = evaluate(preds, scenes)
 
@@ -502,6 +502,46 @@ def test_evaluate_rejects_probabilities_outside_the_unit_interval(field, value):
     getattr(preds[1], field)[0, 1] = value
     with pytest.raises(ValidationError, match=f"^scene 'scene-00001', field '{field}': probabilities outside \\[0, 1\\]$"):
         evaluate(preds, scenes)
+
+
+def _bad_value(side, field, edit):
+    def mutate(scene, pred):
+        record = scene if side == "gt" else pred
+        entry = (record.lanes if field == "class_score" else record.traffic)[1]
+        setattr(entry, field, edit(getattr(entry, field)))
+        return record
+
+    return mutate
+
+
+BAD_IN_MEMORY_VALUES = {
+    "prediction category c + 0.7": ("traffic.category", _bad_value("pred", "category", lambda c: c + 0.7)),
+    "gt category c + 0.7": ("traffic.category", _bad_value("gt", "category", lambda c: c + 0.7)),
+    "prediction category -1": ("traffic.category", _bad_value("pred", "category", lambda c: -1)),
+    "class score nan": ("lanes.class_score", _bad_value("pred", "class_score", lambda v: np.nan)),
+    "class score 5.0": ("lanes.class_score", _bad_value("pred", "class_score", lambda v: 5.0)),
+    "confidence -3.0": ("traffic.confidence", _bad_value("pred", "confidence", lambda v: -3.0)),
+}
+
+
+@pytest.mark.parametrize("case", BAD_IN_MEMORY_VALUES)
+def test_evaluate_rejects_a_value_that_the_loader_rejects_in_its_words(case):
+    # an index cast would truncate a category of c + 0.7 or wrap -1; a score
+    # outside [0, 1] would rank as given
+    field, mutate = BAD_IN_MEMORY_VALUES[case]
+    scenes = [generate_scene(GeneratorConfig(scenes=2, seed=17), i) for i in range(2)]
+    preds = [perfect_prediction(s) for s in scenes]
+    for pred in preds:
+        pred.topo_ll_prob[:], pred.topo_lt_prob[:] = 0.0, 0.0
+    record = mutate(scenes[1], preds[1])
+    validate = dataio.validate_scene if isinstance(record, SceneRecord) else dataio.validate_detection
+    with pytest.raises(ValidationError) as loader:
+        validate(record)
+    assert loader.value.field == field
+    with pytest.raises(ValidationError) as got:
+        evaluate(preds, scenes)
+    assert str(got.value) == str(loader.value)
+    assert str(got.value).startswith(f"scene 'scene-00001', field '{field}': ")
 
 
 def test_evaluate_rejects_a_misshapen_probability_matrix():
